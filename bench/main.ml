@@ -800,17 +800,13 @@ let write_kernels_json () =
                  ("nests", J.Num (float_of_int nests)) ]
               @ native_fields) ])
     benches;
-  (* --- scheduling ablations: the native tier's emit-time transforms.
-     Four knob combinations per benchmark — native_v1 (both off: the
-     flat v1 loop schedule), each knob alone, native_v2 (both on) —
-     plus a pooled v2 point on an OpenMP compile so the in-plugin
-     work-sharing path is exercised. Every configuration must stay
-     bitwise identical to the closure engine. Two kinds of gate: the
-     throughput gate (v2 over v1 on the perf benchmarks, full margin
-     only at full sizes where the rolling-window and blit savings
-     dominate fixed costs) and structural gates — aligned fusion must
-     fire on smooth, the shifted sweep/copy schedule on Gauss-Seidel —
-     which are deterministic and immune to container timing noise. *)
+  (* --- scheduling: the native tier's emitted schedule, serial and
+     pooled (an OpenMP compile, so emitted parallel levels dispatch
+     through the in-plugin pool pfor). Both must stay bitwise identical
+     to the closure engine. The gates are structural — aligned fusion
+     must fire on smooth, the shifted sweep/copy schedule on
+     Gauss-Seidel and Laplace — so they are deterministic and immune to
+     container timing noise. *)
   let scheduling = ref [] in
   let module N = Fsc_codegen.Native in
   let sched_ctx ~bname ~cname =
@@ -825,50 +821,56 @@ let write_kernels_json () =
            ~version:N.format_version ())
       ~mode:N.Sync ()
   in
-  let sched_gate = if !quick then 1.05 else 1.3 in
   let sched_benches =
     [ ("gauss-seidel",
        B.gauss_seidel ~nx:n_gs ~ny:n_gs ~nz:n_gs ~niter:iters (),
        float_of_int (n_gs * n_gs * n_gs * iters),
-       Printf.sprintf "%d^3 x%d" n_gs iters, "u", true, "shift d=");
+       Printf.sprintf "%d^3 x%d" n_gs iters, "u", "shift d=");
       ("laplace",
        B.laplace ~n:n_lp ~niter:iters (),
        float_of_int (n_lp * n_lp * iters),
-       Printf.sprintf "%d^2 x%d" n_lp iters, "phi", true, "shift d=");
+       Printf.sprintf "%d^2 x%d" n_lp iters, "phi", "shift d=");
       ("smooth",
        B.smooth ~nx:n_gs ~ny:n_gs ~nz:n_gs ~niter:iters (),
        float_of_int (n_gs * n_gs * n_gs * iters),
-       Printf.sprintf "%d^3 x%d" n_gs iters, "d", false, "aligned") ]
-  in
-  let sched_cfgs =
-    [ ("native_v1", false, false); ("native_no_fuse", true, false);
-      ("native_no_tile", false, true); ("native_v2", true, true) ]
+       Printf.sprintf "%d^3 x%d" n_gs iters, "d", "aligned") ]
   in
   (match N.toolchain_error (sched_ctx ~bname:"probe" ~cname:"probe") with
-  | Some why -> Printf.printf "  scheduling ablations skipped (%s)\n" why
+  | Some why -> Printf.printf "  native scheduling skipped (%s)\n" why
   | None ->
     List.iter
-      (fun (bname, src, cells, size, grid, perf_gate, fuse_marker) ->
-        let options = P.default_options ~target:P.Serial () in
-        let ca = P.compile options src in
-        let a_closure = P.link ~engine:P.Engine_closure ca in
-        P.run a_closure;
-        (* one native link per knob combination, each into its own
-           fresh Sync cache; the first run binds and compiles inline *)
-        let kernel_stats a =
-          List.fold_left
-            (fun (f, w, b, d) (_, impl) ->
-              match impl with
-              | P.Native_jit (_, nk) ->
-                let r = N.report nk in
-                ( f + r.N.rp_fused_nests,
-                  w + r.N.rp_reuse_windows,
-                  b + r.N.rp_copy_blits,
-                  d ^ (if d = "" then "" else " | ") ^ r.N.rp_detail )
-              | _ -> (f, w, b, d))
-            (0, 0, 0, "") a.P.a_kernels
+      (fun (bname, src, cells, size, grid, fuse_marker) ->
+        let a_closure =
+          P.link ~engine:P.Engine_closure
+            (P.compile (P.default_options ~target:P.Serial ()) src)
         in
-        let check_bitwise cname a =
+        P.run a_closure;
+        (* one native link per target, each into its own fresh Sync
+           cache; the first run binds and compiles inline *)
+        let point (cname, target) =
+          let a =
+            P.link ~engine:P.Engine_native ~native:(sched_ctx ~bname ~cname)
+              (P.compile (P.default_options ~target ()) src)
+          in
+          P.run a;
+          let fused, windows, blits, detail, par_mode =
+            List.fold_left
+              (fun (f, w, b, d, pm) (_, impl) ->
+                match impl with
+                | P.Native_jit (_, nk) ->
+                  let r = N.report nk in
+                  ( f + r.N.rp_fused_nests,
+                    w + r.N.rp_reuse_windows,
+                    b + r.N.rp_copy_blits,
+                    d ^ (if d = "" then "" else " | ") ^ r.N.rp_detail,
+                    match r.N.rp_par_mode with Some m -> m | None -> pm )
+                | _ -> (f, w, b, d, pm))
+              (0, 0, 0, "", "unknown") a.P.a_kernels
+          in
+          Printf.printf "    %s/%s: %s\n" bname cname detail;
+          let m =
+            measure ~label:(Printf.sprintf "%s  %s" bname cname) a cells
+          in
           let diff =
             Rt.max_abs_diff
               (P.buffer_exn a_closure grid)
@@ -878,141 +880,40 @@ let write_kernels_json () =
             failures :=
               Printf.sprintf "%s/%s: closure/native grids differ by %g"
                 bname cname diff
-              :: !failures
-        in
-        (* link every configuration first, then measure them in
-           interleaved round-robin windows: the container's CPU budget
-           is bursty, and sequential per-config measurement would hand
-           whichever config coincides with a slow burst a phantom loss.
-           A burst inside a round slows every config's window of that
-           round; taking each config's best window then compares like
-           against like. *)
-        let linked_cfgs =
-          List.map
-            (fun (cname, tile, fuse) ->
-              let a =
-                P.link ~engine:P.Engine_native
-                  ~native:(sched_ctx ~bname ~cname) ~native_tile:tile
-                  ~native_fuse:fuse ca
-              in
-              P.run a;
-              let fused, windows, blits, detail = kernel_stats a in
-              Printf.printf "    %s/%s: %s\n" bname cname detail;
-              (cname, a, (fused, windows, blits, detail)))
-            sched_cfgs
-        in
-        let sched_seconds = Float.max min_seconds 0.2 in
-        let best = Hashtbl.create 8 in
-        for _ = 1 to 4 do
-          List.iter
-            (fun (cname, a, _) ->
-              let m =
-                Cal.measure
-                  ~label:(Printf.sprintf "%s  %s" bname cname)
-                  ~cells_per_iter:cells ~min_seconds:sched_seconds (fun () ->
-                    P.run a)
-              in
-              match Hashtbl.find_opt best cname with
-              | Some prev when Cal.mcells prev >= Cal.mcells m -> ()
-              | _ -> Hashtbl.replace best cname m)
-            linked_cfgs
-        done;
-        let results =
-          List.map
-            (fun (cname, a, (fused, windows, blits, detail)) ->
-              check_bitwise cname a;
-              P.shutdown a;
-              (cname, Cal.mcells (Hashtbl.find best cname), fused, windows,
-               blits, detail))
-            linked_cfgs
-        in
-        let mcells_of want =
-          match List.find_opt (fun (c, _, _, _, _, _) -> c = want) results with
-          | Some (_, mc, _, _, _, _) -> mc
-          | None -> 0.0
-        in
-        let v1 = mcells_of "native_v1" and v2 = mcells_of "native_v2" in
-        Printf.printf "  %s: scheduled/flat (v2/v1) %.2fx\n" bname (v2 /. v1);
-        if perf_gate && v2 < sched_gate *. v1 then
-          failures :=
-            Printf.sprintf
-              "%s: scheduled native below the %.2fx gate over flat (%.2fx)"
-              bname sched_gate (v2 /. v1)
-            :: !failures;
-        (* structural gate: the fusion kind the benchmark exists to
-           prove must actually appear in the v2 report *)
-        (match
-           List.find_opt (fun (c, _, _, _, _, _) -> c = "native_v2") results
-         with
-        | Some (_, _, fused, _, _, detail) ->
-          if fused < 2 then
-            failures :=
-              Printf.sprintf "%s: v2 schedule fused no nests" bname
               :: !failures;
-          let marker_present =
+          P.shutdown a;
+          (* structural gate: the fusion kind the benchmark exists to
+             prove must appear in the serial report *)
+          if target = P.Serial then begin
+            if fused < 2 then
+              failures :=
+                Printf.sprintf "%s: native schedule fused no nests" bname
+                :: !failures;
             let ml = String.length fuse_marker
             and dl = String.length detail in
             let rec scan i =
-              i + ml <= dl && (String.sub detail i ml = fuse_marker
-                               || scan (i + 1))
+              i + ml <= dl
+              && (String.sub detail i ml = fuse_marker || scan (i + 1))
             in
-            scan 0
-          in
-          if not marker_present then
-            failures :=
-              Printf.sprintf "%s: v2 schedule missing '%s' fusion" bname
-                fuse_marker
-              :: !failures
-        | None -> ());
-        (* pooled v2: an OpenMP compile of the same program, so emitted
-           parallel levels dispatch through the in-plugin pool pfor *)
-        let ca_mp =
-          P.compile (P.default_options ~target:(P.Openmp 2) ()) src
-        in
-        let a_pool =
-          P.link ~engine:P.Engine_native
-            ~native:(sched_ctx ~bname ~cname:"pool") ca_mp
-        in
-        P.run a_pool;
-        let p_fused, p_windows, p_blits, _ = kernel_stats a_pool in
-        let par_mode =
-          List.fold_left
-            (fun acc (_, impl) ->
-              match impl with
-              | P.Native_jit (_, nk) -> (
-                match (N.report nk).N.rp_par_mode with
-                | Some m -> Some m
-                | None -> acc)
-              | _ -> acc)
-            None a_pool.P.a_kernels
-          |> Option.value ~default:"unknown"
-        in
-        let m_pool =
-          measure ~label:(Printf.sprintf "%s  native_v2_pool2" bname) a_pool
-            cells
-        in
-        check_bitwise "native_v2_pool2" a_pool;
-        P.shutdown a_pool;
-        P.shutdown a_closure;
-        let sched_point ?(extra = []) cname mc fused windows blits =
+            if not (scan 0) then
+              failures :=
+                Printf.sprintf "%s: native schedule missing '%s' fusion"
+                  bname fuse_marker
+                :: !failures
+          end;
           J.Obj
-            ([ ("benchmark", J.Str bname); ("config", J.Str cname);
-               ("size", J.Str size); ("mcells_per_s", J.Num mc);
-               ("fused_nests", J.Num (float_of_int fused));
-               ("reuse_windows", J.Num (float_of_int windows));
-               ("copy_blits", J.Num (float_of_int blits)) ]
-            @ extra)
+            [ ("benchmark", J.Str bname); ("config", J.Str cname);
+              ("size", J.Str size); ("mcells_per_s", J.Num (Cal.mcells m));
+              ("fused_nests", J.Num (float_of_int fused));
+              ("reuse_windows", J.Num (float_of_int windows));
+              ("copy_blits", J.Num (float_of_int blits));
+              ("par_mode", J.Str par_mode) ]
         in
         scheduling :=
           !scheduling
-          @ List.map
-              (fun (cname, mc, fused, windows, blits, _) ->
-                sched_point cname mc fused windows blits)
-              results
-          @ [ sched_point
-                ~extra:[ ("par_mode", J.Str par_mode) ]
-                "native_v2_pool2" (Cal.mcells m_pool) p_fused p_windows
-                p_blits ])
+          @ List.map point
+              [ ("native", P.Serial); ("native_pool2", P.Openmp 2) ];
+        P.shutdown a_closure)
       sched_benches);
   let json =
     J.Obj
@@ -1066,8 +967,8 @@ let write_kernels_json () =
    counts to 128 simulated ranks — and per-rank vector-engine
    utilisation. Self-validating: the file is re-read and failures
    (overlap losing to blocking, measured throughput falling outside the
-   stated factor of the model, coalescing not cutting message counts by
-   the swap-set size) exit nonzero so CI can gate on it. *)
+   stated factor of the model, a superstep sending other than one
+   message per neighbour) exit nonzero so CI can gate on it. *)
 let write_dmp_json () =
   let module J = Fsc_obs.Obs.Json in
   let module Dk = Fsc_dmp.Dist_kernel in
@@ -1098,13 +999,9 @@ let write_dmp_json () =
     (!best, !best_stats)
   in
   let mcells_of ~cells dt = float_of_int (cells * iters) /. dt /. 1e6 in
-  let dist_point ?(mode = Fsc_dmp.Dist_exec.Overlap) ~global:(gx, gy, gz)
-      ranks =
+  let dist_point ~global:(gx, gy, gz) ranks =
     let src = B.gauss_seidel ~nx:gx ~ny:gy ~nz:gz ~niter:iters () in
-    let a, _ =
-      P.stencil ~target:(P.Dist ranks) ~engine:P.Engine_vector
-        ~dist_mode:mode src
-    in
+    let a, _ = P.stencil ~target:(P.Dist ranks) ~engine:P.Engine_vector src in
     let dt, stats = best_run_s a in
     P.shutdown a;
     (mcells_of ~cells:(gx * gy * gz) dt, stats)
@@ -1248,53 +1145,56 @@ let write_dmp_json () =
       Printf.sprintf
         "overlap (%.2f MCells/s) slower than blocking (%.2f MCells/s)" ov bl
       :: !failures;
-  (* coalescing traffic shape: the same supersteps over a three-field
-     swap set, counted with per-field messages versus one coalesced
-     payload per neighbour — the message count must drop by exactly the
-     swap-set size (payload bytes gain only the small offset header) *)
+  (* one halo message per neighbour for a superstep's whole swap set: a
+     three-field swap over [iters_co] supersteps must move exactly
+     [iters_co] x the decomposition's neighbour links (each field's
+     planes ride behind the payload's offset header) *)
+  let neighbour_links d =
+    let links = ref 0 in
+    for rank = 0 to Fsc_dmp.Decomp.nranks d - 1 do
+      List.iter
+        (fun dir ->
+          if Fsc_dmp.Decomp.neighbor d rank dir <> None then incr links)
+        Fsc_dmp.Decomp.directions
+    done;
+    !links
+  in
   let coalescing =
     let module DX = Fsc_dmp.Dist_exec in
     let ranks_co = 4 and iters_co = 4 in
     let swap = [ "u"; "v"; "w" ] in
     let d = Fsc_dmp.Decomp.create ~global:(n, n, n) ~ranks:ranks_co in
-    let traffic coalesce =
-      let t =
-        DX.create d ~fields:swap ~init:(fun _ (i, j, k) ->
-            float_of_int ((i * 7 + j * 3 + k) mod 11))
-      in
-      DX.iterate t ~mode:DX.Blocking ~coalesce ~iters:iters_co
-        ~swap_fields:swap
-        ~sweep:(fun _ ~rank:_ _ -> ())
-        ();
-      DX.stats t
+    let t =
+      DX.create d ~fields:swap ~init:(fun _ (i, j, k) ->
+          float_of_int ((i * 7 + j * 3 + k) mod 11))
     in
-    let msgs_on, bytes_on = traffic true in
-    let msgs_off, bytes_off = traffic false in
-    let factor = float_of_int msgs_off /. float_of_int msgs_on in
-    if factor < float_of_int (List.length swap) -. 0.01 then
+    DX.iterate t ~mode:DX.Blocking ~iters:iters_co ~swap_fields:swap
+      ~sweep:(fun _ ~rank:_ _ -> ())
+      ();
+    let msgs, bytes = DX.stats t in
+    let links = neighbour_links d in
+    if msgs <> iters_co * links then
       failures :=
         Printf.sprintf
-          "coalescing: %d msgs vs %d per-field (%.2fx, want %dx)" msgs_on
-          msgs_off factor (List.length swap)
+          "coalescing: %d msgs over %d supersteps, want %d per superstep \
+           (one per neighbour link)"
+          msgs iters_co links
         :: !failures;
     J.Obj
       [ ("ranks", J.Num (float_of_int ranks_co));
         ("swap_fields", J.Num (float_of_int (List.length swap)));
         ("supersteps", J.Num (float_of_int iters_co));
-        ("msgs_coalesced", J.Num (float_of_int msgs_on));
-        ("msgs_per_field", J.Num (float_of_int msgs_off));
-        ("kb_coalesced", J.Num (float_of_int bytes_on /. 1024.));
-        ("kb_per_field", J.Num (float_of_int bytes_off /. 1024.));
-        ("msg_reduction", J.Num factor) ]
+        ("neighbour_links", J.Num (float_of_int links));
+        ("msgs", J.Num (float_of_int msgs));
+        ("kb", J.Num (float_of_int bytes /. 1024.)) ]
   in
-  (* footprint staling ablation: the residual+probe program at the dist
-     target, affine-footprint halo staling on vs off on identical work.
+  (* footprint staling: the residual+probe program at the dist target.
      The probe nest writes u only along the global j = k = 1 edge, a
      plane the write footprint proves is never a mirrored block
-     boundary, so staling-on must move strictly fewer halo messages
-     (deterministic counts), report stales avoided, answer
-     bitwise-identically to staling-off, and — via interleaved best-of
-     rounds — never run slower than the whole-field baseline. *)
+     boundary, so u's halos stay fresh after the first exchange: the
+     whole run must move exactly one exchange's messages (one per
+     neighbour link, deterministic), report stales avoided, and answer
+     bitwise-identically to serial. *)
   let footprint_staling =
     let ranks_fp = 4 in
     let src = B.residual ~nx:n ~ny:n ~nz:n ~niter:iters () in
@@ -1303,82 +1203,45 @@ let write_dmp_json () =
       Array.init (Bigarray.Array1.dim b.Rt.data) (fun i ->
           Bigarray.Array1.unsafe_get b.Rt.data i)
     in
-    let build fp =
-      fst
-        (P.stencil ~target:(P.Dist ranks_fp) ~engine:P.Engine_vector
-           ~dist_footprint:fp src)
+    let a, _ =
+      P.stencil ~target:(P.Dist ranks_fp) ~engine:P.Engine_vector src
     in
-    let a_on = build true and a_off = build false in
-    (* deterministic message counts: one untimed run each, then a
-       snapshot — group stats reset at every [P.run] *)
-    P.run a_on;
-    P.run a_off;
-    let u_on = copy_u a_on and u_off = copy_u a_off in
-    let snap a =
+    (* deterministic message counts: one untimed run, then a snapshot —
+       group stats reset at every [P.run] *)
+    P.run a;
+    let u_dist = copy_u a in
+    let msgs, avoided =
       match Option.map Dk.stats a.P.a_dist with
       | Some s ->
         ( List.fold_left (fun acc g -> acc + g.Dk.gs_msgs) 0 s.Dk.ds_groups,
           s.Dk.ds_stales_avoided )
       | None -> (0, 0)
     in
-    let msgs_on, avoided_on = snap a_on in
-    let msgs_off, avoided_off = snap a_off in
-    if msgs_on >= msgs_off then
+    let links =
+      neighbour_links (Fsc_dmp.Decomp.create ~global:(n, n, n) ~ranks:ranks_fp)
+    in
+    if msgs <> links then
       failures :=
         Printf.sprintf
-          "footprint staling: %d msgs with footprints, %d without (want \
-           strictly fewer)"
-          msgs_on msgs_off
+          "footprint staling: %d halo msgs, want one exchange (%d)" msgs links
         :: !failures;
-    if avoided_on = 0 then
+    if avoided = 0 then
       failures := "footprint staling: no stales avoided" :: !failures;
-    if avoided_off <> 0 then
-      failures :=
-        "footprint staling: baseline reported avoided stales" :: !failures;
-    (if u_on <> u_off then
-       failures :=
-         "footprint staling: answers differ between on and off" :: !failures);
-    (* the dist answer must also match serial bit for bit *)
     let a_ser, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
     P.run a_ser;
     let u_ser = copy_u a_ser in
     P.shutdown a_ser;
-    if u_on <> u_ser then
+    if u_dist <> u_ser then
       failures := "footprint staling: dist differs from serial" :: !failures;
-    let cells = n * n * n in
-    let bench a =
-      let dt, _ = best_run_s a in
-      mcells_of ~cells dt
-    in
-    (* interleaved best-of rounds: each side's best converges to its
-       floor, and staling-on's floor is no higher (same compute, fewer
-       exchanges), so extra rounds settle scheduling noise *)
-    let mc_off = ref (bench a_off) in
-    let mc_on = ref (bench a_on) in
-    let rounds = ref 1 in
-    while !mc_on < !mc_off && !rounds < 10 do
-      incr rounds;
-      mc_off := Float.max !mc_off (bench a_off);
-      mc_on := Float.max !mc_on (bench a_on)
-    done;
-    P.shutdown a_on;
-    P.shutdown a_off;
-    if !mc_on < !mc_off then
-      failures :=
-        Printf.sprintf
-          "footprint staling (%.2f MCells/s) slower than whole-field \
-           baseline (%.2f MCells/s)"
-          !mc_on !mc_off
-        :: !failures;
+    let dt, _ = best_run_s a in
+    P.shutdown a;
     J.Obj
       [ ("benchmark",
          J.Str (Printf.sprintf "residual+probe %d^3 x%d" n iters));
         ("ranks", J.Num (float_of_int ranks_fp));
-        ("halo_msgs_footprint", J.Num (float_of_int msgs_on));
-        ("halo_msgs_whole_field", J.Num (float_of_int msgs_off));
-        ("stales_avoided", J.Num (float_of_int avoided_on));
-        ("mcells_footprint", J.Num !mc_on);
-        ("mcells_whole_field", J.Num !mc_off);
+        ("halo_msgs", J.Num (float_of_int msgs));
+        ("stales_avoided", J.Num (float_of_int avoided));
+        ("mcells", J.Num (mcells_of ~cells:(n * n * n) dt));
         ("bitwise_vs_serial", J.Bool true) ]
   in
   let json =

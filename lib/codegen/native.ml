@@ -370,7 +370,6 @@ type kernel = {
   k_ctx : ctx;
   k_name : string;
   k_spec : Kc.spec;
-  k_options : Emit.options;
   k_plan : Kb.plan; (* the vector tier: fallback at every level *)
   k_nnests : int;
   k_mutex : Mutex.t;
@@ -380,9 +379,8 @@ type kernel = {
   mutable k_par_mode : string; (* how the last native run work-shared *)
 }
 
-let prepare ctx ?(tile = true) ?(fuse = true) ~name spec =
+let prepare ctx ~name spec =
   { k_ctx = ctx; k_name = name; k_spec = spec;
-    k_options = { Emit.o_tile = tile; o_fuse = fuse };
     k_plan = Kb.compile_spec spec;
     k_nnests = List.length spec.Kc.k_nests; k_mutex = Mutex.create ();
     k_bind = None; k_pending_runs = 0; k_guard_misses = 0;
@@ -390,58 +388,6 @@ let prepare ctx ?(tile = true) ?(fuse = true) ~name spec =
 
 let name k = k.k_name
 let plan k = k.k_plan
-
-(* Whole-space bounds validation, mirroring the vector engine's bind
-   discipline: emitted bodies are unsafe, so prove every access of the
-   full iteration space in range before ever dispatching to one.
-   Strides are positive (column-major products of extents), so the
-   extreme flat offsets sit at the loop bounds. *)
-let validate_nest ~strides ~(bufs : Rt.t array) (nest : Kc.nest) =
-  if
-    List.exists
-      (fun (l : Kc.loop_spec) -> l.Kc.l_ub <= l.Kc.l_lb)
-      nest.Kc.n_loops
-  then Ok () (* empty space: the nest executes nothing *)
-  else begin
-    let base_lo = ref 0 and base_hi = ref 0 in
-    List.iter
-      (fun (l : Kc.loop_spec) ->
-        let s = strides.(l.Kc.l_dim) in
-        base_lo := !base_lo + (l.Kc.l_lb * s);
-        base_hi := !base_hi + ((l.Kc.l_ub - 1) * s))
-      nest.Kc.n_loops;
-    let rec scan acc (e : Kc.fexpr) =
-      match e with
-      | Kc.F_load (bi, idxs) -> (bi, Kc.delta_of strides idxs) :: acc
-      | Kc.F_unary (_, a) -> scan acc a
-      | Kc.F_binary (_, a, b) -> scan (scan acc a) b
-      | Kc.F_const _ | Kc.F_scalar _ | Kc.F_ivf _ -> acc
-    in
-    let accesses =
-      List.concat_map
-        (fun (st : Kc.store_stmt) ->
-          (st.Kc.st_buf, Kc.delta_of strides st.Kc.st_index)
-          :: scan [] st.Kc.st_expr)
-        nest.Kc.n_stores
-    in
-    List.fold_left
-      (fun acc (bi, delta) ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if bi >= Array.length bufs then
-            Error (Printf.sprintf "buffer %d not passed at the call" bi)
-          else
-            let n = Bigarray.Array1.dim bufs.(bi).Rt.data in
-            let lo = !base_lo + delta and hi = !base_hi + delta in
-            if lo < 0 || hi >= n then
-              Error
-                (Printf.sprintf
-                   "access to buffer %d spans [%d, %d] outside [0, %d)" bi
-                   lo hi n)
-            else Ok ())
-      (Ok ()) accesses
-  end
 
 let bind_kernel k ~bufs =
   let strides = Kc.check_buffers bufs in
@@ -483,9 +429,7 @@ let bind_kernel k ~bufs =
                  else [])
                k.k_spec.Kc.k_nests)
         in
-        match
-          Emit.emit ~strides ~options:k.k_options ~skip:pre_skip k.k_spec
-        with
+        match Emit.emit ~strides ~skip:pre_skip k.k_spec with
         | Error reason ->
           Obs.incr c_emit_fallbacks;
           Bind_fallback ("emit: " ^ reason)
@@ -504,9 +448,9 @@ let bind_kernel k ~bufs =
                 end
                 else
                   let nest = List.nth k.k_spec.Kc.k_nests i in
-                  match validate_nest ~strides ~bufs nest with
-                  | Ok () -> None
-                  | Error why ->
+                  match Kc.check_nest_bounds ~strides ~bufs nest with
+                  | () -> None
+                  | exception Kc.Out_of_bounds why ->
                     Obs.incr c_bounds_fallbacks;
                     Some (i, why))
               (Emit.emitted e)

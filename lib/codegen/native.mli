@@ -62,11 +62,8 @@ val stale_dropped : ctx -> int
 
 (** Wrap one analysed kernel. Compiles the vector fallback plan
     immediately; emission and the native build happen lazily at the
-    first {!run}. [tile] and [fuse] select the emit-time scheduling
-    transforms ({!Emit.options}); with both false the emitted schedule
-    is the v1 flat loop nest. *)
-val prepare :
-  ctx -> ?tile:bool -> ?fuse:bool -> name:string -> Kc.spec -> kernel
+    first {!run}. *)
+val prepare : ctx -> name:string -> Kc.spec -> kernel
 
 val name : kernel -> string
 

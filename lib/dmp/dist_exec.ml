@@ -6,16 +6,11 @@
 
    Ranks execute in parallel on a [Domain_pool]. A superstep is a list
    of *phases*; everything sent in one phase must be receivable in the
-   next, so the executor needs a rendezvous between phases. Two
-   rendezvous disciplines are available:
-
-   - [Rv_barrier] (default): all the phases of a call run inside one
-     pool *team* — each team member owns a fixed contiguous slice of
-     ranks for the whole call and the phases are separated by a cheap
-     reusable spin-then-block barrier. One pool launch amortises over
-     every phase of every superstep in the call.
-   - [Rv_join]: the legacy discipline — each phase is a stealable
-     parallel-for over ranks and the pool join is the rendezvous.
+   next. All the phases of a call run inside one pool *team*: each team
+   member owns a fixed contiguous slice of ranks for the whole call and
+   the phases are separated by a cheap reusable spin-then-block
+   barrier, so one pool launch amortises over every phase of every
+   superstep in the call.
 
    Two superstep schedules, selected per call:
 
@@ -33,11 +28,9 @@
      thin in an active axis falls back to the blocking whole-sweep for
      that superstep, counted per reason in [dmp.fallbacks.*].
 
-   Halo messages are *coalesced* by default: one message per neighbour
-   per superstep carries every field in the swap set behind a
-   field-offset header, so the message count is independent of the
-   swap-set size. [~coalesce:false] restores one message per field per
-   direction for differential testing. *)
+   Halo messages are *coalesced*: one message per neighbour per
+   superstep carries every field in the swap set behind a field-offset
+   header, so the message count is independent of the swap-set size. *)
 
 module Mpi = Fsc_rt.Mpi_sim
 module Rt = Fsc_rt.Memref_rt
@@ -59,14 +52,6 @@ let mode_name = function
   | Blocking -> "blocking"
   | Overlap -> "overlap"
 
-type rendezvous =
-  | Rv_barrier
-  | Rv_join
-
-let rendezvous_name = function
-  | Rv_barrier -> "barrier"
-  | Rv_join -> "join"
-
 (* A sub-range of one rank's local interior, in local 1-based interior
    coordinates (j over y, k over z; 2-D fields have k = 1..1). *)
 type window = {
@@ -87,7 +72,6 @@ type t = {
   mpi : Mpi.t;
   ranks : rank_state array;
   pool : Pool.t option;
-  rendezvous : rendezvous;
   field_rank : int; (* 2 or 3: local grids are (lx+2)(ly+2)[(lz+2)] *)
   (* overlap fallback reasons, counted when phase lists are built *)
   mutable fb_thin_y : int;
@@ -185,8 +169,7 @@ let set_field_from_global t name gbuf =
 let has_field t name =
   Array.length t.ranks > 0 && List.mem_assoc name t.ranks.(0).rs_fields
 
-let create ?pool ?(rendezvous = Rv_barrier) ?(field_rank = 3) decomp ~fields
-    ~init =
+let create ?pool ?(field_rank = 3) decomp ~fields ~init =
   (if field_rank <> 2 && field_rank <> 3 then
      invalid_arg "Dist_exec.create: field_rank must be 2 or 3");
   (let _, _, nz = decomp.Decomp.global in
@@ -199,7 +182,7 @@ let create ?pool ?(rendezvous = Rv_barrier) ?(field_rank = 3) decomp ~fields
           rs_range = Decomp.local_range decomp rank })
   in
   let t =
-    { decomp; mpi; ranks; pool; rendezvous; field_rank; fb_thin_y = 0;
+    { decomp; mpi; ranks; pool; field_rank; fb_thin_y = 0;
       fb_thin_z = 0 }
   in
   List.iter (fun name -> set_field t name (init name)) fields;
@@ -308,20 +291,6 @@ let unpack_from buf (axis, idx) payload ~off =
     done;
     d0 * dims.(1)
 
-let pack buf plane =
-  let n =
-    match plane with
-    | `Y, _ ->
-      if Array.length buf.Rt.dims = 2 then buf.Rt.dims.(0)
-      else buf.Rt.dims.(0) * buf.Rt.dims.(2)
-    | `Z, _ -> buf.Rt.dims.(0) * buf.Rt.dims.(1)
-  in
-  let out = Array.make n 0.0 in
-  ignore (pack_into buf plane out ~off:0);
-  out
-
-let unpack buf plane payload = ignore (unpack_from buf plane payload ~off:0)
-
 (* Coalesced payload: one message per neighbour carrying every field of
    the swap set. Layout:
 
@@ -375,41 +344,7 @@ let unpack_coalesced t ~names ~rank ~dir payload =
       ignore (unpack_from b (recv_plane_index b dir) payload ~off))
     bufs
 
-(* One halo swap across all ranks: per-field messages... *)
-let post_halo t ~name ~rank =
-  let st = t.ranks.(rank) in
-  let buf = field st name in
-  List.iter
-    (fun dir ->
-      match Decomp.neighbor t.decomp rank dir with
-      | Some nbr ->
-        let payload = pack buf (send_plane_index buf dir) in
-        Mpi.send t.mpi ~src:rank ~dst:nbr
-          ~tag:(Decomp.tag_of_direction dir)
-          payload;
-        Obs.incr c_msgs;
-        Obs.add c_bytes (8 * Array.length payload)
-      | None -> ())
-    Decomp.directions
-
-let consume_halo t ~name ~rank =
-  let st = t.ranks.(rank) in
-  let buf = field st name in
-  List.iter
-    (fun dir ->
-      match Decomp.neighbor t.decomp rank dir with
-      | Some nbr ->
-        (* our halo in direction [dir] is the neighbour's send in the
-           opposite direction *)
-        let payload =
-          Mpi.recv t.mpi ~src:nbr ~dst:rank
-            ~tag:(Decomp.tag_of_direction (Decomp.opposite dir))
-        in
-        unpack buf (recv_plane_index buf dir) payload
-      | None -> ())
-    Decomp.directions
-
-(* ... or coalesced: one message per neighbour for the whole swap set. *)
+(* One halo swap: one message per neighbour for the whole swap set. *)
 let post_coalesced t ~names ~rank =
   List.iter
     (fun dir ->
@@ -513,16 +448,10 @@ let fallback_reasons t = (t.fb_thin_y, t.fb_thin_z)
    is data: [run_phases] decides how the rendezvous between phases is
    realised, and callers may concatenate the phases of many supersteps
    into one [run_phases] call to amortise the pool launch. *)
-let superstep_phases t ~swap_fields ~mode ?(coalesce = true) ~sweep
+let superstep_phases t ~swap_fields ~mode ~sweep
     ?(finish = fun ~rank:_ -> ()) () =
-  let post ~rank =
-    if coalesce then post_coalesced t ~names:swap_fields ~rank
-    else List.iter (fun n -> post_halo t ~name:n ~rank) swap_fields
-  in
-  let consume ~rank =
-    if coalesce then consume_coalesced t ~names:swap_fields ~rank
-    else List.iter (fun n -> consume_halo t ~name:n ~rank) swap_fields
-  in
+  let post ~rank = post_coalesced t ~names:swap_fields ~rank in
+  let consume ~rank = consume_coalesced t ~names:swap_fields ~rank in
   (* With no pool the ranks run sequentially and there is no concurrent
      progress for overlap to exploit: the window-split sweep is pure
      overhead, so collapse to the fused blocking schedule. *)
@@ -552,12 +481,10 @@ let superstep_phases t ~swap_fields ~mode ?(coalesce = true) ~sweep
           else sweep ~rank (interior t rank);
           finish ~rank) ]
 
-(* Execute a phase list. [Rv_barrier] pins each team member to a fixed
-   contiguous slice of ranks for the whole list and separates phases
-   with the team's reusable barrier: one pool launch however many
-   phases. [Rv_join] runs each phase as a stealable parallel-for with
-   the pool join as the rendezvous (the legacy discipline, kept for
-   differential testing). *)
+(* Execute a phase list: each team member is pinned to a fixed
+   contiguous slice of ranks for the whole list, and phases are
+   separated by the team's reusable barrier — one pool launch however
+   many phases. *)
 let run_phases t phases =
   let n = Array.length t.ranks in
   let seq () =
@@ -569,39 +496,28 @@ let run_phases t phases =
       phases
   in
   match t.pool with
-  | Some pool when n > 1 && Pool.size pool > 1 -> (
-    match t.rendezvous with
-    | Rv_barrier ->
-      let members = min (Pool.size pool) n in
-      Pool.team pool ~members (fun ~member ~barrier ->
-          let lo = member * n / members
-          and hi = (member + 1) * n / members in
-          let first = ref true in
-          List.iter
-            (fun ph ->
-              if !first then first := false else barrier ();
-              for r = lo to hi - 1 do
-                ph ~rank:r
-              done)
-            phases)
-    | Rv_join ->
-      List.iter
-        (fun ph ->
-          Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:n (fun lo hi ->
-              for r = lo to hi - 1 do
-                ph ~rank:r
-              done))
-        phases)
+  | Some pool when n > 1 && Pool.size pool > 1 ->
+    let members = min (Pool.size pool) n in
+    Pool.team pool ~members (fun ~member ~barrier ->
+        let lo = member * n / members
+        and hi = (member + 1) * n / members in
+        let first = ref true in
+        List.iter
+          (fun ph ->
+            if !first then first := false else barrier ();
+            for r = lo to hi - 1 do
+              ph ~rank:r
+            done)
+          phases)
   | _ -> seq ()
 
-let superstep t ~swap_fields ~mode ?coalesce ~sweep ?finish () =
-  run_phases t (superstep_phases t ~swap_fields ~mode ?coalesce ~sweep ?finish ())
+let superstep t ~swap_fields ~mode ~sweep ?finish () =
+  run_phases t (superstep_phases t ~swap_fields ~mode ~sweep ?finish ())
 
 (* Run [iters] supersteps: swap halos of [swap_fields], then run the
    windowed [sweep] (and the per-rank [finish]) on each rank. All the
    supersteps' phases run inside a single pool launch. *)
-let iterate t ?(mode = Blocking) ?coalesce ~iters ~swap_fields ~sweep ?finish
-    () =
+let iterate t ?(mode = Blocking) ~iters ~swap_fields ~sweep ?finish () =
   let finish =
     match finish with
     | Some f -> Some (fun ~rank -> f t ~rank)
@@ -610,7 +526,7 @@ let iterate t ?(mode = Blocking) ?coalesce ~iters ~swap_fields ~sweep ?finish
   let phases =
     List.concat
       (List.init iters (fun _ ->
-           superstep_phases t ~swap_fields ~mode ?coalesce
+           superstep_phases t ~swap_fields ~mode
              ~sweep:(fun ~rank w -> sweep t ~rank w)
              ?finish ()))
   in

@@ -5,9 +5,8 @@
     (contiguous) dimension is never decomposed.
 
     Ranks execute in parallel on a {!Fsc_rt.Domain_pool}. A superstep is
-    a list of phases; the rendezvous publishing one phase's sends to the
-    next phase's receives is either a pinned-team barrier (default) or a
-    full pool join per phase (the legacy discipline). *)
+    a list of phases; a pinned-team barrier publishes one phase's sends
+    to the next phase's receives. *)
 
 module Mpi = Fsc_rt.Mpi_sim
 module Rt = Fsc_rt.Memref_rt
@@ -26,19 +25,6 @@ type mode =
   | Overlap
 
 val mode_name : mode -> string
-
-(** How phases rendezvous when a pool is attached. [Rv_barrier]
-    (default) runs every phase of a call inside one pool team: each
-    member owns a fixed contiguous slice of ranks for the whole call
-    and phases are separated by a cheap reusable spin-then-block
-    barrier. [Rv_join] is the legacy discipline — one stealable
-    parallel-for plus pool join per phase — kept for differential
-    testing. *)
-type rendezvous =
-  | Rv_barrier
-  | Rv_join
-
-val rendezvous_name : rendezvous -> string
 
 (** A sub-range of one rank's local interior, in local 1-based interior
     coordinates: [j] over y in [w_jlo..w_jhi], [k] over z in
@@ -63,7 +49,6 @@ type t = {
   mpi : Mpi.t;
   ranks : rank_state array;
   pool : Pool.t option;
-  rendezvous : rendezvous;
   field_rank : int;  (** 2 or 3 *)
   mutable fb_thin_y : int;
       (** overlap fallbacks because an active y axis is thinner than 3 *)
@@ -76,7 +61,6 @@ type t = {
     concurrently; per-rank sweeps must not themselves use the pool. *)
 val create :
   ?pool:Pool.t ->
-  ?rendezvous:rendezvous ->
   ?field_rank:int ->
   Decomp.t ->
   fields:string list ->
@@ -142,26 +126,22 @@ val unpack_coalesced :
   unit
 
 (** Build one superstep as a phase list (each phase a per-rank body):
-    swap the halos of [swap_fields] ([coalesce] defaults to [true]: one
-    message per neighbour for the whole swap set), run the windowed
-    [sweep] over every rank's interior (split per [mode]), then the
-    per-rank [finish]. An empty swap set builds a single compute-only
-    phase. Callers may concatenate many supersteps' phases into one
+    swap the halos of [swap_fields] (one message per neighbour for the
+    whole swap set), run the windowed [sweep] over every rank's
+    interior (split per [mode]), then the per-rank [finish]. An empty
+    swap set builds a single compute-only phase. Callers may concatenate many supersteps' phases into one
     {!run_phases} call. *)
 val superstep_phases :
   t ->
   swap_fields:string list ->
   mode:mode ->
-  ?coalesce:bool ->
   sweep:(rank:int -> window -> unit) ->
   ?finish:(rank:int -> unit) ->
   unit ->
   (rank:int -> unit) list
 
-(** Execute a phase list over all ranks under the executor's rendezvous
-    discipline: one pool-team launch with barrier rendezvous between
-    phases ([Rv_barrier]), or one pool join per phase ([Rv_join]);
-    sequential without a pool. *)
+(** Execute a phase list over all ranks: one pool-team launch with a
+    barrier between phases; sequential without a pool. *)
 val run_phases : t -> (rank:int -> unit) list -> unit
 
 (** One superstep: {!superstep_phases} followed by {!run_phases}. *)
@@ -169,7 +149,6 @@ val superstep :
   t ->
   swap_fields:string list ->
   mode:mode ->
-  ?coalesce:bool ->
   sweep:(rank:int -> window -> unit) ->
   ?finish:(rank:int -> unit) ->
   unit ->
@@ -179,7 +158,6 @@ val superstep :
 val iterate :
   t ->
   ?mode:mode ->
-  ?coalesce:bool ->
   iters:int ->
   swap_fields:string list ->
   sweep:(t -> rank:int -> window -> unit) ->

@@ -21,29 +21,24 @@ val engine_name : engine -> string
 
 type state
 
-(** [create ?pool ~ranks ~mode ~engine ()] — one state per linked
-    artifact. [pool] runs ranks concurrently; [mode] selects overlapped
-    or blocking supersteps (per stage, overlap falls back to blocking
-    when a nest writes outside the interior). [fuse] (default [true])
-    skips a stage's halo exchange when every swap field's halos are
-    already fresh — scattered or exchanged since last written — so e.g.
-    the superstep right after a scatter pays no messages. [coalesce]
-    (default [true]) packs a stage's whole swap set into one message
-    per neighbour per superstep behind a field-offset header instead of
-    one message per field per direction. [footprint_stale] (default
-    [true]) keeps a written field's halos fresh when the stage's write
-    footprint ({!Fsc_analysis.Footprint}) provably misses every
-    mirrored boundary plane of the decomposition — interior-band or
-    global-edge writes then fuse away the next exchange that
-    whole-field tracking would pay. All three preserve bitwise
-    results; the flags exist for differential testing and ablation. *)
+(** [create ?pool ~ranks ~engine ()] — one state per linked artifact.
+    [pool] runs ranks concurrently. The superstep schedule is fixed and
+    every part of it preserves bitwise results:
+    - a stage overlaps its interior sweep with the halo exchange, and
+      falls back to blocking when a nest writes outside the interior,
+      when its exchange was fused away, or without a pool;
+    - a stage's exchange is skipped when every swap field's halos are
+      already fresh (scattered or exchanged since last written), so
+      e.g. the superstep right after a scatter pays no messages;
+    - a stage's whole swap set travels as one message per neighbour
+      behind a field-offset header;
+    - a written field's halos stay fresh when the stage's write
+      footprint ({!Fsc_analysis.Footprint}) provably misses every
+      mirrored boundary plane of the decomposition, so interior-band
+      or global-edge writes fuse away the next exchange. *)
 val create :
   ?pool:Fsc_rt.Domain_pool.t ->
-  ?fuse:bool ->
-  ?coalesce:bool ->
-  ?footprint_stale:bool ->
   ranks:int ->
-  mode:Dist_exec.mode ->
   engine:engine ->
   unit ->
   state
@@ -101,11 +96,7 @@ type group_stats = {
 
 type stats = {
   ds_ranks : int;
-  ds_mode : Dist_exec.mode;
   ds_engine : engine;
-  ds_fuse : bool;
-  ds_coalesce : bool;
-  ds_footprint : bool;
   ds_groups : group_stats list;
   ds_dist_runs : int;  (** distributed kernel executions, cumulative *)
   ds_fallback_runs : int;

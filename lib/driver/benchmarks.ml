@@ -167,9 +167,9 @@ end program laplace
    examples/residual.f90): the probe nest writes u every iteration, but
    only along the global j = k = 1 edge — a plane the affine write
    footprint proves is never a mirrored block boundary — so footprint
-   staling pays for u's first halo exchange only while whole-field
-   staling re-exchanges every superstep. The benchmark program for the
-   footprint-staling ablation gate in BENCH_dmp.json. *)
+   staling pays for u's first halo exchange only, where whole-field
+   staling would re-exchange every superstep. The benchmark program for
+   the footprint-staling gate in BENCH_dmp.json. *)
 let residual ?(nx = 12) ?(ny = 12) ?(nz = 12) ?(niter = 3) () =
   Printf.sprintf
     {|

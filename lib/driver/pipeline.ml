@@ -187,8 +187,7 @@ let default_native_ctx () =
    engine, which executes the whole program on the host interpreter).
    [native] is the native-JIT context, present iff the engine is
    [Engine_native] on a CPU target. *)
-let register_kernel ~engine ~target ~pool ~dist ~native ~native_tile
-    ~native_fuse ctx kernel_func =
+let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
   let name = Fsc_dialects.Func.name kernel_func in
   match engine with
   | Engine_interp ->
@@ -220,9 +219,7 @@ let register_kernel ~engine ~target ~pool ~dist ~native ~native_tile
       let native_kernel =
         match (engine, target, native) with
         | Engine_native, (Serial | Openmp _), Some nctx ->
-          Some
-            (Fsc_codegen.Native.prepare nctx ~tile:native_tile
-               ~fuse:native_fuse ~name spec)
+          Some (Fsc_codegen.Native.prepare nctx ~name spec)
         | _ -> None
       in
       let vplan =
@@ -464,9 +461,7 @@ let compile options src =
 (* The impure back half: host interpreted, kernels compiled where
    possible, pool/device allocated per target. Works identically on a
    freshly compiled artifact and on one re-parsed from the cache. *)
-let link ?(engine = Engine_vector) ?native ?(native_tile = true)
-    ?(native_fuse = true) ?(dist_mode = Fsc_dmp.Dist_exec.Overlap)
-    ?(dist_fuse = true) ?(dist_coalesce = true) ?(dist_footprint = true) ca =
+let link ?(engine = Engine_vector) ?native ca =
   ensure_registered ();
   let target = ca.ca_options.opt_target in
   (* resolve the native ctx only when the engine/target pair uses it *)
@@ -501,10 +496,7 @@ let link ?(engine = Engine_vector) ?native ?(native_tile = true)
         | Engine_vector | Engine_native -> Fsc_dmp.Dist_kernel.E_vector
         | _ -> Fsc_dmp.Dist_kernel.E_closure
       in
-      Some
-        (Fsc_dmp.Dist_kernel.create ?pool ~fuse:dist_fuse
-           ~coalesce:dist_coalesce ~footprint_stale:dist_footprint ~ranks
-           ~mode:dist_mode ~engine:dengine ())
+      Some (Fsc_dmp.Dist_kernel.create ?pool ~ranks ~engine:dengine ())
     | _ -> None
   in
   (match target with
@@ -521,8 +513,7 @@ let link ?(engine = Engine_vector) ?native ?(native_tile = true)
         |> List.filter (fun f ->
                List.mem (Fsc_dialects.Func.name f) ca.ca_kernels)
         |> List.map
-             (register_kernel ~engine ~target ~pool ~dist ~native
-                ~native_tile ~native_fuse ctx))
+             (register_kernel ~engine ~target ~pool ~dist ~native ctx))
   in
   register_gpu_data ctx ca.ca_managed;
   { a_host = ca.ca_host; a_stencil = Some ca.ca_stencil;
@@ -533,15 +524,11 @@ let link ?(engine = Engine_vector) ?native ?(native_tile = true)
    kernel-name counter for reproducible names — which is why [compile]
    (callable concurrently from server workers) does not: a reset racing
    another in-flight compile could hand out duplicate names. *)
-let stencil ?target ?tile_sizes ?merge ?specialize ?engine ?native
-    ?native_tile ?native_fuse ?dist_mode ?dist_fuse ?dist_coalesce
-    ?dist_footprint src =
+let stencil ?target ?tile_sizes ?merge ?specialize ?engine ?native src =
   let options = default_options ?target ?tile_sizes ?merge ?specialize () in
   Fsc_core.Extraction.reset_name_counter ();
   let ca = compile options src in
-  ( link ?engine ?native ?native_tile ?native_fuse ?dist_mode ?dist_fuse
-      ?dist_coalesce ?dist_footprint ca,
-    ca.ca_stats )
+  (link ?engine ?native ca, ca.ca_stats)
 
 (* -------------------- execution -------------------- *)
 

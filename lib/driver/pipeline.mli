@@ -154,37 +154,21 @@ val compile : options -> string -> compiled_artifact
     the vectorisable shape). Safe to call several times on one
     artifact; each call yields an independent runnable.
 
-    For [Dist] targets, [dist_mode] (default {!Fsc_dmp.Dist_exec.Overlap})
-    selects overlapped or blocking halo supersteps; ranks execute
-    concurrently on a domain pool sized [min ranks (recommended_size ())].
-    [dist_fuse] (default [true]) skips superstep halo exchanges whose
-    halos are already fresh; [dist_coalesce] (default [true]) packs a
-    stage's swap set into one message per neighbour per superstep;
-    [dist_footprint] (default [true]) stales a written field's halos
-    only when its affine write footprint provably reaches a
-    block-boundary plane (interior-only writes keep halos fresh and fuse
-    away the re-exchange). All three preserve bitwise results. Under
-    {!Engine_interp} the program runs entirely on the host interpreter
-    (no distribution).
+    For [Dist] targets ranks execute concurrently on a domain pool sized
+    [min ranks (recommended_size ())], under the one superstep schedule
+    of {!Fsc_dmp.Dist_kernel}: overlapped where the blocks allow it,
+    exchanges fused away while halos stay fresh, one coalesced message
+    per neighbour, and footprint-aware staling. Under {!Engine_interp}
+    the program runs entirely on the host interpreter (no
+    distribution).
 
     [native] supplies the {!Engine_native} context (cache directory,
     build mode, toolchain); without it a process-wide default ctx
     (async builds, default cache directory) is created on first use.
-    [native_tile] and [native_fuse] (default [true]) select the
-    emit-time scheduling transforms of the native tier — intra-nest
-    scheduling (cache tiling, register reuse, row blits) and cross-nest
-    fusion; with both disabled the emitted code is the v1 flat loop
-    schedule. All native knobs are ignored under other engines, and all
-    preserve bitwise results. *)
+    It is ignored under other engines. *)
 val link :
   ?engine:exec_engine ->
   ?native:Fsc_codegen.Native.ctx ->
-  ?native_tile:bool ->
-  ?native_fuse:bool ->
-  ?dist_mode:Fsc_dmp.Dist_exec.mode ->
-  ?dist_fuse:bool ->
-  ?dist_coalesce:bool ->
-  ?dist_footprint:bool ->
   compiled_artifact ->
   artifact
 
@@ -199,12 +183,6 @@ val stencil :
   ?specialize:bool ->
   ?engine:exec_engine ->
   ?native:Fsc_codegen.Native.ctx ->
-  ?native_tile:bool ->
-  ?native_fuse:bool ->
-  ?dist_mode:Fsc_dmp.Dist_exec.mode ->
-  ?dist_fuse:bool ->
-  ?dist_coalesce:bool ->
-  ?dist_footprint:bool ->
   string ->
   artifact * stencil_stats
 

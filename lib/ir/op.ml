@@ -54,11 +54,12 @@ and region = {
   mutable g_parent : op option;
 }
 
+(* Shared by every domain: concurrent compiles (server workers) create
+   IR at the same time, and a duplicated id would alias two values in
+   every id-keyed table (printer names, use maps). *)
 let next_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let counter = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add counter 1 + 1
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)

@@ -359,37 +359,6 @@ exception Bind_fallback of string
 
 let bind_fail fmt = Printf.ksprintf (fun m -> raise (Bind_fallback m)) fmt
 
-(* Validate one access over the whole (constant) iteration space:
-   strides are positive, so the extreme flat offsets are reached at the
-   loop bounds. *)
-let check_access ~strides ~loops (buf : Memref_rt.t) idxs =
-  let lo = ref 0 and hi = ref 0 in
-  List.iteri
-    (fun d idx ->
-      let s = strides.(d) in
-      match idx with
-      | Kc.Iv (l, c) ->
-        let lp : Kc.loop_spec = loops.(l) in
-        lo := !lo + ((lp.Kc.l_lb + c) * s);
-        hi := !hi + ((lp.Kc.l_ub - 1 + c) * s)
-      | Kc.Cst c ->
-        lo := !lo + (c * s);
-        hi := !hi + (c * s))
-    idxs;
-  let len = A1.dim buf.Memref_rt.data in
-  if !lo < 0 || !hi >= len then
-    bind_fail "access spans [%d, %d] outside buffer of %d cells" !lo !hi len
-
-let validate_nest ~strides ~loops ~(bufs : Memref_rt.t array)
-    (nest : Kc.nest) =
-  List.iter
-    (fun (st : Kc.store_stmt) ->
-      check_access ~strides ~loops bufs.(st.Kc.st_buf) st.Kc.st_index;
-      List.iter
-        (fun (b, idx) -> check_access ~strides ~loops bufs.(b) idx)
-        (load_indices [] st.Kc.st_expr))
-    nest.Kc.n_stores
-
 (* Fallback default for untiled nests: half of a typical per-core L2,
    divided across the distinct arrays a row touches. The lowering
    normally supplies the real figure via the cpu_tile annotation. *)
@@ -689,7 +658,7 @@ let run_vnest vn ?pool ~(bufs : Memref_rt.t array) ~scalars () =
   let extent (l : Kc.loop_spec) = l.Kc.l_ub - l.Kc.l_lb in
   if Array.exists (fun l -> extent l <= 0) loops then ()
   else begin
-    validate_nest ~strides ~loops ~bufs nest;
+    Kc.check_nest_bounds ~strides ~bufs nest;
     let inner = loops.(depth - 1) in
     let w = extent inner in
     let si = strides.(inner.Kc.l_dim) in
@@ -773,7 +742,7 @@ let run_compiled ?pool ~bufs ~scalars cn =
   match cn with
   | Vec vn -> (
     try run_vnest vn ?pool ~bufs ~scalars () with
-    | Bind_fallback _ ->
+    | Bind_fallback _ | Kc.Out_of_bounds _ ->
       Obs.incr c_fallbacks;
       Kc.run_nest vn.v_nest ?pool ~bufs ~scalars ())
   | Scalar (nest, _) -> Kc.run_nest nest ?pool ~bufs ~scalars ()

@@ -362,14 +362,61 @@ let check_buffers (bufs : Memref_rt.t array) =
     bufs;
   bufs.(0).Memref_rt.strides
 
-let delta_of strides idxs =
-  List.fold_left
-    (fun acc (d, idx) ->
-      match idx with
-      | Iv (_, c) -> acc + (c * strides.(d))
-      | Cst c -> acc + (c * strides.(d)))
-    0
-    (List.mapi (fun d i -> (d, i)) idxs)
+let rec delta_from strides d acc = function
+  | [] -> acc
+  | (Iv (_, c) | Cst c) :: rest ->
+    delta_from strides (d + 1) (acc + (c * strides.(d))) rest
+
+let delta_of strides idxs = delta_from strides 0 0 idxs
+
+(* Whole-space flat-offset bounds proof, shared by the engines whose
+   access paths skip Bigarray's checks. Every engine addresses a cell
+   at [base + delta_of strides idx], the base summing [iv * stride]
+   over the nest's loops; strides are positive, so the extreme offsets
+   of an access sit at the loop-bound corners [lo] and [hi]. Written as
+   top-level recursions over the spec so that a successful check
+   allocates nothing (the vector engine runs it on every call). *)
+exception Out_of_bounds of string
+
+let rec corner strides ~upper acc = function
+  | [] -> acc
+  | l :: rest ->
+    let iv = if upper then l.l_ub - 1 else l.l_lb in
+    corner strides ~upper (acc + (iv * strides.(l.l_dim))) rest
+
+let check_access ~strides ~(bufs : Memref_rt.t array) ~lo ~hi bi idxs =
+  if bi >= Array.length bufs then
+    raise
+      (Out_of_bounds (Printf.sprintf "buffer %d not passed at the call" bi));
+  let delta = delta_of strides idxs in
+  let n = A1.dim bufs.(bi).Memref_rt.data in
+  if lo + delta < 0 || hi + delta >= n then
+    raise
+      (Out_of_bounds
+         (Printf.sprintf "access to buffer %d spans [%d, %d] outside [0, %d)"
+            bi (lo + delta) (hi + delta) n))
+
+let rec check_loads ~strides ~bufs ~lo ~hi = function
+  | F_load (bi, idxs) -> check_access ~strides ~bufs ~lo ~hi bi idxs
+  | F_unary (_, a) -> check_loads ~strides ~bufs ~lo ~hi a
+  | F_binary (_, a, b) ->
+    check_loads ~strides ~bufs ~lo ~hi a;
+    check_loads ~strides ~bufs ~lo ~hi b
+  | F_const _ | F_scalar _ | F_ivf _ -> ()
+
+let rec check_stores ~strides ~bufs ~lo ~hi = function
+  | [] -> ()
+  | st :: rest ->
+    check_access ~strides ~bufs ~lo ~hi st.st_buf st.st_index;
+    check_loads ~strides ~bufs ~lo ~hi st.st_expr;
+    check_stores ~strides ~bufs ~lo ~hi rest
+
+let check_nest_bounds ~strides ~bufs nest =
+  if not (List.exists (fun l -> l.l_ub <= l.l_lb) nest.n_loops) then
+    check_stores ~strides ~bufs
+      ~lo:(corner strides ~upper:false 0 nest.n_loops)
+      ~hi:(corner strides ~upper:true 0 nest.n_loops)
+      nest.n_stores
 
 (* [unchecked] accesses use Bigarray's unsafe (bounds-check-free) path;
    it is only enabled for specialised nests, modelling the bounds-check

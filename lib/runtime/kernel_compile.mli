@@ -86,6 +86,20 @@ val check_buffers : Memref_rt.t array -> int array
     added separately from the loop bases). *)
 val delta_of : int array -> index_form list -> int
 
+(** Raised by {!check_nest_bounds}; carries the offending access. *)
+exception Out_of_bounds of string
+
+(** [check_nest_bounds ~strides ~bufs nest] proves that every access of
+    the nest's whole iteration space lands inside its buffer, at the
+    flat offset the engines compute (loop base plus {!delta_of}). The
+    engines that skip Bigarray's bounds checks (vector, native) run it
+    before dispatching a nest. An empty iteration space passes. A
+    successful check allocates nothing.
+    @raise Out_of_bounds naming the first access outside its buffer, or
+    a buffer index the call did not pass. *)
+val check_nest_bounds :
+  strides:int array -> bufs:Memref_rt.t array -> nest -> unit
+
 (** Execute one nest. *)
 val run_nest :
   nest ->

@@ -14,11 +14,11 @@ type t = {
   buf_id : int;
 }
 
+(* Buffers are created on every domain (pool workers, server
+   workers); a duplicated id would merge two buffers' residency. *)
 let next_id =
-  let c = ref 0 in
-  fun () ->
-    incr c;
-    !c
+  let c = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add c 1 + 1
 
 let column_major_strides dims =
   let n = Array.length dims in

@@ -457,17 +457,24 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
     (fun (id, weight) -> Scheduler.configure_client sched ~id ~weight ())
     client_weights;
   remove_if_exists socket;
+  (* bound under a staging name and renamed once listening: clients wait
+     for [socket] to exist, and a path that exists before [listen]
+     refuses their connect *)
+  let staging = socket ^ ".bind" in
+  remove_if_exists staging;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stop = Atomic.make false in
   let conn_seq = Atomic.make 0 in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
+      remove_if_exists staging;
       remove_if_exists socket;
       Scheduler.shutdown sched)
     (fun () ->
-      Unix.bind fd (Unix.ADDR_UNIX socket);
+      Unix.bind fd (Unix.ADDR_UNIX staging);
       Unix.listen fd 64;
+      Unix.rename staging socket;
       (* one dummy connection per handler: unblocks every accept so the
          pool can observe [stop] and exit *)
       let wake_accepts () =

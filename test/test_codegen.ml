@@ -219,7 +219,7 @@ let test_fusion_structural_gates () =
   let other =
     nest3d ~loops:(loops3d ~ub:6 ()) [ store3 0 (Kc.F_load (1, idx3 ())) ]
   in
-  (match E.emit ~strides:strides3 (spec3 [ sweep_nest; other ]) with
+  match E.emit ~strides:strides3 (spec3 [ sweep_nest; other ]) with
   | Ok t ->
     Alcotest.(check int) "bound mismatch stays single" 2
       (List.length (E.groups t));
@@ -228,57 +228,33 @@ let test_fusion_structural_gates () =
       Alcotest.(check bool) "reason names loop structure" true
         (contains why "loop structures differ")
     | _ -> Alcotest.fail "expected one refusal")
-  | Error e -> Alcotest.failf "emit failed: %s" e);
-  (* o_fuse = false splits the legal pair without recording refusals *)
-  match
-    E.emit ~strides:strides3
-      ~options:{ E.o_tile = true; o_fuse = false }
-      (spec3 [ sweep_nest; copy_nest ])
-  with
-  | Ok t ->
-    Alcotest.(check int) "fuse off: two singles" 2 (List.length (E.groups t));
-    Alcotest.(check int) "fuse off: no refusals" 0
-      (List.length (E.refused t))
   | Error e -> Alcotest.failf "emit failed: %s" e
 
 let test_schedule_emission () =
   (* wide loops: the innermost level is unrolled 4-wide, the copy nest
      becomes an allocation-free bulk row move, and a real n_tile hint
-     splits the first sequential level into blocked loops *)
+     splits the first sequential level into blocked loops; the copy nest
+     carries no hint and stays unblocked. The pair shift-fuses, and its
+     standalone member entries carry the intra-nest transforms. *)
   let wide = loops3d ~lb:1 ~ub:12 () in
   let sweep = { sweep_nest with Kc.n_loops = wide; n_tile = [ 4 ] } in
   let copy = { copy_nest with Kc.n_loops = wide } in
   let strides = [| 1; 14; 196 |] in
-  (* fusion off: exercise the intra-nest transforms in isolation *)
-  (match
-     E.emit ~strides
-       ~options:{ E.o_tile = true; o_fuse = false }
-       (spec3 [ sweep; copy ])
-   with
+  match E.emit ~strides (spec3 [ sweep; copy ]) with
   | Error e -> Alcotest.failf "emit failed: %s" e
   | Ok t ->
     Alcotest.(check bool) "innermost loops unrolled" true (E.unrolled t > 0);
     Alcotest.(check bool) "copy rows emitted as row blits" true
       (E.blits t > 0);
-    Alcotest.(check (list (pair int int))) "tile hint honoured" [ (0, 4) ]
-      (E.tiled t);
+    Alcotest.(check (list (pair int int))) "only the hinted nest tiled"
+      [ (0, 4) ] (E.tiled t);
     let body = E.body t in
     Alcotest.(check bool) "body carries the unrolled trips" true
       (contains body "4 cells per trip");
     Alcotest.(check bool) "body carries the blocked tiles" true
       (contains body "-row tiles");
     Alcotest.(check bool) "row moves never allocate sub views" false
-      (contains body "Array1.sub"));
-  match
-    E.emit ~strides
-      ~options:{ E.o_tile = false; o_fuse = true }
-      (spec3 [ sweep; copy ])
-  with
-  | Error e -> Alcotest.failf "emit failed: %s" e
-  | Ok t ->
-    Alcotest.(check int) "tile off: nothing unrolled" 0 (E.unrolled t);
-    Alcotest.(check int) "tile off: no blits" 0 (E.blits t);
-    Alcotest.(check (list (pair int int))) "tile off: no tiles" [] (E.tiled t)
+      (contains body "Array1.sub")
 
 (* ---- end-to-end parity on a real program ---- *)
 
@@ -392,12 +368,14 @@ let test_corrupt_plugin_rebuilds () =
     Alcotest.(check bool) "plugin replaced on disk" false (c = corrupt)
   | None -> Alcotest.fail "plugin missing after rebuild"
 
-(* ---- scheduling ablation matrix ----
+(* ---- reference matrix ----
 
-   Every scheduling knob combination, serial and pool-hosted, must stay
-   bitwise identical to the vector engine — the transforms reorder loop
-   control only, never float arithmetic. *)
-let test_ablation_matrix () =
+   The one emitted schedule, serial and pool-hosted, must stay bitwise
+   identical to the vector engine on every program shape: shifted
+   sweep/copy fusion (Gauss-Seidel, Laplace), aligned fusion with a
+   rolling load window (smooth), and a global-edge probe (residual) —
+   the transforms reorder loop control only, never float arithmetic. *)
+let test_reference_matrix () =
   with_toolchain @@ fun () ->
   List.iter
     (fun (pname, src, grids) ->
@@ -406,29 +384,60 @@ let test_ablation_matrix () =
       let refs = List.map (fun g -> (g, Rt.clone (P.buffer_exn va g))) grids in
       P.shutdown va;
       List.iter
-        (fun (tile, fuse) ->
+        (fun (tname, target) ->
+          let a, _ =
+            P.stencil ~target ~engine:P.Engine_native ~native:(sync_ctx ())
+              src
+          in
+          P.run a;
           List.iter
-            (fun (tname, target) ->
-              let a, _ =
-                P.stencil ~target ~engine:P.Engine_native
-                  ~native:(sync_ctx ()) ~native_tile:tile ~native_fuse:fuse
-                  src
-              in
-              P.run a;
-              List.iter
-                (fun (g, r) ->
-                  Alcotest.(check (float 0.))
-                    (Printf.sprintf "%s/%s tile=%b fuse=%b %s" pname g tile
-                       fuse tname)
-                    0.0
-                    (Rt.max_abs_diff r (P.buffer_exn a g)))
-                refs;
-              P.shutdown a)
-            [ ("serial", P.Serial); ("pool", P.Openmp 2) ])
-        [ (false, false); (true, false); (false, true); (true, true) ])
+            (fun (g, r) ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s/%s %s" pname g tname)
+                0.0
+                (Rt.max_abs_diff r (P.buffer_exn a g)))
+            refs;
+          P.shutdown a)
+        [ ("serial", P.Serial); ("pool", P.Openmp 2) ])
     [ ("gauss-seidel", gs_src, [ "u" ]);
       ("laplace", B.laplace ~n:12 ~niter:3 (), [ "phi" ]);
-      ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]) ]
+      ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]);
+      ("smooth", B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "rs"; "d" ]) ]
+
+(* The emitter's unfused and unblocked paths, executed: a pair whose
+   fusion is refused (a pinned outer plane) and nests without a tile
+   hint must still run bitwise-equal to the closure engine. *)
+let test_refused_untiled_runs () =
+  with_toolchain @@ fun () ->
+  let pinned = [ Kc.Iv (2, 0); Kc.Iv (1, 0); Kc.Cst 1 ] in
+  let a =
+    nest3d
+      [ store3 1 ~index:pinned
+          (Kc.F_binary ("arith.mulf", Kc.F_load (0, idx3 ()), Kc.F_const 1.5))
+      ]
+  in
+  let b = nest3d [ store3 0 (Kc.F_load (1, pinned)) ] in
+  let sp = spec3 [ a; b ] in
+  let bufs () =
+    let b0 = Rt.create [ 6; 6; 6 ] and b1 = Rt.create [ 6; 6; 6 ] in
+    Rt.init b0 (fun i -> 0.01 *. float_of_int (i + 1));
+    [| b0; b1 |]
+  in
+  let ref_bufs = bufs () and nat_bufs = bufs () in
+  Kc.run sp ~bufs:ref_bufs ~scalars:[||] ();
+  let k = N.prepare (sync_ctx ()) ~name:"refused" sp in
+  N.run k ~bufs:nat_bufs ~scalars:[||] ();
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "buffer %d bitwise vs closure" i)
+        0.0
+        (Rt.max_abs_diff r nat_bufs.(i)))
+    ref_bufs;
+  let r = N.report k in
+  Alcotest.(check string) "fully native" "native" r.N.rp_engine;
+  Alcotest.(check int) "no nest fused" 0 r.N.rp_fused_nests;
+  Alcotest.(check (option int)) "no tile rows" None r.N.rp_tile_rows
 
 (* ---- storage arena ----
 
@@ -512,7 +521,7 @@ let () =
            test_fusion_aligned;
          Alcotest.test_case "overlap fixture refuses to fuse" `Quick
            test_fusion_refused;
-         Alcotest.test_case "structural gates and fuse knob" `Quick
+         Alcotest.test_case "structural gates" `Quick
            test_fusion_structural_gates;
          Alcotest.test_case "tile, unroll and blit emission" `Quick
            test_schedule_emission ]);
@@ -525,8 +534,10 @@ let () =
            test_mixed_nest_execution;
          Alcotest.test_case "corrupt plugin dropped and rebuilt" `Quick
            test_corrupt_plugin_rebuilds;
-         Alcotest.test_case "ablation matrix bitwise vs vector" `Quick
-           test_ablation_matrix;
+         Alcotest.test_case "reference matrix bitwise vs vector" `Quick
+           test_reference_matrix;
+         Alcotest.test_case "refused fusion and untiled nests run" `Quick
+           test_refused_untiled_runs;
          Alcotest.test_case "storage arena recycles buffers" `Quick
            test_arena_recycles;
          Alcotest.test_case "tile budget change evicts artifacts" `Quick

@@ -373,36 +373,6 @@ let test_coalesced_roundtrip () =
       (fun p -> p.(1) <- float_of_int (Array.length payload * 2))
       "escaping offset")
 
-(* The barrier rendezvous and the legacy pool-join rendezvous are pure
-   scheduling strategies: same supersteps, bitwise-identical results,
-   in both modes, with ranks genuinely concurrent on a pool. *)
-let test_rendezvous_differential () =
-  let nx, ny, nz = (6, 8, 10) in
-  let iters = 3 in
-  let serial = gs_serial ~nx ~ny ~nz ~iters in
-  Fsc_rt.Domain_pool.with_pool 3 (fun pool ->
-      List.iter
-        (fun mode ->
-          let gather_with rv =
-            let d = D.create ~global:(nx, ny, nz) ~ranks:4 in
-            let t =
-              DX.create ~pool ~rendezvous:rv d ~fields:[ "u"; "unew" ]
-                ~init:gs_init_fields
-            in
-            gs_iterate t ~mode ~iters;
-            DX.gather t "u"
-          in
-          let barrier = gather_with DX.Rv_barrier in
-          let join = gather_with DX.Rv_join in
-          let label = DX.mode_name mode in
-          Alcotest.(check (float 0.))
-            (label ^ ": barrier == join") 0.0
-            (max_interior_diff ~nx ~ny ~nz barrier join);
-          Alcotest.(check (float 0.))
-            (label ^ ": barrier == serial") 0.0
-            (max_interior_diff ~nx ~ny ~nz serial.V.g_buf barrier))
-        [ DX.Blocking; DX.Overlap ])
-
 (* Overlap splits the sweep into interior block + shells; the union must
    cover each rank's interior exactly once. *)
 let test_overlap_windows_partition () =
@@ -529,12 +499,8 @@ let test_dmp_to_mpi () =
 module P = Fsc_driver.Pipeline
 module B = Fsc_driver.Benchmarks
 
-let run_pipeline_stats ?dist_mode ?dist_fuse ?dist_coalesce ?dist_footprint
-    ~engine ~target ~grid src =
-  let a, _ =
-    P.stencil ~target ~engine ?dist_mode ?dist_fuse ?dist_coalesce
-      ?dist_footprint src
-  in
+let run_pipeline_stats ~engine ~target ~grid src =
+  let a, _ = P.stencil ~target ~engine src in
   P.run a;
   let b = P.buffer_exn a grid in
   (* copy out: the artifact owns the bigarray *)
@@ -544,8 +510,8 @@ let run_pipeline_stats ?dist_mode ?dist_fuse ?dist_coalesce ?dist_footprint
   P.shutdown a;
   (out, stats)
 
-let run_pipeline ?dist_mode ~engine ~target ~grid src =
-  fst (run_pipeline_stats ?dist_mode ~engine ~target ~grid src)
+let run_pipeline ~engine ~target ~grid src =
+  fst (run_pipeline_stats ~engine ~target ~grid src)
 
 let check_bitwise ~msg serial dist =
   Alcotest.(check int) (msg ^ ": size") (Array.length serial)
@@ -557,9 +523,10 @@ let check_bitwise ~msg serial dist =
           v dist.(i))
     serial
 
-(* Every rank count / superstep mode / engine must reproduce the serial
-   answer bit for bit — the distributed lowering is a pure execution
-   strategy, never a numerics change. *)
+(* Every rank count / engine must reproduce the serial answer bit for
+   bit — the distributed lowering is a pure execution strategy, never a
+   numerics change. Thin blocks at 8 ranks exercise the blocking
+   fallback inside the overlapped schedule. *)
 let test_pipeline_dist_gs () =
   let src = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:4 () in
   let serial =
@@ -567,25 +534,17 @@ let test_pipeline_dist_gs () =
   in
   List.iter
     (fun ranks ->
-      List.iter
-        (fun mode ->
-          let dist =
-            run_pipeline ~dist_mode:mode ~engine:P.Engine_vector
-              ~target:(P.Dist ranks) ~grid:"u" src
-          in
-          check_bitwise
-            ~msg:
-              (Printf.sprintf "gs ranks=%d mode=%s" ranks
-                 (DX.mode_name mode))
-            serial dist)
-        [ DX.Blocking; DX.Overlap ])
-    [ 1; 2; 3; 8 ];
+      let dist =
+        run_pipeline ~engine:P.Engine_vector ~target:(P.Dist ranks)
+          ~grid:"u" src
+      in
+      check_bitwise ~msg:(Printf.sprintf "gs ranks=%d" ranks) serial dist)
+    [ 1; 2; 3; 4; 8 ];
   (* the other engines at one representative rank count *)
   List.iter
     (fun (ename, engine) ->
       let dist =
-        run_pipeline ~dist_mode:DX.Overlap ~engine ~target:(P.Dist 4)
-          ~grid:"u" src
+        run_pipeline ~engine ~target:(P.Dist 4) ~grid:"u" src
       in
       check_bitwise ~msg:("gs engine=" ^ ename) serial dist)
     [ ("closure", P.Engine_closure); ("interp", P.Engine_interp) ]
@@ -600,8 +559,8 @@ let test_pipeline_dist_pw () =
       List.iter
         (fun ranks ->
           let dist =
-            run_pipeline ~dist_mode:DX.Overlap ~engine:P.Engine_vector
-              ~target:(P.Dist ranks) ~grid src
+            run_pipeline ~engine:P.Engine_vector ~target:(P.Dist ranks) ~grid
+              src
           in
           check_bitwise
             ~msg:(Printf.sprintf "pw %s ranks=%d" grid ranks)
@@ -609,13 +568,32 @@ let test_pipeline_dist_pw () =
         [ 2; 6 ])
     [ "u"; "su" ]
 
-(* Superstep fusion and coalescing are pure traffic optimisations: every
-   fuse x coalesce combination must reproduce the serial answer bit for
-   bit. On Gauss-Seidel fusion must never fire (each sweep rewrites u,
-   so the per-iteration exchange is semantically required); on a
-   residual-style kernel that reads u at offsets but never writes it,
-   every superstep after the first must fuse, and the message count
-   must drop accordingly. *)
+(* Halo messages of one exchange: one per neighbour link of the
+   decomposition (the swap set is coalesced into a single payload). *)
+let neighbour_links ~global ~ranks =
+  let d = D.create ~global ~ranks in
+  let links = ref 0 in
+  for rank = 0 to D.nranks d - 1 do
+    List.iter
+      (fun dir -> if D.neighbor d rank dir <> None then incr links)
+      D.directions
+  done;
+  !links
+
+let group_msgs = function
+  | Some s ->
+    List.fold_left
+      (fun a g -> a + g.Fsc_dmp.Dist_kernel.gs_msgs)
+      0 s.Fsc_dmp.Dist_kernel.ds_groups
+  | None -> 0
+
+(* Superstep fusion and coalescing are pure traffic optimisations: at
+   every rank count the answer must match serial bit for bit, with
+   exact halo-message counts. On a residual-style kernel that reads u
+   at offsets but never writes it, every superstep after the first
+   must fuse, so a run pays exactly one exchange. On Gauss-Seidel
+   fusion must never fire (each sweep rewrites u, so the per-iteration
+   exchange is semantically required). *)
 let test_pipeline_dist_fusion () =
   let residual_src =
     {|
@@ -650,62 +628,50 @@ end program residual_probe
 |}
   in
   let module Dk = Fsc_dmp.Dist_kernel in
-  let group_msgs = function
-    | Some s ->
-      List.fold_left (fun a g -> a + g.Dk.gs_msgs) 0 s.Dk.ds_groups
-    | None -> 0
-  in
   let serial =
     run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"r"
       residual_src
   in
-  let traffic = Hashtbl.create 4 in
-  List.iter
-    (fun (fuse, coalesce) ->
-      let dist, stats =
-        run_pipeline_stats ~dist_mode:DX.Overlap ~dist_fuse:fuse
-          ~dist_coalesce:coalesce ~engine:P.Engine_vector
-          ~target:(P.Dist 4) ~grid:"r" residual_src
-      in
-      let label = Printf.sprintf "residual fuse=%b coalesce=%b" fuse coalesce in
-      check_bitwise ~msg:label serial dist;
-      Hashtbl.replace traffic (fuse, coalesce) (group_msgs stats);
-      match stats with
-      | Some s ->
-        if fuse then
-          Alcotest.(check bool) (label ^ ": stages fused") true
-            (s.Dk.ds_fused_stages > 0)
-        else
-          Alcotest.(check int) (label ^ ": no stage fused") 0
-            s.Dk.ds_fused_stages
-      | None -> Alcotest.fail (label ^ ": no dist state"))
-    [ (true, true); (true, false); (false, true); (false, false) ];
-  (* niter = 3 supersteps swap u; fused pays the first exchange only *)
-  let msgs fuse coalesce = Hashtbl.find traffic (fuse, coalesce) in
-  Alcotest.(check int) "fused sends one exchange in three"
-    (msgs false true)
-    (3 * msgs true true);
-  Alcotest.(check int) "coalescing does not change a 1-field swap"
-    (msgs false false) (msgs false true);
-  (* Gauss-Seidel: fusion must not fire, results identical either way *)
   let gs = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 () in
   let gs_serial =
     run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"u" gs
   in
   List.iter
-    (fun fuse ->
+    (fun (ranks, residual_msgs, gs_msgs) ->
+      let label = Printf.sprintf "residual ranks=%d" ranks in
       let dist, stats =
-        run_pipeline_stats ~dist_mode:DX.Overlap ~dist_fuse:fuse
-          ~engine:P.Engine_vector ~target:(P.Dist 4) ~grid:"u" gs
+        run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist ranks)
+          ~grid:"r" residual_src
       in
-      check_bitwise ~msg:(Printf.sprintf "gs fuse=%b" fuse) gs_serial dist;
+      check_bitwise ~msg:label serial dist;
+      (* niter = 3 supersteps swap u; fused pays the first exchange only *)
+      Alcotest.(check int) (label ^ ": one exchange") residual_msgs
+        (group_msgs stats);
+      Alcotest.(check int) (label ^ ": links") residual_msgs
+        (neighbour_links ~global:(6, 6, 6) ~ranks);
+      (match stats with
+      | Some s when ranks > 1 ->
+        Alcotest.(check bool) (label ^ ": stages fused") true
+          (s.Dk.ds_fused_stages > 0)
+      | Some _ -> ()
+      | None -> Alcotest.fail (label ^ ": no dist state"));
+      let label = Printf.sprintf "gs ranks=%d" ranks in
+      let dist, stats =
+        run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist ranks)
+          ~grid:"u" gs
+      in
+      check_bitwise ~msg:label gs_serial dist;
+      Alcotest.(check int) (label ^ ": an exchange per sweep") gs_msgs
+        (group_msgs stats);
+      Alcotest.(check int) (label ^ ": links") gs_msgs
+        (3 * neighbour_links ~global:(8, 8, 8) ~ranks);
       match stats with
-      | Some s ->
-        Alcotest.(check int)
-          (Printf.sprintf "gs fuse=%b: nothing fusible" fuse)
-          0 s.Dk.ds_fused_stages
-      | None -> Alcotest.fail "gs: no dist state")
-    [ true; false ]
+      | Some s when ranks > 1 ->
+        Alcotest.(check int) (label ^ ": nothing fusible") 0
+          s.Dk.ds_fused_stages
+      | Some _ -> ()
+      | None -> Alcotest.fail (label ^ ": no dist state"))
+    [ (1, 0, 0); (2, 2, 6); (4, 8, 24); (8, 20, 60) ]
 
 (* Mirror planes on an asymmetric decomposition: global (8,7,5) over 6
    ranks splits y 4+3 and z 2+2+1, so the block-boundary planes are
@@ -745,10 +711,10 @@ let test_mirror_planes_asymmetric () =
 
 (* Footprint-aware staling is a pure traffic optimisation: the
    residual+edge-probe program must reproduce the serial answer bit for
-   bit at every rank count / superstep mode with staling on and off —
-   while on, the probe's off-plane writes avoid stales and cut the
-   message count. *)
-let test_pipeline_dist_footprint () =
+   bit at every rank count, while the probe's off-plane writes avoid
+   stales — u's halos stay fresh after the first exchange, so a run
+   pays exactly one. *)
+let test_pipeline_footprint_staling () =
   let module Dk = Fsc_dmp.Dist_kernel in
   let src =
     {|
@@ -789,49 +755,29 @@ program residual_probe
 end program residual_probe
 |}
   in
-  let group_msgs = function
-    | Some s ->
-      List.fold_left (fun a g -> a + g.Dk.gs_msgs) 0 s.Dk.ds_groups
-    | None -> 0
-  in
   List.iter
     (fun grid ->
       let serial =
         run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid src
       in
       List.iter
-        (fun ranks ->
-          List.iter
-            (fun mode ->
-              let on, on_stats =
-                run_pipeline_stats ~dist_mode:mode ~dist_footprint:true
-                  ~engine:P.Engine_vector ~target:(P.Dist ranks) ~grid src
-              in
-              let off, off_stats =
-                run_pipeline_stats ~dist_mode:mode ~dist_footprint:false
-                  ~engine:P.Engine_vector ~target:(P.Dist ranks) ~grid src
-              in
-              let label =
-                Printf.sprintf "probe %s ranks=%d mode=%s" grid ranks
-                  (DX.mode_name mode)
-              in
-              check_bitwise ~msg:(label ^ " fp=on") serial on;
-              check_bitwise ~msg:(label ^ " fp=off") serial off;
-              match (on_stats, off_stats) with
-              | Some s_on, Some s_off ->
-                Alcotest.(check bool) (label ^ ": flag recorded") true
-                  (s_on.Dk.ds_footprint && not s_off.Dk.ds_footprint);
-                if ranks >= 2 then begin
-                  Alcotest.(check bool) (label ^ ": stales avoided") true
-                    (s_on.Dk.ds_stales_avoided > 0);
-                  Alcotest.(check int) (label ^ ": nothing avoided off") 0
-                    s_off.Dk.ds_stales_avoided;
-                  Alcotest.(check bool) (label ^ ": fewer messages") true
-                    (group_msgs (Some s_on) < group_msgs (Some s_off))
-                end
-              | _ -> Alcotest.fail (label ^ ": no dist state"))
-            [ DX.Blocking; DX.Overlap ])
-        [ 1; 2; 8 ])
+        (fun (ranks, msgs) ->
+          let dist, stats =
+            run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist ranks)
+              ~grid src
+          in
+          let label = Printf.sprintf "probe %s ranks=%d" grid ranks in
+          check_bitwise ~msg:label serial dist;
+          Alcotest.(check int) (label ^ ": one exchange") msgs
+            (group_msgs stats);
+          Alcotest.(check int) (label ^ ": links") msgs
+            (neighbour_links ~global:(12, 12, 12) ~ranks);
+          match stats with
+          | Some s ->
+            Alcotest.(check bool) (label ^ ": stales avoided") true
+              (s.Dk.ds_stales_avoided > 0)
+          | None -> Alcotest.fail (label ^ ": no dist state"))
+        [ (1, 0); (2, 2); (4, 8); (8, 20) ])
     [ "r"; "u" ]
 
 (* A grid too small for the rank count must fail with the located
@@ -867,8 +813,6 @@ let () =
        [ Alcotest.test_case "halo exchange" `Quick test_halo_exchange;
          Alcotest.test_case "coalesced payload round trip" `Quick
            test_coalesced_roundtrip;
-         Alcotest.test_case "barrier vs join rendezvous" `Quick
-           test_rendezvous_differential;
          Alcotest.test_case "overlap windows partition interior" `Quick
            test_overlap_windows_partition;
          Alcotest.test_case "gather ignores stale halos" `Quick
@@ -885,7 +829,7 @@ let () =
          Alcotest.test_case "mirror planes (asymmetric decomp)" `Quick
            test_mirror_planes_asymmetric;
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick
-           test_pipeline_dist_footprint;
+           test_pipeline_footprint_staling;
          Alcotest.test_case "degenerate decomposition diagnosed" `Quick
            test_pipeline_dist_degenerate ]);
       ("dialect",

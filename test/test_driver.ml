@@ -197,6 +197,131 @@ let test_gpu_strategy_accounting () =
   Alcotest.(check bool) "same number of kernel launches" true
     (initial.Fsc_rt.Gpu_sim.s_kernels = optimised.Fsc_rt.Gpu_sim.s_kernels)
 
+(* ---- engine x target matrix ----
+
+   Every CPU engine on every CPU target, dist at 1/2/4/8 ranks, must
+   reproduce flang-only execution bit for bit on all five benchmark
+   programs. The native engine builds synchronously into a private
+   cache so its emitted code (not the vector fallback) is what runs;
+   under dist it uses the per-rank vector plans. *)
+let test_engine_target_matrix () =
+  let native =
+    Fsc_codegen.Native.create
+      ~cache:
+        (Fsc_cache.Cache.create
+           ~dir:
+             (Filename.concat
+                (Filename.get_temp_dir_name ())
+                (Printf.sprintf "sfc-driver-matrix-%d" (Unix.getpid ())))
+           ~version:Fsc_codegen.Native.format_version ())
+      ~mode:Fsc_codegen.Native.Sync ()
+  in
+  List.iter
+    (fun (pname, src, grids) ->
+      let refs = reference src grids in
+      List.iter
+        (fun target ->
+          let ca = P.compile (P.default_options ~target ()) src in
+          List.iter
+            (fun engine ->
+              let a = P.link ~engine ~native ca in
+              P.run a;
+              List.iter
+                (fun (g, r) ->
+                  Alcotest.(check (float 0.))
+                    (Printf.sprintf "%s/%s %s %s" pname g
+                       (match target with
+                       | P.Dist r -> Printf.sprintf "dist(%d)" r
+                       | t -> P.target_kind t)
+                       (P.engine_name engine))
+                    0.0
+                    (Rt.max_abs_diff r (P.buffer_exn a g)))
+                refs;
+              P.shutdown a)
+            P.all_engines)
+        [ P.Serial; P.Openmp 2; P.Dist 1; P.Dist 2; P.Dist 4; P.Dist 8 ])
+    [ ("gauss-seidel", gs_src, [ "u" ]);
+      ("laplace", B.laplace ~n:12 ~niter:2 (), [ "phi" ]);
+      ("pw-advection", pw_src, [ "su"; "sv"; "sw" ]);
+      ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]);
+      ("smooth", B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "rs"; "d" ]) ]
+
+(* ---- concurrent compiles ----
+
+   Server workers compile on several domains at once, sharing the IR
+   and buffer id counters. Each domain compiles and runs distinct
+   programs round after round; every printed IR must equal that
+   program's serial compile and every grid its serial run. Kernel names
+   come from a process-wide counter, so they are renumbered by first
+   appearance before comparing. *)
+let normalise_kernel_names text =
+  let seen = Hashtbl.create 8 in
+  Str.global_substitute
+    (Str.regexp "_stencil_kernel_[0-9]+")
+    (fun t ->
+      let name = Str.matched_string t in
+      match Hashtbl.find_opt seen name with
+      | Some n -> n
+      | None ->
+        let n = Printf.sprintf "_stencil_kernel#%d" (Hashtbl.length seen) in
+        Hashtbl.add seen name n;
+        n)
+    text
+
+let compile_and_run src =
+  let ca = P.compile (P.default_options ()) src in
+  let ir =
+    normalise_kernel_names
+      (Fsc_ir.Printer.module_to_string ca.P.ca_host
+      ^ Fsc_ir.Printer.module_to_string ca.P.ca_stencil)
+  in
+  let a = P.link ca in
+  P.run a;
+  let grids =
+    List.map
+      (fun (name, b) -> (name, Rt.clone b))
+      a.P.a_ctx.Fsc_rt.Interp.named_buffers
+  in
+  P.shutdown a;
+  (ir, grids)
+
+let test_concurrent_compiles () =
+  let programs =
+    [| ("gauss-seidel", gs_src); ("pw-advection", pw_src);
+       ("laplace", B.laplace ~n:10 ~niter:2 ());
+       ("residual", B.residual ~nx:6 ~ny:6 ~nz:6 ~niter:2 ());
+       ("smooth", B.smooth ~nx:6 ~ny:6 ~nz:6 ~niter:2 ()) |]
+  in
+  let serial = Array.map (fun (_, src) -> compile_and_run src) programs in
+  let rounds = 25 and n = Array.length programs in
+  let worker offset () =
+    let mismatches = ref [] in
+    for round = 1 to rounds do
+      for i = 0 to n - 1 do
+        (* the two domains walk the programs in different orders *)
+        let p = (i + offset + round) mod n in
+        let name, src = programs.(p) in
+        let ir, grids = compile_and_run src in
+        let ref_ir, ref_grids = serial.(p) in
+        if ir <> ref_ir then
+          mismatches := Printf.sprintf "%s: printed IR differs" name
+                        :: !mismatches;
+        List.iter2
+          (fun (g, r) (g', b) ->
+            if g <> g' || Rt.max_abs_diff r b <> 0.0 then
+              mismatches :=
+                Printf.sprintf "%s: grid %s differs" name g :: !mismatches)
+          ref_grids grids
+      done
+    done;
+    !mismatches
+  in
+  let others = List.map (fun o -> Domain.spawn (worker o)) [ 1; 3 ] in
+  let mine = worker 0 () in
+  let all = mine @ List.concat_map Domain.join others in
+  Alcotest.(check (list string)) "every concurrent compile matches serial" []
+    (List.sort_uniq compare all)
+
 let () =
   Alcotest.run "driver"
     [ ("gauss-seidel",
@@ -220,4 +345,10 @@ let () =
          Alcotest.test_case "gpu IR artifact" `Quick test_gpu_ir_artifact ]);
       ("gpu-accounting",
        [ Alcotest.test_case "strategy accounting" `Quick
-           test_gpu_strategy_accounting ]) ]
+           test_gpu_strategy_accounting ]);
+      ("matrix",
+       [ Alcotest.test_case "every engine x target == flang-only" `Quick
+           test_engine_target_matrix ]);
+      ("concurrency",
+       [ Alcotest.test_case "concurrent compiles match serial" `Quick
+           test_concurrent_compiles ]) ]

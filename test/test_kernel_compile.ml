@@ -164,6 +164,56 @@ let test_mismatched_buffers_rejected () =
       | exception Kc.Fallback _ -> true
       | () -> false)
 
+(* The shared flat-offset bounds proof the vector and native engines
+   run before their unchecked access paths: a 1-D nest over [lb, ub)
+   reading buf0 at offset [off] into buf1, on 8-cell buffers. *)
+let test_nest_bounds () =
+  let nest ~lb ~ub ~off =
+    { Kc.n_loops =
+        [ { Kc.l_level = 0; l_dim = 0; l_lb = lb; l_ub = ub;
+            l_parallel = false; l_vector_width = 1 } ];
+      n_stores =
+        [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
+            st_expr =
+              Kc.F_unary ("math.sqrt", Kc.F_load (0, [ Kc.Iv (0, off) ])) } ];
+      n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
+      n_tile = [] }
+  in
+  let bufs = [| Rt.create [ 8 ]; Rt.create [ 8 ] |] in
+  let strides = [| 1 |] in
+  let verdict n =
+    match Kc.check_nest_bounds ~strides ~bufs n with
+    | () -> "ok"
+    | exception Kc.Out_of_bounds why -> why
+  in
+  Alcotest.(check string) "in range" "ok" (verdict (nest ~lb:1 ~ub:7 ~off:1));
+  Alcotest.(check string) "empty space" "ok"
+    (verdict (nest ~lb:5 ~ub:5 ~off:100));
+  Alcotest.(check string) "overrun names the load"
+    "access to buffer 0 spans [2, 8] outside [0, 8)"
+    (verdict (nest ~lb:1 ~ub:8 ~off:1));
+  Alcotest.(check string) "underrun names the load"
+    "access to buffer 0 spans [-1, 5] outside [0, 8)"
+    (verdict (nest ~lb:0 ~ub:7 ~off:(-1)));
+  Alcotest.(check string) "missing buffer" "buffer 1 not passed at the call"
+    (match
+       Kc.check_nest_bounds ~strides ~bufs:[| bufs.(0) |]
+         (nest ~lb:1 ~ub:7 ~off:1)
+     with
+    | () -> "ok"
+    | exception Kc.Out_of_bounds why -> why);
+  (* the vector engine runs the check on every call: a passing check
+     must not allocate *)
+  let ok = nest ~lb:1 ~ub:7 ~off:1 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Kc.check_nest_bounds ~strides ~bufs ok
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation-free (%.0f words over 1000 checks)" words)
+    true (words < 100.)
+
 let () =
   Alcotest.run "kernel_compile"
     [ ("analysis",
@@ -178,4 +228,6 @@ let () =
          Alcotest.test_case "unrolled == rolled" `Quick
            test_vector_unroll_matches;
          Alcotest.test_case "mismatched buffers" `Quick
-           test_mismatched_buffers_rejected ]) ]
+           test_mismatched_buffers_rejected;
+         Alcotest.test_case "flat-offset bounds check" `Quick
+           test_nest_bounds ]) ]
