@@ -483,7 +483,12 @@ let run_cmd =
                 ca.P.ca_stats.P.st_kernels;
               Printf.eprintf "compile: cache %s\n"
                 (cache_status_name cache_outcome);
-              Printf.eprintf "engine: %s\n" (P.engine_name engine)
+              Printf.eprintf "engine: %s\n" (P.engine_name engine);
+              Option.iter
+                (fun n ->
+                  Printf.eprintf "native toolchain: %s\n"
+                    (Fsc_codegen.Native.toolchain_summary n))
+                native
             end;
             P.run a;
             if stats then begin

@@ -178,6 +178,30 @@ else
 fi
 rm -rf "$NCACHE"
 
+# Benchmark smoke: the benchmark's own tests, then a short cold-start
+# run that must check every op correct with none failed — a benchmark
+# that cannot run its workloads fails here, before merge. cold-start
+# needs the native toolchain, so it follows the native smoke's skip.
+if ! python3 perfbench/test_perfbench.py; then
+  echo "ci: perfbench tests failed"
+  exit 1
+fi
+if printf '%s\n' "$cold_out" | grep -q 'native unavailable'; then
+  echo "perfbench smoke: cold-start SKIPPED (no ocamlopt toolchain)"
+else
+  pb_out=$(python3 perfbench/run.py --workload cold-start --seed 1 \
+    --seconds 3 --trace 0 | tail -n 1)
+  if ! printf '%s\n' "$pb_out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+    echo "ci: perfbench cold-start smoke not correct or failed ops"
+    printf '%s\n' "$pb_out"
+    exit 1
+  fi
+  echo "perfbench smoke: tests pass, 3 s cold-start run correct with 0 failed ops"
+fi
+
 # Distributed-backend smoke: the dist target must reproduce the serial
 # grid checksums exactly, a rank count the grid cannot host must fail
 # with the located decomposition diagnostic, and the dist bench must

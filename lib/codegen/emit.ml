@@ -56,8 +56,10 @@
      real pool to feed.
 
    Underneath the transforms sits the plain schedule — the one a nest
-   gets when no transform applies: flat Bigarray.Array1 loops
-   with bounds, strides and stencil deltas baked in as constants, an
+   gets when no transform applies: flat loops over the float64
+   Bigarrays, read and written through two monomorphic unsafe
+   externals ([get]/[set], declared at the top of every module), with
+   bounds, strides and stencil deltas baked in as constants, an
    exact transliteration of the closure engine's per-cell evaluation
    (same statement order, same float ops, hex-literal constants), the
    unsafe access path guarded by bind-time whole-space bounds
@@ -175,7 +177,7 @@ let rec expr ~strides ~ivn ~subst (e : Kc.fexpr) =
     match subst (bi, d) with
     | Some v -> v
     | None ->
-      Printf.sprintf "(Bigarray.Array1.unsafe_get d%d (base + (%d)))" bi d)
+      Printf.sprintf "(get d%d (base + (%d)))" bi d)
   | Kc.F_unary ("arith.negf", a) ->
     Printf.sprintf "(-. %s)" (expr ~strides ~ivn ~subst a)
   | Kc.F_unary ("math.log2", a) ->
@@ -564,17 +566,11 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
     add st "%sfor q = 0 to (rn / 4) - 1 do\n" ind;
     add st "%s  let o = rb + (q * 4) in\n" ind;
     for k = 0 to 3 do
-      add st
-        "%s  Bigarray.Array1.unsafe_set d%d (o + %d) \
-         (Bigarray.Array1.unsafe_get d%d (o + %d));\n"
-        ind dst k src k
+      add st "%s  set d%d (o + %d) (get d%d (o + %d));\n" ind dst k src k
     done;
     add st "%sdone;\n" ind;
     add st "%sfor o = rb + ((rn / 4) * 4) to rb + rn - 1 do\n" ind;
-    add st
-      "%s  Bigarray.Array1.unsafe_set d%d o (Bigarray.Array1.unsafe_get d%d \
-       o);\n"
-      ind dst src;
+    add st "%s  set d%d o (get d%d o);\n" ind dst src;
     add st "%sdone;\n" ind
   | _ ->
     let rolls = if literal then roll_groups st ~inner stmts else [] in
@@ -583,8 +579,7 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
     let emit_stores ind subst =
       List.iter
         (fun (s : Kc.store_stmt) ->
-          add st "%sBigarray.Array1.unsafe_set d%d (base + (%d)) %s;\n" ind
-            s.Kc.st_buf
+          add st "%sset d%d (base + (%d)) %s;\n" ind s.Kc.st_buf
             (Kc.delta_of st.strides s.Kc.st_index)
             (expr ~strides:st.strides ~ivn ~subst s.Kc.st_expr))
         stmts
@@ -629,10 +624,8 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
       List.iter
         (fun r ->
           for k = 0 to r.r_span - 1 do
-            add st
-              "%slet w%d_%d = ref (Bigarray.Array1.unsafe_get d%d (%s + \
-               (%d))) in\n"
-              ind r.r_id k r.r_buf (base_of lo_e)
+            add st "%slet w%d_%d = ref (get d%d (%s + (%d))) in\n" ind
+              r.r_id k r.r_buf (base_of lo_e)
               (r.r_d0 + (k * si))
           done)
         rolls;
@@ -652,9 +645,8 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
       add st "%s  let base = %s in\n" ind (base_of iv);
       List.iter
         (fun r ->
-          add st
-            "%s  let w%d_n = Bigarray.Array1.unsafe_get d%d (base + (%d)) in\n"
-            ind r.r_id r.r_buf
+          add st "%s  let w%d_n = get d%d (base + (%d)) in\n" ind r.r_id
+            r.r_buf
             (r.r_d0 + (r.r_span * si)))
         rolls;
       emit_stores (ind ^ "  ") subst;
@@ -883,9 +875,17 @@ let emit ~strides ?(skip = []) (spec : Kc.spec) =
     { eb = Buffer.create 4096; strides; n_reused = 0; n_blits = 0;
       n_unrolled = 0; n_tiled = []; wid = 0 }
   in
+  (* monomorphic accessors: the same inlined loads and stores as
+     [Bigarray.Array1.unsafe_get/set], without the polymorphic
+     signatures the typer would instantiate at every one of hundreds of
+     call sites *)
   Buffer.add_string st.eb
     "(* generated by sfc native codegen — do not edit *)\n\
-     [@@@warning \"-a\"]\n\n";
+     [@@@warning \"-a\"]\n\n\
+     external get : Sfc_native_shim.buf -> int -> float\n\
+    \  = \"%caml_ba_unsafe_ref_1\"\n\
+     external set : Sfc_native_shim.buf -> int -> float -> unit\n\
+    \  = \"%caml_ba_unsafe_set_1\"\n\n";
   let statuses =
     List.mapi
       (fun i nest ->

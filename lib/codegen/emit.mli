@@ -5,7 +5,11 @@
     and row blits inside innermost loops, and cross-nest fusion
     (aligned cell-wise, or outer-level shifted for sweep/copy pairs) —
     before printing flat [Bigarray.Array1] loops with bounds, strides
-    and stencil deltas baked in as constants. Per-cell arithmetic stays
+    and stencil deltas baked in as constants. Every module opens with
+    two monomorphic externals, [get] and [set], over the float64
+    buffer type; the loops use them in place of the polymorphic
+    [Bigarray.Array1.unsafe_get/set], which compile to the same code
+    but cost the typer more at each call site. Per-cell arithmetic stays
     an exact transliteration of the closure engine (same statement
     order, same float ops, hex-literal constants), so emitted kernels
     remain bit-identical to the other three engines.

@@ -1,5 +1,6 @@
 (* The native JIT tier: emit -> ocamlopt -> Dynlink, with the vector
-   engine covering every gap.
+   engine covering every gap. {!Build} resolves the real compiler once
+   per process and links plugins with [ld -shared] where it can.
 
    A [kernel] starts life unbound: strides are only known at the first
    call, so that call emits the source (strides, bounds, tile shapes
@@ -60,8 +61,9 @@ let c_copy_blits = Obs.counter "codegen.copy_blits"
 
 (* Bumped whenever emitted code or the sidecar layout changes shape.
    v2: scheduling emitter (tiling/fusion), pfor entry ABI, string-keyed
-   registration, tile-budget stamp suffix. *)
-let format_version = 2
+   registration, tile-budget stamp suffix. v3: monomorphic [get]/[set]
+   externals replace [Bigarray.Array1.unsafe_get/set]. *)
+let format_version = 3
 
 type mode =
   | Async
@@ -158,6 +160,11 @@ let stale_dropped ctx = ctx.c_stale_dropped
 
 let toolchain_error ctx =
   match ctx.c_toolchain with Ok _ -> None | Error e -> Some e
+
+let toolchain_summary ctx =
+  match ctx.c_toolchain with
+  | Ok tc -> Build.describe tc
+  | Error e -> "unavailable (" ^ e ^ ")"
 
 (* ---------------- Dynlink (serialised process-wide) ---------------- *)
 
@@ -298,9 +305,12 @@ let build_fresh ctx tc b emit ~t0 =
         Obs.incr c_dynlink_errors;
         Failed ("Dynlink: " ^ e)))
 
+(* Any exception escaping a build (an unusable cache or temp directory,
+   say) becomes [Failed]: an Async build thread that died would leave
+   the build [Building] forever, and {!await} would hang on it. *)
 let do_build ctx b emit =
   let t0 = Unix.gettimeofday () in
-  let status =
+  let attempt () =
     match ctx.c_toolchain with
     | Error e -> Failed ("toolchain unavailable: " ^ e)
     | Ok tc -> (
@@ -316,6 +326,12 @@ let do_build ctx b emit =
             { r_entries = entries; r_build_ms = ms_since t0;
               r_origin = origin }
         | None -> build_fresh ctx tc b emit ~t0))
+  in
+  let status =
+    try attempt ()
+    with e ->
+      Obs.incr c_build_errors;
+      Failed ("build raised " ^ Printexc.to_string e)
   in
   finish ctx b status
 

@@ -1,5 +1,8 @@
 (** The native JIT tier: emitted OCaml, compiled with
-    [ocamlfind ocamlopt -shared], Dynlink'ed, cached.
+    [ocamlopt -shared], Dynlink'ed, cached. The compiler is the one
+    [ocamlfind ocamlopt -only-show] resolves, probed once per process
+    and then run directly; on Linux plugins link with [ld -shared]
+    rather than the gcc driver.
 
     A {!ctx} owns the toolchain probe, the content-addressed artifact
     cache (generated [.ml], built [.cmxs] and a toolchain [.stamp] as
@@ -18,7 +21,8 @@
     when the budget changed.
 
     The fallback chain never fails a run: missing toolchain, emit
-    unsupported, compile/Dynlink failure, stale stamps, bounds
+    unsupported, compile/Dynlink failure (including an unusable cache
+    or temp directory), stale stamps, bounds
     validation and shape guards all drop to the vector engine (per nest
     for emit/bounds failures, per kernel otherwise), counted on
     [codegen.*] Obs counters and summarised by {!report}. Results are
@@ -38,9 +42,10 @@ type mode =
 type ctx
 type kernel
 
-(** [create ()] probes the toolchain (override the findlib driver with
-    [ocamlfind], or the [SFC_NATIVE_OCAMLFIND] env var) and revalidates
-    cached sidecars against its stamp. [cache] defaults to a fresh
+(** [create ()] probes the toolchain and revalidates cached sidecars
+    against its stamp. [ocamlfind] (or the [SFC_NATIVE_OCAMLFIND] env
+    var) names the findlib driver that resolves the compiler; builds
+    run the resolved compiler directly. [cache] defaults to a fresh
     disk cache in the default directory; pass the driver's cache to
     share one directory. [l2_kb] is the cache budget behind the current
     [n_tile] hints: tiled artifacts built under a different budget are
@@ -56,8 +61,13 @@ val cache : ctx -> Cache.t
 (** Why the native tier is disabled, if it is. *)
 val toolchain_error : ctx -> string option
 
-(** Sidecar sets dropped by startup revalidation (compiler changed, or
-    a tiled artifact's recorded L2 budget no longer matches). *)
+(** One line for [--stats]: the resolved compiler every build runs, its
+    version and the link command, or why the tier is off. *)
+val toolchain_summary : ctx -> string
+
+(** Sidecar sets dropped by startup revalidation (compiler, shim or
+    flags changed — the flags include the link command — or a tiled
+    artifact's recorded L2 budget no longer matches). *)
 val stale_dropped : ctx -> int
 
 (** Wrap one analysed kernel. Compiles the vector fallback plan

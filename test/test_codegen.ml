@@ -254,7 +254,12 @@ let test_schedule_emission () =
     Alcotest.(check bool) "body carries the blocked tiles" true
       (contains body "-row tiles");
     Alcotest.(check bool) "row moves never allocate sub views" false
-      (contains body "Array1.sub")
+      (contains body "Array1.sub");
+    Alcotest.(check bool) "accesses go through the monomorphic externals"
+      true
+      (contains body "external get : Sfc_native_shim.buf -> int -> float"
+      && contains body "external set : Sfc_native_shim.buf"
+      && not (contains body "Bigarray.Array1.unsafe_"))
 
 (* ---- end-to-end parity on a real program ---- *)
 
@@ -367,6 +372,137 @@ let test_corrupt_plugin_rebuilds () =
   | Some c ->
     Alcotest.(check bool) "plugin replaced on disk" false (c = corrupt)
   | None -> Alcotest.fail "plugin missing after rebuild"
+
+(* ---- typed build failures ----
+
+   A cache directory replaced by a regular file after [create] makes
+   the build directory impossible to create. The build must end
+   [Failed] with the reason in the report: in [Sync] mode [run] does
+   not raise, and in [Async] mode [await] returns instead of waiting
+   on a build thread that died. *)
+let test_unusable_cache_dir_fails_typed () =
+  with_toolchain @@ fun () ->
+  List.iter
+    (fun (mode_name, mode, c) ->
+      let dir = fresh_dir () in
+      let ctx =
+        N.create ~cache:(Cache.create ~dir ~version:N.format_version ()) ~mode
+          ()
+      in
+      Out_channel.with_open_bin dir (fun oc ->
+          Out_channel.output_string oc "not a directory");
+      let sp = spec [ sqrt_nest c ] in
+      let k = N.prepare ctx ~name:("unusable-" ^ mode_name) sp in
+      let ref_bufs = make_bufs () and nat_bufs = make_bufs () in
+      Kc.run sp ~bufs:ref_bufs ~scalars:[||] ();
+      N.run k ~bufs:nat_bufs ~scalars:[||] ();
+      N.await k;
+      Alcotest.(check (float 0.)) (mode_name ^ " bitwise on vector") 0.0
+        (Rt.max_abs_diff ref_bufs.(1) nat_bufs.(1));
+      let r = N.report k in
+      Alcotest.(check string) (mode_name ^ " served by vector") "vector"
+        r.N.rp_engine;
+      if not (contains r.N.rp_detail "vector (native build failed: ") then
+        Alcotest.failf "%s: unexpected detail %S" mode_name r.N.rp_detail;
+      Sys.remove dir)
+    [ ("sync", N.Sync, 4.75); ("async", N.Async, 5.75) ]
+
+(* ---- the CLI, end to end ---- *)
+
+(* dune runs the suite in _build/default/test, next to the deps *)
+let sfc = "../bin/sfc.exe"
+let laplace_f90 = "../examples/laplace.f90"
+
+(* [sfc run laplace.f90 --stats] under [env] (VAR=value overrides);
+   returns the exit code and the --stats text. *)
+let sfc_run ?(env = []) args =
+  let err = Filename.temp_file "sfc-codegen-cli" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command "env"
+         (env @ (sfc :: "run" :: laplace_f90 :: "--stats" :: args))
+         ~stdout:Filename.null ~stderr:err)
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+let grid_lines text =
+  List.filter
+    (fun l -> String.length l > 5 && String.sub l 0 5 = "grid ")
+    (String.split_on_char '\n' text)
+
+let vector_grids =
+  lazy (grid_lines (snd (sfc_run [ "--exec-engine"; "vector" ])))
+
+(* An unusable TMPDIR must not crash a native run (exit 125): the
+   probe captures output through a pipe, the compiler's failure to
+   write its temp files becomes a typed build failure, and the run
+   completes on the vector engine. *)
+let test_cli_missing_tmpdir () =
+  with_toolchain @@ fun () ->
+  let code, text =
+    sfc_run
+      ~env:[ "TMPDIR=/nonexistent-dir"; "XDG_CACHE_HOME=" ^ fresh_dir () ]
+      [ "--exec-engine"; "native" ]
+  in
+  if code <> 0 then Alcotest.failf "exit %d:\n%s" code text;
+  Alcotest.(check (list string)) "grids bitwise vs vector"
+    (Lazy.force vector_grids) (grid_lines text)
+
+(* The link command is part of the stamp, so sidecars stamped by the
+   earlier gcc-linked toolchain are swept at startup and rebuilt once;
+   the rebuilt set then serves a later process from the cache. The old
+   stamps are planted over the exact keys the CLI binds. *)
+let test_link_stamp_sweeps_old_sidecars () =
+  with_toolchain @@ fun () ->
+  let tc = match Bld.probe () with Ok tc -> tc | Error e -> Alcotest.fail e in
+  let driver = Filename.basename tc.Bld.tc_driver in
+  Alcotest.(check bool) "builds run the compiler, not the findlib driver"
+    false
+    (List.exists (fun w -> Filename.basename w = driver) tc.Bld.tc_command);
+  match tc.Bld.tc_link with
+  | None -> print_endline "  [skip] no ld -shared link on this system"
+  | Some link ->
+    Alcotest.(check bool) "stamp names the link command" true
+      (contains (Bld.stamp tc) ("-cc " ^ link));
+    let old_stamp =
+      Bld.stamp { tc with Bld.tc_flags = [ "-shared"; "-w"; "-a" ] }
+    in
+    let dir = fresh_dir () in
+    let native () =
+      let code, text =
+        sfc_run [ "--exec-engine"; "native"; "--cache-dir"; dir ]
+      in
+      if code <> 0 then Alcotest.failf "exit %d:\n%s" code text;
+      Alcotest.(check (list string)) "grids bitwise vs vector"
+        (Lazy.force vector_grids) (grid_lines text);
+      text
+    in
+    ignore (native ());
+    let stamps =
+      List.filter
+        (fun f -> Filename.check_suffix f ".stamp")
+        (Array.to_list (Sys.readdir dir))
+    in
+    Alcotest.(check bool) "cold run stamped its plugins" true (stamps <> []);
+    List.iter
+      (fun f ->
+        Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+            Out_channel.output_string oc old_stamp))
+      stamps;
+    let ctx =
+      N.create ~cache:(Cache.create ~dir ~version:N.format_version ())
+        ~mode:N.Sync ()
+    in
+    Alcotest.(check bool) "old-link sidecars dropped" true
+      (N.stale_dropped ctx >= 1);
+    let rebuilt = native () in
+    if not (contains rebuilt "cold build") || contains rebuilt "warm cache hit"
+    then Alcotest.failf "expected cold rebuilds:\n%s" rebuilt;
+    let warm = native () in
+    if contains warm "cold build" || not (contains warm "warm cache hit") then
+      Alcotest.failf "expected warm cache hits:\n%s" warm
 
 (* ---- reference matrix ----
 
@@ -534,6 +670,12 @@ let () =
            test_mixed_nest_execution;
          Alcotest.test_case "corrupt plugin dropped and rebuilt" `Quick
            test_corrupt_plugin_rebuilds;
+         Alcotest.test_case "unusable cache dir fails typed" `Quick
+           test_unusable_cache_dir_fails_typed;
+         Alcotest.test_case "cli survives a missing TMPDIR" `Quick
+           test_cli_missing_tmpdir;
+         Alcotest.test_case "link stamp sweeps old sidecars" `Quick
+           test_link_stamp_sweeps_old_sidecars;
          Alcotest.test_case "reference matrix bitwise vs vector" `Quick
            test_reference_matrix;
          Alcotest.test_case "refused fusion and untiled nests run" `Quick
