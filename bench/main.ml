@@ -1,6 +1,9 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
-   (Section 4) and runs Bechamel micro-benchmarks over the substrate's
-   execution tiers.
+   (Section 4) and writes the two committed measurement files,
+   BENCH_kernels.json (execution engines) and BENCH_dmp.json (the
+   distributed backend). Per-layer pipeline, cache and serve timings
+   come from `sfc run --stats/--trace` and from the repository
+   benchmark's traced runs (`python3 perfbench/run.py --trace 1`).
 
    For each figure the harness prints:
    - MEASURED rows: real executions of this repository's pipelines
@@ -11,8 +14,9 @@
      wins, crossovers) are reproduced. EXPERIMENTS.md records the
      paper-vs-ours comparison.
 
-   Usage:  main.exe [--figure N] [--quick] [--no-bechamel]
-           main.exe --serve   (BENCH_serve.json only, incl. saturation) *)
+   Usage:  main.exe [--figure N] [--quick]
+           main.exe --kernels-only [--quick]   (BENCH_kernels.json only)
+           main.exe --dist [--quick]           (BENCH_dmp.json only) *)
 
 module P = Fsc_driver.Pipeline
 module B = Fsc_driver.Benchmarks
@@ -25,20 +29,16 @@ module Cal = Fsc_perf.Calibrate
 
 let quick = ref false
 let figures = ref []
-let run_bechamel = ref true
 let kernels_only = ref false
 let dist_only = ref false
-let serve_only = ref false
 
 let () =
   Array.iteri
     (fun i arg ->
       match arg with
       | "--quick" -> quick := true
-      | "--no-bechamel" -> run_bechamel := false
       | "--kernels-only" -> kernels_only := true
       | "--dist" -> dist_only := true
-      | "--serve" -> serve_only := true
       | "--figure" ->
         if i + 1 < Array.length Sys.argv then
           figures := int_of_string Sys.argv.(i + 1) :: !figures
@@ -47,540 +47,27 @@ let () =
 
 let want fig = !figures = [] || List.mem fig !figures
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable pipeline timings: BENCH_pipeline.json              *)
-(* ------------------------------------------------------------------ *)
-
-(* Instrument one representative compile+run (gauss-seidel through the
-   gpu-optimised flow, which exercises the full Listing-4 pass pipeline)
-   and dump per-phase / per-pass / per-kernel timings plus counters as
-   JSON, so perf PRs can diff pipeline cost mechanically instead of
-   scraping the tables above. *)
-let write_pipeline_json () =
-  let module Obs = Fsc_obs.Obs in
+(* Write [json] to [path], re-read it and require every top-level key in
+   [keys]; then print [summary] and exit 1 when the file or any of the
+   writer's own [failures] failed its gate. *)
+let write_gated_json ~path ~keys ~failures ~summary json =
   let module J = Fsc_obs.Obs.Json in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let n = 12 in
-  let iters = 2 in
-  let src = B.gauss_seidel ~nx:n ~ny:n ~nz:n ~niter:iters () in
-  let a, _ = P.stencil ~target:(P.Gpu P.Gpu_optimised) src in
-  P.run a;
-  P.shutdown a;
-  Obs.set_enabled false;
-  let ms s = J.Num (1000. *. s) in
-  let arg_json name e =
-    match List.assoc_opt name e.Obs.e_args with
-    | Some a -> Obs.json_of_arg a
-    | None -> J.Null
-  in
-  let phases =
-    List.map
-      (fun e ->
-        J.Obj [ ("name", J.Str e.Obs.e_name); ("ms", ms e.Obs.e_dur) ])
-      (Obs.events_with_cat "pipeline")
-  in
-  let passes =
-    List.map
-      (fun e ->
-        J.Obj
-          [ ("name", J.Str e.Obs.e_name); ("ms", ms e.Obs.e_dur);
-            ("ops_before", arg_json "ops_before" e);
-            ("ops_after", arg_json "ops_after" e);
-            ("verify_ms", arg_json "verify_ms" e) ])
-      (Obs.events_with_cat "pass")
-  in
-  let kernels =
-    List.map
-      (fun (name, count, total) ->
-        J.Obj
-          [ ("name", J.Str name); ("count", J.Num (float_of_int count));
-            ("total_ms", ms total) ])
-      (Obs.span_summary ~cat:"kernel" ())
-  in
-  let counters =
-    List.map
-      (fun (name, v) -> (name, J.Num (float_of_int v)))
-      (Obs.counter_totals ())
-  in
-  let json =
-    J.Obj
-      [ ("benchmark",
-         J.Str
-           (Printf.sprintf "gauss_seidel %d^3 x%d, gpu-optimised" n iters));
-        ("phases", J.List phases); ("passes", J.List passes);
-        ("kernels", J.List kernels); ("counters", J.Obj counters) ]
-  in
-  let path = "BENCH_pipeline.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "pipeline timings written to %s (%d passes, %d phases)\n"
-    path (List.length passes) (List.length phases)
-
-(* ------------------------------------------------------------------ *)
-(* Static-analysis timings: BENCH_analysis.json                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Cost of the `sfc check` analyses (dependence classification + bounds
-   checking) relative to lowering alone, per benchmark program — the
-   overhead a build pays for running the linter on every file. *)
-let write_analysis_json () =
-  let module J = Fsc_obs.Obs.Json in
-  let module Check = Fsc_analysis.Check in
-  let time reps f =
-    (* median-of-reps wall clock, in ms *)
-    let samples =
-      List.init reps (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          1e3 *. (Unix.gettimeofday () -. t0))
-    in
-    List.nth (List.sort compare samples) (reps / 2)
-  in
-  let n = 12 in
-  let iters = 2 in
-  let benches =
-    [ ("gauss-seidel", B.gauss_seidel ~nx:n ~ny:n ~nz:n ~niter:iters ());
-      ("pw-advection", B.pw_advection ~nx:n ~ny:n ~nz:n ~niter:iters ()) ]
-  in
-  let reps = if !quick then 5 else 11 in
-  let series =
-    List.map
-      (fun (bname, src) ->
-        let lower_ms =
-          time reps (fun () -> Fsc_fortran.Flower.compile_source src)
-        in
-        let check_ms = time reps (fun () -> Check.check_source src) in
-        let nests, carried =
-          match Check.check_source src with
-          | Ok (_, r) ->
-            let s = r.Check.r_summary in
-            ( s.Check.ns_parallel + s.Check.ns_carried + s.Check.ns_unknown,
-              s.Check.ns_carried )
-          | Error _ -> (0, 0)
-        in
-        J.Obj
-          [ ("benchmark", J.Str bname); ("lower_ms", J.Num lower_ms);
-            ("check_ms", J.Num check_ms);
-            ("analysis_overhead_ms", J.Num (check_ms -. lower_ms));
-            ("overhead_ratio", J.Num (check_ms /. lower_ms));
-            ("nests", J.Num (float_of_int nests));
-            ("carried", J.Num (float_of_int carried)) ])
-      benches
-  in
-  let json =
-    J.Obj
-      [ ("setup",
-         J.Str (Printf.sprintf "%d^3 x%d, median of %d reps" n iters reps));
-        ("series", J.List series) ]
-  in
-  let path = "BENCH_analysis.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "analysis timings written to %s (%d programs)\n" path
-    (List.length series)
-
-(* ------------------------------------------------------------------ *)
-(* Compilation-service timings: BENCH_serve.json                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Cold-vs-warm compile series through the artifact cache, per
-   benchmark and target, plus the wall clock of an 8-job batch on a
-   2-worker pool — the numbers behind `sfc batch` / `sfc serve`. *)
-let write_serve_json () =
-  let module J = Fsc_obs.Obs.Json in
-  let module Cc = Fsc_driver.Compile_cache in
-  let fresh_cache () =
-    let dir = Filename.temp_file "fsc_bench_cache" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    Cc.create_cache ~dir ()
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, 1e3 *. (Unix.gettimeofday () -. t0))
-  in
-  let n = 12 in
-  let iters = 2 in
-  let benches =
-    [ ("gauss-seidel", B.gauss_seidel ~nx:n ~ny:n ~nz:n ~niter:iters ());
-      ("pw-advection", B.pw_advection ~nx:n ~ny:n ~nz:n ~niter:iters ()) ]
-  in
-  let targets = [ P.Serial; P.Openmp 2; P.Gpu P.Gpu_optimised ] in
-  let cache = fresh_cache () in
-  let warm_reps = 5 in
-  let series =
-    List.concat_map
-      (fun (bname, src) ->
-        List.map
-          (fun target ->
-            let options = P.default_options ~target () in
-            let _, cold_ms = time (fun () -> Cc.compile ~cache options src) in
-            let warm_total =
-              List.fold_left ( +. ) 0.
-                (List.init warm_reps (fun _ ->
-                     snd (time (fun () -> Cc.compile ~cache options src))))
-            in
-            let warm_ms = warm_total /. float_of_int warm_reps in
-            J.Obj
-              [ ("benchmark", J.Str bname);
-                ("target", J.Str (P.target_name target));
-                ("cold_ms", J.Num cold_ms); ("warm_ms", J.Num warm_ms);
-                ("speedup", J.Num (cold_ms /. warm_ms)) ])
-          targets)
-      benches
-  in
-  (* batch wall clock: every target on both programs, 2 workers *)
-  let job src target_fields =
-    J.to_string (J.Obj (("source", J.Str src) :: target_fields))
-  in
-  let lines =
-    List.concat_map
-      (fun (_, src) ->
-        [ job src [ ("target", J.Str "serial") ];
-          job src [ ("target", J.Str "openmp"); ("threads", J.Num 2.) ];
-          job src [ ("target", J.Str "gpu-initial") ];
-          job src [ ("target", J.Str "gpu-optimised") ] ])
-      benches
-  in
-  let bcache = fresh_cache () in
-  let batch ~label:_ () =
-    snd
-      (time (fun () ->
-           Fsc_server.Service.run_batch ~cache:bcache ~workers:2 lines))
-  in
-  let batch_cold_ms = batch ~label:"cold" () in
-  let batch_warm_ms = batch ~label:"warm" () in
-  (* ---- multi-client open-loop saturation sweep ----
-
-     A real `serve` instance under paced one-connection-per-request load
-     from concurrent client identities, at several offered-load multiples
-     of the measured warm capacity. Latency is measured from the
-     *scheduled* send time, so a lagging generator counts as queueing
-     rather than hiding it (no coordinated omission). A quarter of the
-     jobs are fresh sources (cold compiles); every ok reply's checksums
-     must be bitwise identical to a serial in-process reference. *)
-  let module Svc = Fsc_server.Service in
-  let failures = ref [] in
-  let sat_workers = 2 and sat_handlers = 12 and sat_queue = 3 in
-  let n_clients = 8 in
-  let jobs_per_point = if !quick then 20 else 40 in
-  let variants = Hashtbl.create 64 in
-  List.iteri (fun i (_, src) -> Hashtbl.replace variants i src) benches;
-  let next_vid = ref (List.length benches) in
-  (* a fresh variant pads a base program with [vid] blank lines: a new
-     cache key, the same program, the same checksums *)
-  let fresh_variant () =
-    let vid = !next_vid in
-    incr next_vid;
-    let _, base = List.nth benches (vid mod List.length benches) in
-    Hashtbl.replace variants vid (base ^ String.make vid '\n');
-    vid
-  in
-  let multipliers = [ 0.5; 1.0; 2.0; 4.0 ] in
-  let schedules =
-    List.map
-      (fun m ->
-        ( m,
-          List.init jobs_per_point (fun j ->
-              let vid = if j mod 4 = 3 then fresh_variant () else j mod 2 in
-              (j, vid)) ))
-      multipliers
-  in
-  let job_line ~client vid =
-    J.to_string
-      (J.Obj
-         [ ("source", J.Str (Hashtbl.find variants vid));
-           ("target", J.Str "serial"); ("action", J.Str "run");
-           ("id", J.Num (float_of_int vid)); ("client", J.Str client) ])
-  in
-  let reply_fields r =
-    match J.of_string r with
-    | j ->
-      let str name =
-        match J.member name j with Some (J.Str s) -> s | _ -> ""
-      in
-      let vid =
-        match J.member "id" j with
-        | Some (J.Num v) -> int_of_float v
-        | _ -> -1
-      in
-      let cks =
-        match J.member "checksums" j with
-        | Some v -> J.to_string v
-        | None -> ""
-      in
-      (vid, str "status", str "cache", cks)
-    | exception J.Parse_error _ -> (-1, "unparseable", "", "")
-  in
-  (* serial in-process reference: the bitwise ground truth per job *)
-  let reference = Hashtbl.create 64 in
-  let ref_lines =
-    List.init !next_vid (fun vid -> job_line ~client:"ref" vid)
-  in
-  List.iter
-    (fun r ->
-      let vid, status, _, cks = reply_fields r in
-      if status <> "ok" then
-        failures :=
-          Printf.sprintf "saturation: serial reference job %d is %s" vid
-            status
-          :: !failures;
-      Hashtbl.replace reference vid cks)
-    (Svc.run_batch ~workers:1 ~cache:(fresh_cache ()) ref_lines);
-  let tmp_dir () =
-    let d = Filename.temp_file "fsc_bench_serve" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o700;
-    d
-  in
-  let socket = Filename.concat (tmp_dir ()) "sfc.sock" in
-  let server_cache = fresh_cache () in
-  let server =
-    Domain.spawn (fun () ->
-        Svc.serve ~cache:server_cache ~workers:sat_workers
-          ~queue_capacity:sat_queue ~handlers:sat_handlers ~socket ())
-  in
-  let rec await_socket tries =
-    if not (Sys.file_exists socket) then
-      if tries <= 0 then
-        failures := "saturation: serve socket never appeared" :: !failures
-      else begin
-        Unix.sleepf 0.02;
-        await_socket (tries - 1)
-      end
-  in
-  await_socket 250;
-  (* warm the base variants, then measure steady-state service time *)
-  List.iteri
-    (fun i _ -> ignore (Svc.request ~socket [ job_line ~client:"warmup" i ]))
-    benches;
-  let warm_s =
-    let reps = 6 in
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to reps do
-      ignore
-        (Svc.request ~socket
-           [ job_line ~client:"warmup" (i mod List.length benches) ])
-    done;
-    max 1e-4 ((Unix.gettimeofday () -. t0) /. float_of_int reps)
-  in
-  let cold_s =
-    let reps = 2 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore
-        (Svc.request ~socket [ job_line ~client:"warmup" (fresh_variant ()) ])
-    done;
-    max 1e-4 ((Unix.gettimeofday () -. t0) /. float_of_int reps)
-  in
-  (* the offered mix is 3 warm jobs to 1 cold, so capacity must price
-     the cold compiles in or every point lands past saturation *)
-  let svc_s = (0.75 *. warm_s) +. (0.25 *. cold_s) in
-  let capacity = float_of_int sat_workers /. svc_s in
-  let percentile lats p =
-    let a = Array.of_list lats in
-    let m = Array.length a in
-    if m = 0 then 0.
-    else begin
-      Array.sort compare a;
-      a.(max 0 (min (m - 1) (int_of_float (ceil (p *. float_of_int m)) - 1)))
-    end
-  in
-  let points =
-    List.map
-      (fun (mult, sched) ->
-        let rate = mult *. capacity in
-        let t0 = Unix.gettimeofday () +. 0.05 in
-        let buckets = Array.make n_clients [] in
-        List.iter
-          (fun (j, vid) ->
-            buckets.(j mod n_clients) <-
-              (float_of_int j /. rate, j, vid) :: buckets.(j mod n_clients))
-          sched;
-        let doms =
-          Array.map
-            (fun bucket ->
-              let bucket = List.rev bucket in
-              Domain.spawn (fun () ->
-                  List.map
-                    (fun (t, j, vid) ->
-                      let client = Printf.sprintf "load-%d" (j mod n_clients) in
-                      let target = t0 +. t in
-                      let now = Unix.gettimeofday () in
-                      if target > now then Unix.sleepf (target -. now);
-                      let reply =
-                        match Svc.request ~socket [ job_line ~client vid ] with
-                        | [ r ] -> r
-                        | _ -> ""
-                      in
-                      (vid, target, Unix.gettimeofday (), reply))
-                    bucket))
-            buckets
-        in
-        let results = Array.to_list doms |> List.concat_map Domain.join in
-        let t_end =
-          List.fold_left (fun acc (_, _, fin, _) -> max acc fin) t0 results
-        in
-        let wall = max 1e-6 (t_end -. t0) in
-        let ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-        let cold = ref 0 and warm = ref 0 in
-        let lats = ref [] in
-        List.iter
-          (fun (vid, sched_t, fin, reply) ->
-            let _, status, cachef, cks = reply_fields reply in
-            match status with
-            | "ok" ->
-              incr ok;
-              lats := (1e3 *. (fin -. sched_t)) :: !lats;
-              (match cachef with
-              | "hit" -> incr warm
-              | "miss" -> incr cold
-              | _ -> ());
-              (match Hashtbl.find_opt reference vid with
-              | Some ref_cks when ref_cks = cks -> ()
-              | Some _ ->
-                failures :=
-                  Printf.sprintf
-                    "saturation x%g: job %d checksums differ from serial"
-                    mult vid
-                  :: !failures
-              | None ->
-                failures :=
-                  Printf.sprintf "saturation x%g: job %d has no reference"
-                    mult vid
-                  :: !failures)
-            | "rejected" -> incr rejected
-            | other ->
-              incr errors;
-              failures :=
-                Printf.sprintf "saturation x%g: job %d unexpected status %S"
-                  mult vid other
-                :: !failures)
-          results;
-        let total = List.length results in
-        let p50 = percentile !lats 0.50 and p99 = percentile !lats 0.99 in
-        if p99 < p50 then
-          failures :=
-            Printf.sprintf "saturation x%g: p99 below p50" mult :: !failures;
-        Printf.printf
-          "  serve saturation x%-4g %5.1f req/s offered: %5.1f/s through, \
-           p50 %6.1f ms, p99 %6.1f ms, shed %4.1f%%, warm %d/%d\n"
-          mult rate
-          (float_of_int !ok /. wall)
-          p50 p99
-          (100. *. float_of_int !rejected /. float_of_int (max 1 total))
-          !warm (!warm + !cold);
-        ( !cold,
-          !warm,
-          J.Obj
-            [ ("offered_multiplier", J.Num mult);
-              ("offered_per_s", J.Num rate);
-              ("jobs", J.Num (float_of_int total));
-              ("ok", J.Num (float_of_int !ok));
-              ("rejected", J.Num (float_of_int !rejected));
-              ("errors", J.Num (float_of_int !errors));
-              ("throughput_per_s", J.Num (float_of_int !ok /. wall));
-              ("p50_ms", J.Num p50); ("p99_ms", J.Num p99);
-              ("shed_rate",
-               J.Num (float_of_int !rejected /. float_of_int (max 1 total)));
-              ("cold_compiles", J.Num (float_of_int !cold));
-              ("warm_hits", J.Num (float_of_int !warm));
-              ("warm_hit_ratio",
-               J.Num
-                 (if !warm + !cold = 0 then 0.
-                  else float_of_int !warm /. float_of_int (!warm + !cold)))
-            ] ))
-      schedules
-  in
-  (try ignore (Svc.request ~socket [ {|{"action": "shutdown"}|} ])
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  Domain.join server;
-  let total_cold = List.fold_left (fun a (c, _, _) -> a + c) 0 points in
-  let total_warm = List.fold_left (fun a (_, w, _) -> a + w) 0 points in
-  let point_objs = List.map (fun (_, _, o) -> o) points in
-  if List.length point_objs < 4 then
-    failures := "saturation: fewer than 4 offered-load points" :: !failures;
-  if total_cold = 0 then
-    failures := "saturation: no cold compiles observed" :: !failures;
-  if total_warm = 0 then
-    failures := "saturation: no warm cache hits observed" :: !failures;
-  let json =
-    J.Obj
-      [ ("setup",
-         J.Str
-           (Printf.sprintf "%d^3 x%d, %d warm reps, 2 workers" n iters
-              warm_reps));
-        ("series", J.List series);
-        ("batch",
-         J.Obj
-           [ ("jobs", J.Num (float_of_int (List.length lines)));
-             ("workers", J.Num 2.); ("cold_ms", J.Num batch_cold_ms);
-             ("warm_ms", J.Num batch_warm_ms) ]);
-        ("saturation",
-         J.Obj
-           [ ("setup",
-              J.Obj
-                [ ("workers", J.Num (float_of_int sat_workers));
-                  ("handlers", J.Num (float_of_int sat_handlers));
-                  ("queue_capacity", J.Num (float_of_int sat_queue));
-                  ("clients", J.Num (float_of_int n_clients));
-                  ("jobs_per_point", J.Num (float_of_int jobs_per_point));
-                  ("service_ms", J.Num (1e3 *. svc_s));
-                  ("capacity_per_s", J.Num capacity) ]);
-             ("points", J.List point_objs) ]) ]
-  in
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* self-validate: the file must re-parse and carry the saturation
-     curve with its percentile and shed fields *)
-  let reread =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (match J.of_string reread with
-  | parsed -> (
-    if
-      J.member "series" parsed = None
-      || J.member "batch" parsed = None
-      || J.member "saturation" parsed = None
-    then
-      failures := (path ^ ": missing series/batch/saturation") :: !failures;
-    match
-      Option.bind (J.member "saturation" parsed) (J.member "points")
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (J.to_string json);
+      output_char oc '\n');
+  let failures =
+    match J.of_string (In_channel.with_open_text path In_channel.input_all)
     with
-    | Some (J.List (first :: _ as pts)) ->
-      if List.length pts < 4 then
-        failures := (path ^ ": saturation has < 4 points") :: !failures;
-      List.iter
-        (fun field ->
-          if J.member field first = None then
-            failures :=
-              Printf.sprintf "%s: saturation point lacks %S" path field
-              :: !failures)
-        [ "offered_per_s"; "throughput_per_s"; "p50_ms"; "p99_ms";
-          "shed_rate"; "warm_hit_ratio" ]
-    | _ ->
-      failures := (path ^ ": saturation points missing/empty") :: !failures)
-  | exception J.Parse_error e ->
-    failures := (path ^ ": unparseable: " ^ e) :: !failures);
-  Printf.printf
-    "serve timings written to %s (%d series points; batch %d jobs cold \
-     %.0f ms -> warm %.0f ms; %d saturation points)\n"
-    path (List.length series) (List.length lines) batch_cold_ms batch_warm_ms
-    (List.length point_objs);
-  if !failures <> [] then begin
-    List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) !failures;
+    | parsed -> (
+      match List.filter (fun k -> J.member k parsed = None) keys with
+      | [] -> failures
+      | missing ->
+        (path ^ ": missing " ^ String.concat "/" missing) :: failures)
+    | exception J.Parse_error e -> (path ^ ": unparseable: " ^ e) :: failures
+  in
+  print_endline summary;
+  if failures <> [] then begin
+    List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) failures;
     exit 1
   end
 
@@ -927,33 +414,12 @@ let write_kernels_json () =
         ("scheduling", J.List !scheduling) ]
   in
   let path = "BENCH_kernels.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* self-validate: the file must re-parse and carry both sections *)
-  let reread =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (match J.of_string reread with
-  | parsed ->
-    if
-      J.member "series" parsed = None
-      || J.member "speedups" parsed = None
-      || J.member "scheduling" parsed = None
-    then
-      failures := (path ^ ": missing series/speedups/scheduling") :: !failures
-  | exception J.Parse_error e ->
-    failures := (path ^ ": unparseable: " ^ e) :: !failures);
-  Printf.printf "kernel engine timings written to %s (%d series points)\n"
-    path (List.length !series);
-  if !failures <> [] then begin
-    List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) !failures;
-    exit 1
-  end
+  write_gated_json ~path ~keys:[ "series"; "speedups"; "scheduling" ]
+    ~failures:!failures
+    ~summary:
+      (Printf.sprintf "kernel engine timings written to %s (%d series points)"
+         path (List.length !series))
+    json
 
 (* ------------------------------------------------------------------ *)
 (* Distributed backend scaling: BENCH_dmp.json                         *)
@@ -1266,41 +732,17 @@ let write_dmp_json () =
              ("ratio", J.Num (ov /. bl)) ]) ]
   in
   let path = "BENCH_dmp.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  (* self-validate what was just written *)
-  let reread =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (match J.of_string reread with
-  | parsed ->
-    if
-      J.member "strong" parsed = None
-      || J.member "overlap_vs_blocking" parsed = None
-      || J.member "projected" parsed = None
-      || J.member "coalescing" parsed = None
-      || J.member "footprint_staling" parsed = None
-    then
-      failures :=
-        (path
-        ^ ": missing \
-           strong/overlap_vs_blocking/projected/coalescing/footprint_staling")
-        :: !failures
-  | exception J.Parse_error e ->
-    failures := (path ^ ": unparseable: " ^ e) :: !failures);
-  Printf.printf
-    "distributed scaling written to %s (%d strong points, overlap/blocking \
-     %.2f)\n"
-    path (List.length strong) (ov /. bl);
-  if !failures <> [] then begin
-    List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) !failures;
-    exit 1
-  end
+  write_gated_json ~path
+    ~keys:
+      [ "strong"; "overlap_vs_blocking"; "projected"; "coalescing";
+        "footprint_staling" ]
+    ~failures:!failures
+    ~summary:
+      (Printf.sprintf
+         "distributed scaling written to %s (%d strong points, \
+          overlap/blocking %.2f)"
+         path (List.length strong) (ov /. bl))
+    json
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -1733,80 +1175,6 @@ let ablations () =
     [ (8, 8); (16, 16); (32, 32); (64, 64) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one grouped test per figure              *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  header "Bechamel micro-benchmarks (ns/run, OLS estimate)";
-  let open Bechamel in
-  let n = 16 in
-  let iters = 1 in
-  (* pre-built artifacts so the timed closures do pure execution *)
-  let gs_src = B.gauss_seidel ~nx:n ~ny:n ~nz:n ~niter:iters () in
-  let pw_src = B.pw_advection ~nx:n ~ny:n ~nz:n ~niter:iters () in
-  let st_gs, _ = P.stencil ~target:P.Serial gs_src in
-  let st_pw, _ = P.stencil ~target:P.Serial pw_src in
-  let gpu_gs, _ = P.stencil ~target:(P.Gpu P.Gpu_optimised) gs_src in
-  let flang_gs = P.flang_only gs_src in
-  let vu = V.grid3 ~nx:n ~ny:n ~nz:n and vn = V.grid3 ~nx:n ~ny:n ~nz:n in
-  V.init_linear vu;
-  let pool = Fsc_rt.Domain_pool.create 2 in
-  let d = Fsc_dmp.Decomp.create ~global:(n, n, n) ~ranks:4 in
-  let dist =
-    Fsc_dmp.Dist_exec.create d ~fields:[ "u" ] ~init:(fun _ _ -> 1.0)
-  in
-  let tests =
-    Test.make_grouped ~name:"figures"
-      [ (* Figure 2 trio *)
-        Test.make ~name:"fig2/gs-flang-only"
-          (Staged.stage (fun () -> P.run flang_gs));
-        Test.make ~name:"fig2/gs-stencil"
-          (Staged.stage (fun () -> P.run st_gs));
-        Test.make ~name:"fig2/gs-cray-class"
-          (Staged.stage (fun () -> V.gs3d_run ~u:vu ~unew:vn ~iters ()));
-        Test.make ~name:"fig2/pw-stencil"
-          (Staged.stage (fun () -> P.run st_pw));
-        (* Figure 3/4: one work-shared sweep through the pool *)
-        Test.make ~name:"fig34/gs-openmp-sweep"
-          (Staged.stage (fun () -> V.gs3d_sweep ~pool ~u:vu ~unew:vn ()));
-        (* Figure 5: a full GPU timestep against the simulator *)
-        Test.make ~name:"fig5/gs-gpu-optimised"
-          (Staged.stage (fun () -> P.run gpu_gs));
-        (* Figure 6: one halo superstep over simulated MPI *)
-        Test.make ~name:"fig6/halo-superstep"
-          (Staged.stage (fun () ->
-               Fsc_dmp.Dist_exec.iterate dist ~iters:1 ~swap_fields:[ "u" ]
-                 ~sweep:(fun _ ~rank:_ _ -> ())
-                 ()));
-        (* compilation pipeline itself *)
-        Test.make ~name:"pipeline/compile-gs"
-          (Staged.stage (fun () ->
-               let a, _ = P.stencil ~target:P.Serial gs_src in
-               P.shutdown a)) ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if !quick then 0.25 else 0.6))
-      ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> rows := (name, Float.nan) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-36s %14.0f ns/run\n" name est)
-    (List.sort compare !rows);
-  Fsc_rt.Domain_pool.shutdown pool
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Printf.printf
@@ -1821,13 +1189,6 @@ let () =
     write_dmp_json ();
     exit 0
   end;
-  if !serve_only then begin
-    write_serve_json ();
-    exit 0
-  end;
-  write_pipeline_json ();
-  write_analysis_json ();
-  write_serve_json ();
   write_kernels_json ();
   write_dmp_json ();
   if want 2 then figure2 ();
@@ -1841,5 +1202,4 @@ let () =
     future_work ();
     ablations ()
   end;
-  if !run_bechamel then bechamel_suite ();
   print_newline ()

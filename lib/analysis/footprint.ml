@@ -50,15 +50,6 @@ let rec meet_region a b =
 
 let regions_intersect a b = meet_region a b <> None
 
-let region_within ~extents region =
-  List.length extents = List.length region
-  && List.for_all2
-       (fun ext d ->
-         match d with
-         | Top -> false
-         | Range (lo, hi) -> 0 <= lo && ext > 0 && hi < ext)
-       extents region
-
 let dim_to_string = function
   | Top -> "[?]"
   | Range (lo, hi) -> Printf.sprintf "[%d:%d]" lo hi

@@ -8,10 +8,8 @@
     offset)] / [Cst c]) and loop bounds, with a sound [Top] for any
     subscript the abstraction cannot bound.  Consumers: halo-aware
     staling in [Fsc_dmp.Dist_kernel] (a write only stales halo
-    freshness when its footprint touches a mirrored boundary plane),
-    bounds-guard elision in [Fsc_codegen.Native] (a nest whose
-    footprint is proven inside every buffer extent needs no flat-offset
-    scan), and the [sfc check] lints built in {!Check}. *)
+    freshness when its footprint touches a mirrored boundary plane)
+    and the [sfc check] lints built in {!Check}. *)
 
 (** One dimension of a footprint: a closed interval or the whole axis.
     [Range (lo, hi)] is inclusive on both ends and satisfies
@@ -47,11 +45,6 @@ val meet_region : region -> region -> region option
 (** [None] when the regions are disjoint in some shared dimension. *)
 
 val regions_intersect : region -> region -> bool
-
-val region_within : extents:int list -> region -> bool
-(** Is every access provably inside [0 .. extent - 1] in every
-    dimension?  False when any dimension is [Top], the ranks disagree,
-    or an extent is unknown (negative). *)
 
 val region_to_string : region -> string
 (** E.g. ["[1:12][0:13][?]"] — [?] renders [Top]. *)

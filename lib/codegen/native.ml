@@ -41,7 +41,6 @@ module Rt = Fsc_rt.Memref_rt
 module Pool = Fsc_rt.Domain_pool
 module Cache = Fsc_cache.Cache
 module Obs = Fsc_obs.Obs
-module Fp = Fsc_analysis.Footprint
 
 let c_builds = Obs.counter "codegen.builds"
 let c_build_errors = Obs.counter "codegen.build_errors"
@@ -53,7 +52,6 @@ let c_native_runs = Obs.counter "codegen.native_runs"
 let c_fallback_runs = Obs.counter "codegen.fallback_runs"
 let c_pending_runs = Obs.counter "codegen.pending_runs"
 let c_guard_misses = Obs.counter "codegen.guard_misses"
-let c_fp_proofs = Obs.counter "codegen.footprint_proofs"
 let c_fused_nests = Obs.counter "codegen.fused_nests"
 let c_tiled_nests = Obs.counter "codegen.tiled_nests"
 let c_reuse_windows = Obs.counter "codegen.reuse_windows"
@@ -371,9 +369,6 @@ type bind_result =
       bb_reused : int;
       bb_blits : int;
       bb_unrolled : int;
-      bb_fp_proved : int list;
-          (* nests whose accesses the footprint proved in-extent, so the
-             flat-offset bounds scan was elided *)
     }
 
 type bind = {
@@ -408,25 +403,6 @@ let plan k = k.k_plan
 let bind_kernel k ~bufs =
   let strides = Kc.check_buffers bufs in
   let dims = Array.copy bufs.(0).Rt.dims in
-  (* check_buffers proved every buffer shares these extents *)
-  let extents = Array.to_list dims in
-  let fps = Array.of_list (Fp.of_spec k.k_spec) in
-  (* A nest whose footprint keeps every access inside [0, extent) in
-     every dimension cannot reach an out-of-range flat offset under the
-     positive column-major strides: the per-dimension proof is strictly
-     stronger than the flat-offset scan below (the scan also accepts
-     row-wrapping accesses that merely stay inside the allocation), so
-     it elides the scan but never replaces it as the fallback. *)
-  let fp_proves fp =
-    (not fp.Fp.nf_empty)
-    &&
-    let accesses = fp.Fp.nf_reads @ fp.Fp.nf_writes in
-    accesses <> []
-    && List.for_all
-         (fun (bi, region) ->
-           bi < Array.length bufs && Fp.region_within ~extents region)
-         accesses
-  in
   let result =
     match k.k_ctx.c_toolchain with
     | Error e -> Bind_fallback ("toolchain unavailable: " ^ e)
@@ -439,9 +415,9 @@ let bind_kernel k ~bufs =
         let pre_skip =
           List.concat
             (List.mapi
-               (fun i _ ->
-                 if fps.(i).Fp.nf_empty then
-                   [ (i, "empty iteration space (footprint)") ]
+               (fun i (n : Kc.nest) ->
+                 if List.exists (fun l -> l.Kc.l_ub <= l.Kc.l_lb) n.Kc.n_loops
+                 then [ (i, "empty iteration space") ]
                  else [])
                k.k_spec.Kc.k_nests)
         in
@@ -453,22 +429,15 @@ let bind_kernel k ~bufs =
           let emit_skipped = Emit.skipped e in
           if emit_skipped <> [] then
             Obs.add c_emit_fallbacks (List.length emit_skipped);
-          let fp_proved = ref [] in
           let bounds_skipped =
             List.filter_map
               (fun (i, _) ->
-                if fp_proves fps.(i) then begin
-                  fp_proved := i :: !fp_proved;
-                  Obs.incr c_fp_proofs;
-                  None
-                end
-                else
-                  let nest = List.nth k.k_spec.Kc.k_nests i in
-                  match Kc.check_nest_bounds ~strides ~bufs nest with
-                  | () -> None
-                  | exception Kc.Out_of_bounds why ->
-                    Obs.incr c_bounds_fallbacks;
-                    Some (i, why))
+                let nest = List.nth k.k_spec.Kc.k_nests i in
+                match Kc.check_nest_bounds ~strides ~bufs nest with
+                | () -> None
+                | exception Kc.Out_of_bounds why ->
+                  Obs.incr c_bounds_fallbacks;
+                  Some (i, why))
               (Emit.emitted e)
           in
           if List.length bounds_skipped = List.length (Emit.emitted e) then
@@ -504,8 +473,7 @@ let bind_kernel k ~bufs =
                 bb_tiled = Emit.tiled e;
                 bb_reused = Emit.reused e;
                 bb_blits = Emit.blits e;
-                bb_unrolled = Emit.unrolled e;
-                bb_fp_proved = List.rev !fp_proved }
+                bb_unrolled = Emit.unrolled e }
           end)
   in
   let b = { bd_nbufs = Array.length bufs; bd_dims = dims; bd_result = result }
@@ -683,7 +651,6 @@ type report = {
   rp_reuse_windows : int;
   rp_copy_blits : int;
   rp_par_mode : string option;
-  rp_fp_proved : int;
   rp_pending_runs : int;
   rp_guard_misses : int;
 }
@@ -699,7 +666,7 @@ let report k =
     { rp_engine = "vector"; rp_detail = detail; rp_build_ms = None;
       rp_origin = None; rp_native_nests = 0; rp_total_nests = total;
       rp_fused_nests = 0; rp_tile_rows = None; rp_reuse_windows = 0;
-      rp_copy_blits = 0; rp_par_mode = None; rp_fp_proved = 0;
+      rp_copy_blits = 0; rp_par_mode = None;
       rp_pending_runs = k.k_pending_runs; rp_guard_misses = k.k_guard_misses }
   in
   match k.k_ctx.c_toolchain with
@@ -793,17 +760,10 @@ let report k =
             Printf.sprintf ", %d nests on vector (nest %d: %s)" skipped i
               why
         in
-        let fp_proved = List.length b.bb_fp_proved in
-        let fp =
-          if fp_proved > 0 then
-            Printf.sprintf ", %d bounds guards elided by footprint"
-              fp_proved
-          else ""
-        in
         { rp_engine = (if skipped = 0 then "native" else "mixed");
           rp_detail =
-            Printf.sprintf "native %d/%d nests (%s%s%s%s%s)" native total
-              cost sched fp pending skips;
+            Printf.sprintf "native %d/%d nests (%s%s%s%s)" native total
+              cost sched pending skips;
           rp_build_ms =
             (match r.r_origin with
             | Origin_built -> Some r.r_build_ms
@@ -815,7 +775,7 @@ let report k =
           rp_reuse_windows = b.bb_reused; rp_copy_blits = b.bb_blits;
           rp_par_mode = (if k.k_par_mode <> "" then Some k.k_par_mode
                          else None);
-          rp_fp_proved = fp_proved; rp_pending_runs = k.k_pending_runs;
+          rp_pending_runs = k.k_pending_runs;
           rp_guard_misses = k.k_guard_misses }))
 
 let describe k = (report k).rp_detail

@@ -121,9 +121,6 @@ type report = {
   rp_par_mode : string option;
       (** how the last native run work-shared: ["in-plugin pool(N)"] or
           ["serial"]; [None] before the first native run *)
-  rp_fp_proved : int;
-      (** nests whose bind-time bounds scan was elided because the
-          footprint proved every access in-extent *)
   rp_pending_runs : int;  (** calls served by vector mid-build *)
   rp_guard_misses : int;  (** calls whose shapes differed from bind *)
 }

@@ -42,12 +42,6 @@ let archer2_cache = { ch_l1_kb = 32; ch_l2_kb = 512; ch_l3_kb = 16384 }
    parts; the tile heuristic only needs the order of magnitude. *)
 let host_cache = archer2_cache
 
-(* Rows of [row_bytes] bytes per cache tile so that [arrays] arrays'
-   worth of tile working set fits in half the L2 (the other half is
-   left to the streaming stores and prefetch). *)
-let tile_rows ~cache ~row_bytes ~arrays =
-  max 1 (cache.ch_l2_kb * 1024 / 2 / max 1 (row_bytes * max 1 arrays))
-
 type network = {
   nw_name : string;
   latency : float;       (* s per message *)

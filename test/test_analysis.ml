@@ -742,14 +742,6 @@ let test_footprint_lattice () =
   (* mismatched rank: missing dims behave as Top (sound, intersecting) *)
   Alcotest.(check bool) "rank mismatch intersects" true
     (F.regions_intersect [ F.range 1 2 ] [ F.range 1 2; F.range 5 6 ]);
-  Alcotest.(check bool) "within" true
-    (F.region_within ~extents:[ 14; 14 ] [ F.range 0 13; F.range 1 12 ]);
-  Alcotest.(check bool) "not within (overrun)" false
-    (F.region_within ~extents:[ 14; 14 ] [ F.range 0 14; F.range 1 12 ]);
-  Alcotest.(check bool) "not within (top)" false
-    (F.region_within ~extents:[ 14; 14 ] [ F.Top; F.range 1 12 ]);
-  Alcotest.(check bool) "not within (dynamic extent)" false
-    (F.region_within ~extents:[ -1; 14 ] [ F.range 0 1; F.range 1 12 ]);
   Alcotest.(check string) "render" "[1:12][?]"
     (F.region_to_string [ F.range 1 12; F.Top ])
 

@@ -285,13 +285,7 @@ let test_native_bitwise_gs () =
           r.N.rp_engine;
         (match r.N.rp_origin with
         | Some (N.Origin_built | N.Origin_memo) -> ()
-        | _ -> Alcotest.failf "%s: expected built/memo origin" name);
-        (* gauss-seidel's affine accesses all stay in-extent, so the
-           footprint proof must have elided every bounds guard *)
-        Alcotest.(check bool) (name ^ " footprint proofs fired") true
-          (r.N.rp_fp_proved > 0);
-        Alcotest.(check bool) (name ^ " detail credits footprint") true
-          (contains r.N.rp_detail "footprint")
+        | _ -> Alcotest.failf "%s: expected built/memo origin" name)
       | _ -> Alcotest.failf "%s: not a native kernel" name)
     a.P.a_kernels;
   P.shutdown a

@@ -533,6 +533,22 @@ let test_serve_overload_shed () =
       Alcotest.(check string) "typed rejection reason" "overloaded"
         (str_of (field "reason" l)))
     rejected;
+  (* under overload every reply is ok or shed, and every ok reply is
+     bitwise the serial reply for the same job *)
+  let id l = J.to_string (field "id" l) in
+  let checksums l = J.to_string (field "checksums" l) in
+  let reference =
+    List.map (fun l -> (id l, checksums l)) (Svc.run_batch ~workers:1 jobs)
+  in
+  List.iter
+    (fun l ->
+      match str_of (field "status" l) with
+      | "ok" ->
+        Alcotest.(check string) "ok reply equals serial reference"
+          (List.assoc (id l) reference) (checksums l)
+      | "rejected" -> ()
+      | other -> Alcotest.failf "unexpected status %S under overload" other)
+    replies;
   stop_server socket server
 
 let test_serve_quota_exceeded () =
