@@ -75,18 +75,17 @@ let write_gated_json ~path ~keys ~failures ~summary json =
 (* Execution-engine comparison: BENCH_kernels.json                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The four kernel execution tiers (interp / closure / vector / native)
-   on the row-friendly benchmarks. Closure, vector and native run on the
-   same compiled artifact (same grids) so the ratio isolates the engine;
-   the interpreter runs on a much smaller grid, like figure2_measured,
-   and its ratio is a tier gap rather than a same-size speedup. The
+(* The three kernel execution engines (interp / vector / native) on the
+   row-friendly benchmarks. Vector and native run on the same compiled
+   artifact (same grids) so the ratio isolates the engine; the
+   interpreter runs on a much smaller grid, like figure2_measured. The
    native tier builds Sync into a fresh private cache: the first run
    pays the cold ocamlopt compile — recorded separately as
    [cold_build_ms] — and the measured windows then see only the plugin's
-   steady-state throughput. Before any number is written the
-   closure/vector/native grids are required to be bitwise identical, and
-   neither vector (vs closure) nor native (vs vector) may lose to the
-   tier below — any failure exits nonzero, which is what ci.sh asserts.
+   steady-state throughput. Before any number is written the native
+   grids are required to be bitwise identical to the vector ones (the
+   tests hold vector bitwise to flang_only), and native may not lose to
+   vector — any failure exits nonzero, which is what ci.sh asserts.
    Without an ocamlopt toolchain the native column is skipped with a
    notice and the gate does not apply. *)
 let write_kernels_json () =
@@ -132,10 +131,9 @@ let write_kernels_json () =
   in
   List.iter
     (fun (bname, src, cells, size, src_small, cells_small, grid) ->
-      (* one compile, three links: the engine is link-time state *)
+      (* one compile, two links: the engine is link-time state *)
       let options = P.default_options ~target:P.Serial () in
       let ca = P.compile options src in
-      let linked engine = P.link ~engine ca in
       let a_interp, _ =
         P.stencil ~target:P.Serial ~engine:P.Engine_interp src_small
       in
@@ -144,13 +142,7 @@ let write_kernels_json () =
           ~label:(bname ^ "  interp (FIR interpreter)")
           a_interp cells_small
       in
-      let a_closure = linked P.Engine_closure in
-      let m_closure =
-        measure
-          ~label:(bname ^ "  closure (per-cell JIT)")
-          a_closure cells
-      in
-      let a_vector = linked P.Engine_vector in
+      let a_vector = P.link ~engine:P.Engine_vector ca in
       let m_vector =
         measure
           ~label:(bname ^ "  vector (row bytecode)")
@@ -200,23 +192,19 @@ let write_kernels_json () =
       in
       print_endline
         (Cal.report
-           ([ m_interp; m_closure; m_vector ]
+           ([ m_interp; m_vector ]
            @ match native with Some (_, m, _) -> [ m ] | None -> []));
       (* bitwise agreement on the full grid across the compiled tiers *)
-      let check_diff other_name other_a =
-        let diff =
-          Rt.max_abs_diff
-            (P.buffer_exn a_closure grid)
-            (P.buffer_exn other_a grid)
-        in
-        if diff <> 0.0 then
-          failures :=
-            Printf.sprintf "%s: closure/%s grids differ by %g" bname
-              other_name diff
-            :: !failures
-      in
-      check_diff "vector" a_vector;
-      Option.iter (fun (a, _, _) -> check_diff "native" a) native;
+      Option.iter
+        (fun (a, _, _) ->
+          let diff =
+            Rt.max_abs_diff (P.buffer_exn a_vector grid) (P.buffer_exn a grid)
+          in
+          if diff <> 0.0 then
+            failures :=
+              Printf.sprintf "%s: vector/native grids differ by %g" bname diff
+              :: !failures)
+        native;
       (* per-nest vectorisation coverage for the record *)
       let vec_nests, nests =
         List.fold_left
@@ -228,7 +216,6 @@ let write_kernels_json () =
             | _ -> (v, n))
           (0, 0) a_vector.P.a_kernels
       in
-      P.shutdown a_closure;
       P.shutdown a_vector;
       P.shutdown a_interp;
       Option.iter (fun (a, _, _) -> P.shutdown a) native;
@@ -243,18 +230,12 @@ let write_kernels_json () =
         !series
         @ [ point "interp" m_interp
               (Printf.sprintf "%.0f cells" cells_small);
-            point "closure" m_closure size; point "vector" m_vector size ]
+            point "vector" m_vector size ]
         @ (match native with
           | Some (_, m, build_ms) ->
             [ point ~extra:[ ("cold_build_ms", J.Num build_ms) ] "native" m
                 size ]
           | None -> []);
-      let v_over_c = Cal.mcells m_vector /. Cal.mcells m_closure in
-      if v_over_c < 1.0 then
-        failures :=
-          Printf.sprintf "%s: vector engine slower than closure (%.2fx)"
-            bname v_over_c
-          :: !failures;
       let native_fields =
         match native with
         | None -> []
@@ -270,19 +251,11 @@ let write_kernels_json () =
           [ ("native_over_vector", J.Num n_over_v);
             ("native_cold_build_ms", J.Num build_ms) ]
       in
-      Printf.printf
-        "  %s: vector/closure %.2fx, closure/interp tier gap %.0fx \
-         (%d/%d nests vectorised)\n"
-        bname v_over_c
-        (Cal.mcells m_closure /. Cal.mcells m_interp)
-        vec_nests nests;
+      Printf.printf "  %s: %d/%d nests vectorised\n" bname vec_nests nests;
       speedups :=
         !speedups
         @ [ J.Obj
               ([ ("benchmark", J.Str bname);
-                 ("vector_over_closure", J.Num v_over_c);
-                 ("closure_over_interp",
-                  J.Num (Cal.mcells m_closure /. Cal.mcells m_interp));
                  ("vectorised_nests", J.Num (float_of_int vec_nests));
                  ("nests", J.Num (float_of_int nests)) ]
               @ native_fields) ])
@@ -290,7 +263,7 @@ let write_kernels_json () =
   (* --- scheduling: the native tier's emitted schedule, serial and
      pooled (an OpenMP compile, so emitted parallel levels dispatch
      through the in-plugin pool pfor). Both must stay bitwise identical
-     to the closure engine. The gates are structural — aligned fusion
+     to the vector engine. The gates are structural — aligned fusion
      must fire on smooth, the shifted sweep/copy schedule on
      Gauss-Seidel and Laplace — so they are deterministic and immune to
      container timing noise. *)
@@ -327,11 +300,11 @@ let write_kernels_json () =
   | None ->
     List.iter
       (fun (bname, src, cells, size, grid, fuse_marker) ->
-        let a_closure =
-          P.link ~engine:P.Engine_closure
+        let a_vector =
+          P.link ~engine:P.Engine_vector
             (P.compile (P.default_options ~target:P.Serial ()) src)
         in
-        P.run a_closure;
+        P.run a_vector;
         (* one native link per target, each into its own fresh Sync
            cache; the first run binds and compiles inline *)
         let point (cname, target) =
@@ -359,13 +332,11 @@ let write_kernels_json () =
             measure ~label:(Printf.sprintf "%s  %s" bname cname) a cells
           in
           let diff =
-            Rt.max_abs_diff
-              (P.buffer_exn a_closure grid)
-              (P.buffer_exn a grid)
+            Rt.max_abs_diff (P.buffer_exn a_vector grid) (P.buffer_exn a grid)
           in
           if diff <> 0.0 then
             failures :=
-              Printf.sprintf "%s/%s: closure/native grids differ by %g"
+              Printf.sprintf "%s/%s: vector/native grids differ by %g"
                 bname cname diff
               :: !failures;
           P.shutdown a;
@@ -400,7 +371,7 @@ let write_kernels_json () =
           !scheduling
           @ List.map point
               [ ("native", P.Serial); ("native_pool2", P.Openmp 2) ];
-        P.shutdown a_closure)
+        P.shutdown a_vector)
       sched_benches);
   let json =
     J.Obj
@@ -1107,7 +1078,7 @@ let ablations () =
   print_endline (Cal.report [ fused; unfused ]);
   Printf.printf "  substrate fusion ratio: %.2fx\n"
     (Cal.mcells fused /. Cal.mcells unfused);
-  (* fusion is a *bandwidth* optimisation; the closure JIT is
+  (* fusion is a *bandwidth* optimisation; the vector engine is
      compute-bound, so its measured effect here is ~1x — the effect that
      decides the paper's Figure 4 lives in the memory-traffic model: *)
   let model threads fused_flag =
@@ -1122,33 +1093,9 @@ let ablations () =
     (model 128 true) (model 128 false)
     (model 128 true /. model 128 false);
 
-  (* 2. loop specialisation (the scf-parallel-loop-specialization pass) *)
+  (* 2. GPU tile sizes (paper: sensitive, some values fail at runtime) *)
   Printf.printf
-    "\n[B] loop specialisation on Gauss-Seidel (%d^3, measured):\n" n;
-  let gs = B.gauss_seidel ~nx:n ~ny:n ~nz:n ~niter:iters () in
-  let spec =
-    Cal.measure ~label:"specialised (unrolled inner loop)"
-      ~cells_per_iter:cells
-      ~min_seconds:(if !quick then 0.1 else 0.4)
-      (fun () ->
-        let a, _ = P.stencil ~target:P.Serial ~specialize:true gs in
-        P.run a)
-  in
-  let nospec =
-    Cal.measure ~label:"unspecialised"
-      ~cells_per_iter:cells
-      ~min_seconds:(if !quick then 0.1 else 0.4)
-      (fun () ->
-        let a, _ = P.stencil ~target:P.Serial ~specialize:false gs in
-        P.run a)
-  in
-  print_endline (Cal.report [ spec; nospec ]);
-  Printf.printf "  specialisation speedup: %.2fx\n"
-    (Cal.mcells spec /. Cal.mcells nospec);
-
-  (* 3. GPU tile sizes (paper: sensitive, some values fail at runtime) *)
-  Printf.printf
-    "\n[C] GPU tile-size sensitivity (paper Listing 4 uses 32,32,1):\n";
+    "\n[B] GPU tile-size sensitivity (paper Listing 4 uses 32,32,1):\n";
   List.iter
     (fun (tx, ty) ->
       let threads = tx * ty in

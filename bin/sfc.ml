@@ -135,23 +135,19 @@ let engine_arg =
     & info [ "exec-engine" ] ~docv:"ENGINE"
         ~doc:
           "Kernel execution engine: vector (default; row-at-a-time \
-           bytecode with per-nest fallback to closure), native (kernels \
-           emitted as OCaml, compiled and Dynlink'ed; vector serves \
-           until the plugin is ready), closure (per-cell closure JIT) \
-           or interp (force the tree-walking interpreter). Link-time \
-           only: does not affect compiled IR or the artifact cache.")
+           bytecode with per-nest fallback to the closure JIT), native \
+           (kernels emitted as OCaml, compiled and Dynlink'ed; vector \
+           serves until the plugin is ready) or interp (force the \
+           tree-walking interpreter). Link-time only: does not affect \
+           compiled IR or the artifact cache.")
 
 (* One line per kernel under --stats; for the vector engine include
-   which nests fell back to the closure engine and why, for the native
+   which nests fell back to the closure JIT and why, for the native
    engine the build origin (cold build ms / warm cache hit) and per-nest
    fallbacks. *)
 let impl_description = function
-  | P.Compiled _ -> "compiled (closure engine)"
   | P.Native_jit (_, nk) -> Fsc_codegen.Native.describe nk
   | P.Interpreted r -> "interpreted (" ^ r ^ ")"
-  | P.Distributed spec ->
-    Printf.sprintf "distributed (%d nest(s), SPMD over simulated ranks)"
-      (List.length spec.Fsc_rt.Kernel_compile.k_nests)
   | P.Vectorised (_, plan) -> (
     let base =
       Printf.sprintf "vectorised (%d/%d nests)" (Kb.vectorised_nests plan)
@@ -358,8 +354,8 @@ let compile_cmd =
           "pipeline: %d stencils discovered, %d merges, %d kernels\n"
           ca.P.ca_stats.P.st_discovered ca.P.ca_stats.P.st_merged
           ca.P.ca_stats.P.st_kernels;
-        (* per-kernel affine footprints: the proof artifacts consumed by
-           distributed halo staling and native guard elision *)
+        (* per-kernel affine footprints: the read/write regions the
+           analysis proves for each kernel *)
         List.iter
           (fun (name, fp) ->
             Printf.eprintf "footprint %s:\n" name;
@@ -389,8 +385,7 @@ let compile_cmd =
 let print_dist_stats dst =
   let module Dk = Fsc_dmp.Dist_kernel in
   let s = Dk.stats dst in
-  Printf.eprintf "dist: %d ranks, %s engine\n" s.Dk.ds_ranks
-    (Dk.engine_name s.Dk.ds_engine);
+  Printf.eprintf "dist: %d ranks\n" s.Dk.ds_ranks;
   if s.Dk.ds_stales_avoided > 0 then
     Printf.eprintf
       "dist: %d halo stale(s) avoided by footprint analysis (interior \
@@ -464,7 +459,7 @@ let run_cmd =
         in
         Some
           (Fsc_codegen.Native.create ?cache:ncache
-             ~l2_kb:options.P.opt_l2_kb ())
+             ~l2_kb:P.cpu_l2_kb ())
       | _ -> None
     in
     (* the trace must be flushed and the pool shut down even when the

@@ -54,6 +54,59 @@ if "$SFC" check test/fixtures/dead_write.f90 --werror >/dev/null 2>&1; then
 fi
 echo "check smoke: examples clean (no dead-write FPs), racy and dead-write fixtures rejected under --werror"
 
+# Out-of-bounds smoke: a kernel whose read u(i, j+400) lands far
+# outside its 66x66 grid fails the bounds proof, so every engine must
+# report the overrun as a run failure (exit status below 128, no
+# signal) instead of reading past the buffer. The retired closure
+# engine must be rejected with the located engine diagnostic.
+OOBDIR=$(mktemp -d)
+cat >"$OOBDIR/oob.f90" <<'F90'
+program oob
+  implicit none
+  integer, parameter :: n = 64
+  integer :: i, j
+  real(kind=8), dimension(0:n+1, 0:n+1) :: u, v
+
+  do j = 0, n + 1
+    do i = 0, n + 1
+      u(i, j) = dble(i)
+      v(i, j) = 0.0d0
+    end do
+  end do
+
+  do j = 1, n
+    do i = 1, n
+      v(i, j) = u(i, j+400)
+    end do
+  end do
+end program oob
+F90
+for engine in vector native; do
+  status=0
+  oob_out=$("$SFC" run "$OOBDIR/oob.f90" --exec-engine "$engine" \
+    --cache-dir "$OOBDIR/cache" 2>&1) || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
+    echo "ci: out-of-bounds run on $engine exited with status $status"
+    printf '%s\n' "$oob_out"
+    rm -rf "$OOBDIR"
+    exit 1
+  fi
+  if ! printf '%s\n' "$oob_out" | grep -q 'run failed'; then
+    echo "ci: out-of-bounds run on $engine did not report 'run failed'"
+    printf '%s\n' "$oob_out"
+    rm -rf "$OOBDIR"
+    exit 1
+  fi
+done
+if ! "$SFC" run "$OOBDIR/oob.f90" --exec-engine closure 2>&1 \
+    | grep -q -- '--exec-engine:1:1: error\[engine\]: unknown'; then
+  echo "ci: --exec-engine closure missing the unknown-engine diagnostic"
+  rm -rf "$OOBDIR"
+  exit 1
+fi
+rm -rf "$OOBDIR"
+echo "out-of-bounds smoke: vector and native report run failed, closure rejected"
+
 CACHE=$(mktemp -d)
 JOBS=$(mktemp)
 trap 'rm -rf "$CACHE" "$JOBS"' EXIT
@@ -85,15 +138,15 @@ echo "batch smoke: $njobs jobs, cold hits=$cold_hits, warm hits=$warm_hits"
   exit 1
 }
 
-# Execution-engine smoke: the kernels bench compares interp/closure/
-# vector/native on identical artifacts, requires bitwise-identical
-# grids, vector >= closure and native >= vector (when a toolchain is
-# present), and exits nonzero on any violation.
+# Execution-engine smoke: the kernels bench compares interp/vector/
+# native on identical artifacts, requires native grids bitwise equal to
+# vector and native >= vector (when a toolchain is present), and exits
+# nonzero on any violation.
 ROOT=$(pwd)
 BENCHDIR=$(mktemp -d)
 if ! (cd "$BENCHDIR" && "$ROOT/_build/default/bench/main.exe" \
     --kernels-only --quick); then
-  echo "ci: kernels bench failed (engine mismatch or vector < closure)"
+  echo "ci: kernels bench failed (engine mismatch or native < vector)"
   rm -rf "$BENCHDIR"
   exit 1
 fi
@@ -106,7 +159,7 @@ fi
 # When a toolchain is present the bench also lands its scheduling
 # section (the native schedule, serial and pooled) and self-gates the
 # expected fusion on every stencil plus bitwise parity with the
-# closure engine — a bench exit of 0 above means those gates passed;
+# vector engine — a bench exit of 0 above means those gates passed;
 # CI just re-checks the section landed.
 if grep -q '"native_over_vector"' "$BENCHDIR/BENCH_kernels.json" \
     && ! grep -q '"scheduling"' "$BENCHDIR/BENCH_kernels.json"; then
@@ -114,7 +167,7 @@ if grep -q '"native_over_vector"' "$BENCHDIR/BENCH_kernels.json" \
   rm -rf "$BENCHDIR"
   exit 1
 fi
-echo "bench smoke: BENCH_kernels.json well-formed, vector >= closure"
+echo "bench smoke: BENCH_kernels.json well-formed, engines bitwise equal"
 rm -rf "$BENCHDIR"
 
 # Native JIT smoke: a cold run must compile plugins (reporting their

@@ -59,10 +59,7 @@ let () =
   List.iter
     (fun (name, impl) ->
       match impl with
-      | P.Compiled spec
-      | P.Vectorised (spec, _)
-      | P.Native_jit (spec, _)
-      | P.Distributed spec ->
+      | P.Vectorised (spec, _) | P.Native_jit (spec, _) ->
         List.iter
           (fun nest ->
             Printf.printf

@@ -79,19 +79,13 @@ let () =
     (fun (name, impl) ->
       Printf.printf "  %s: %s\n" name
         (match impl with
-        | P.Compiled spec ->
-          Printf.sprintf "compiled (%d loop nest(s))"
-            (List.length spec.Fsc_rt.Kernel_compile.k_nests)
         | P.Vectorised (spec, _) ->
           Printf.sprintf "vectorised (%d loop nest(s))"
             (List.length spec.Fsc_rt.Kernel_compile.k_nests)
         | P.Native_jit (spec, _) ->
           Printf.sprintf "native JIT (%d loop nest(s))"
             (List.length spec.Fsc_rt.Kernel_compile.k_nests)
-        | P.Interpreted reason -> "interpreted (" ^ reason ^ ")"
-        | P.Distributed spec ->
-          Printf.sprintf "distributed (%d loop nest(s))"
-            (List.length spec.Fsc_rt.Kernel_compile.k_nests)))
+        | P.Interpreted reason -> "interpreted (" ^ reason ^ ")"))
     artifact.P.a_kernels;
   print_newline ();
   P.run artifact;

@@ -1,7 +1,7 @@
 (* Kernel spec -> scheduled OCaml source.
 
    The native emitter: not just a pretty-printer of the closure
-   engine's naive loops but a scheduling codegen. Three transform
+   JIT's naive loops but a scheduling codegen. Three transform
    families are applied at emit time, every one of them value-preserving
    down to the bit pattern:
 
@@ -60,7 +60,7 @@
    Bigarrays, read and written through two monomorphic unsafe
    externals ([get]/[set], declared at the top of every module), with
    bounds, strides and stencil deltas baked in as constants, an
-   exact transliteration of the closure engine's per-cell evaluation
+   exact transliteration of the closure JIT's per-cell evaluation
    (same statement order, same float ops, hex-literal constants), the
    unsafe access path guarded by bind-time whole-space bounds
    validation in [Native], and per-nest best-effort emission — a nest
@@ -134,7 +134,7 @@ exception Skip of string
 
 let skip fmt = Printf.ksprintf (fun m -> raise (Skip m)) fmt
 
-(* Unary whitelist: exactly the functions the closure engine reaches
+(* Unary whitelist: exactly the functions the closure JIT reaches
    (directly or through Math.eval_unary), minus math.erf — see above. *)
 let unary_fn = function
   | "math.sqrt" -> "Stdlib.Float.sqrt"
@@ -181,7 +181,7 @@ let rec expr ~strides ~ivn ~subst (e : Kc.fexpr) =
   | Kc.F_unary ("arith.negf", a) ->
     Printf.sprintf "(-. %s)" (expr ~strides ~ivn ~subst a)
   | Kc.F_unary ("math.log2", a) ->
-    (* closure engine: Float.log x /. Float.log 2. — the divisor folds
+    (* closure JIT: Float.log x /. Float.log 2. — the divisor folds
        to a constant, reproduced exactly as a literal *)
     Printf.sprintf "((Stdlib.Float.log %s) /. %s)"
       (expr ~strides ~ivn ~subst a)

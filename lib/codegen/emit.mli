@@ -10,9 +10,10 @@
     buffer type; the loops use them in place of the polymorphic
     [Bigarray.Array1.unsafe_get/set], which compile to the same code
     but cost the typer more at each call site. Per-cell arithmetic stays
-    an exact transliteration of the closure engine (same statement
-    order, same float ops, hex-literal constants), so emitted kernels
-    remain bit-identical to the other three engines.
+    an exact transliteration of the closure JIT that vector falls back
+    to (same statement order, same float ops, hex-literal constants), so
+    emitted kernels remain bit-identical to the interp and vector
+    engines.
 
     Bodies are unsafe (no bounds checks); callers must run the
     bind-time whole-space bounds validation in {!Native} before

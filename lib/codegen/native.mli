@@ -26,7 +26,7 @@
     validation and shape guards all drop to the vector engine (per nest
     for emit/bounds failures, per kernel otherwise), counted on
     [codegen.*] Obs counters and summarised by {!report}. Results are
-    bitwise identical to the interp/closure/vector tiers. *)
+    bitwise identical to the interp and vector engines. *)
 
 module Kc = Fsc_rt.Kernel_compile
 module Kb = Fsc_rt.Kernel_bytecode

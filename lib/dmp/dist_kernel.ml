@@ -4,7 +4,7 @@
    produced by [Fsc_rt.Kernel_compile] from the serial stencil pipeline
    is re-targeted at SPMD execution over a [Decomp] — each rank runs the
    same nests over its ownership-clipped local bounds through the
-   closure or vector engine, with [Dist_exec] supersteps providing the
+   vector engine, with [Dist_exec] supersteps providing the
    halo swaps and the comm/compute overlap.
 
    Coherence follows the GPU device-resident contract: buffer groups
@@ -41,14 +41,6 @@ let c_scatters = Obs.counter "dmp.scatters"
 let c_gathers = Obs.counter "dmp.gathers"
 let c_fused = Obs.counter "dmp.fused"
 let c_stales_avoided = Obs.counter "dmp.stales_avoided"
-
-type engine =
-  | E_closure
-  | E_vector
-
-let engine_name = function
-  | E_closure -> "closure"
-  | E_vector -> "vector"
 
 type runner = bufs:Rt.t array -> scalars:float array -> unit
 
@@ -91,7 +83,6 @@ type kplan = {
 
 type state = {
   dk_ranks : int;
-  dk_engine : engine;
   dk_pool : Pool.t option;
   mutable dk_groups : group list;
   mutable dk_ids : (Rt.t * int) list; (* physical buffer -> id *)
@@ -108,8 +99,8 @@ type state = {
   mutable dk_total_nests : int;
 }
 
-let create ?pool ~ranks ~engine () =
-  { dk_ranks = ranks; dk_engine = engine; dk_pool = pool;
+let create ?pool ~ranks () =
+  { dk_ranks = ranks; dk_pool = pool;
     dk_groups = []; dk_ids = [];
     dk_next_id = 0; dk_plans = Hashtbl.create 8; dk_dist_runs = 0;
     dk_fallback_runs = 0; dk_overlap_stages = 0; dk_blocking_stages = 0;
@@ -453,14 +444,10 @@ let compile_runner st spec nests =
   match nests with
   | [] -> noop_runner
   | _ -> (
-    let sub = { spec with Kc.k_nests = nests } in
-    match st.dk_engine with
-    | E_closure -> fun ~bufs ~scalars -> Kc.run sub ~bufs ~scalars ()
-    | E_vector ->
-      let vplan = Kb.compile_spec sub in
-      st.dk_total_nests <- st.dk_total_nests + Kb.nest_count vplan;
-      st.dk_vec_nests <- st.dk_vec_nests + Kb.vectorised_nests vplan;
-      fun ~bufs ~scalars -> Kb.run vplan ~bufs ~scalars ())
+    let vplan = Kb.compile_spec { spec with Kc.k_nests = nests } in
+    st.dk_total_nests <- st.dk_total_nests + Kb.nest_count vplan;
+    st.dk_vec_nests <- st.dk_vec_nests + Kb.vectorised_nests vplan;
+    fun ~bufs ~scalars -> Kb.run vplan ~bufs ~scalars ())
 
 let localized st kplan ~decomp ~ddims ~stage_idx ~rank =
   match Hashtbl.find_opt kplan.kp_local_memo (stage_idx, rank) with
@@ -736,7 +723,6 @@ type group_stats = {
 
 type stats = {
   ds_ranks : int;
-  ds_engine : engine;
   ds_groups : group_stats list;
   ds_dist_runs : int; (* distributed kernel executions, cumulative *)
   ds_fallback_runs : int;
@@ -758,7 +744,7 @@ let stats st =
         (ay + y, az + z))
       (0, 0) st.dk_groups
   in
-  { ds_ranks = st.dk_ranks; ds_engine = st.dk_engine;
+  { ds_ranks = st.dk_ranks;
     ds_groups =
       List.rev_map
         (fun g ->

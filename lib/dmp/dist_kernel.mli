@@ -2,7 +2,7 @@
     of the paper's DMP lowering. Kernel specs from
     {!Fsc_rt.Kernel_compile} are re-targeted at SPMD execution over a
     {!Decomp} — each rank runs ownership-clipped local bounds through
-    the closure or vector engine, with {!Dist_exec} supersteps providing
+    the vector engine, with {!Dist_exec} supersteps providing
     halo swaps and comm/compute overlap.
 
     Coherence follows the GPU device-resident contract: buffers live
@@ -13,15 +13,9 @@
 module Kc = Fsc_rt.Kernel_compile
 module Rt = Fsc_rt.Memref_rt
 
-type engine =
-  | E_closure  (** per-rank execution through the closure JIT *)
-  | E_vector  (** per-rank execution through the row-bytecode engine *)
-
-val engine_name : engine -> string
-
 type state
 
-(** [create ?pool ~ranks ~engine ()] — one state per linked artifact.
+(** [create ?pool ~ranks ()] — one state per linked artifact.
     [pool] runs ranks concurrently. The superstep schedule is fixed and
     every part of it preserves bitwise results:
     - a stage overlaps its interior sweep with the halo exchange, and
@@ -39,7 +33,6 @@ type state
 val create :
   ?pool:Fsc_rt.Domain_pool.t ->
   ranks:int ->
-  engine:engine ->
   unit ->
   state
 
@@ -96,7 +89,6 @@ type group_stats = {
 
 type stats = {
   ds_ranks : int;
-  ds_engine : engine;
   ds_groups : group_stats list;
   ds_dist_runs : int;  (** distributed kernel executions, cumulative *)
   ds_fallback_runs : int;

@@ -21,14 +21,14 @@ let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
 let key cache (options : P.options) src =
   Cache.digest cache
     [ "target:" ^ P.target_kind options.P.opt_target;
-      "tiles:"
-      ^ String.concat "," (List.map string_of_int options.P.opt_tile_sizes);
+      (* the two pipeline constants stay in the key so that editing
+         either re-keys every artifact: the GPU tile shapes the Listing-4
+         IR, the cache budget the cpu_tile annotations baked into the
+         stencil IR (the execution engine, by contrast, is link-time
+         state) *)
+      "tiles:" ^ String.concat "," (List.map string_of_int P.gpu_tile_sizes);
       "merge:" ^ string_of_bool options.P.opt_merge;
-      "specialize:" ^ string_of_bool options.P.opt_specialize;
-      (* the cache budget shapes the cpu_tile annotations baked into the
-         stencil IR, so it is part of the artifact's identity (the
-         execution engine, by contrast, is link-time state) *)
-      "l2:" ^ string_of_int options.P.opt_l2_kb;
+      "l2:" ^ string_of_int P.cpu_l2_kb;
       src ]
 
 (* ---------------- serialization ---------------- *)
@@ -152,7 +152,7 @@ let decode (options : P.options) payload =
       (* decoding is revalidation: recompute every footprint from the
          parsed stencil IR and demand it matches what was stored — a
          drifted analysis (or corrupted entry) evicts rather than
-         serving stale proofs to the staling/guard-elision consumers *)
+         serving stale footprints *)
       let* footprints =
         let funcs = Fsc_dialects.Func.all_functions stencil in
         let recomputed =

@@ -1,8 +1,8 @@
 (** Cached compilation: the bridge between {!Pipeline.compile} and the
     content-addressed artifact store in [Fsc_cache.Cache].
 
-    Entries are keyed by a digest of (source text, target kind, tile
-    sizes, merge/specialize flags, format version) and hold the {e
+    Entries are keyed by a digest of (source text, target kind, GPU tile
+    sizes, merge flag, L2 budget, format version) and hold the {e
     printed} IR of every pipeline stage plus kernel metadata — including
     the per-kernel affine footprints (canonical string form). Loading
     re-parses each module through [Fsc_ir.Parser], re-verifies the host

@@ -6,8 +6,8 @@
      baseline of Flang lowering FIR straight to LLVM-IR with no standard-
      dialect optimisation — here, the naive tree-walking tier);
    - [stencil]: frontend -> FIR -> discover -> merge -> extract ->
-     stencil-to-scf (+specialise / openmp / gpu pipeline) -> compiled
-     kernels linked back into the FIR host program;
+     stencil-to-scf (+openmp / gpu pipeline) -> compiled kernels linked
+     back into the FIR host program;
    - vendor baselines (Cray CPU, OpenACC-Nvidia GPU, hand-MPI) live in
      [Fsc_rt.Vendor_kernels] and are driven by the bench harness. *)
 
@@ -82,34 +82,28 @@ let target_name = function
    is not part of {!options} or the cache key. *)
 type exec_engine =
   | Engine_interp  (* force the tree-walking interpreter *)
-  | Engine_closure (* Kernel_compile's per-cell closure JIT *)
   | Engine_vector  (* Kernel_bytecode's row engine, closure fallback *)
   | Engine_native  (* Fsc_codegen's emitted-OCaml JIT, vector fallback *)
 
 let engine_name = function
   | Engine_interp -> "interp"
-  | Engine_closure -> "closure"
   | Engine_vector -> "vector"
   | Engine_native -> "native"
 
 let engine_of_name = function
   | "interp" -> Some Engine_interp
-  | "closure" -> Some Engine_closure
   | "vector" -> Some Engine_vector
   | "native" -> Some Engine_native
   | _ -> None
 
-let all_engines =
-  [ Engine_interp; Engine_closure; Engine_vector; Engine_native ]
+let all_engines = [ Engine_interp; Engine_vector; Engine_native ]
 
 let engine_names = List.map engine_name all_engines
 
 type kernel_impl =
-  | Compiled of Kc.spec
   | Vectorised of Kc.spec * Kb.plan
   | Native_jit of Kc.spec * Fsc_codegen.Native.kernel
   | Interpreted of string (* fallback reason *)
-  | Distributed of Kc.spec (* SPMD over simulated ranks via Dist_kernel *)
 
 type artifact = {
   a_host : Op.op;
@@ -193,7 +187,7 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
   | Engine_interp ->
     (* register nothing: the interpreter executes the kernel func *)
     (name, Interpreted "execution engine 'interp' selected")
-  | Engine_closure | Engine_vector | Engine_native -> (
+  | Engine_vector | Engine_native -> (
     match Kc.try_analyze kernel_func with
     | Error reason ->
       Log.debug (fun f ->
@@ -211,33 +205,20 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
       | _ -> ());
       (name, Interpreted reason)
     | Ok spec ->
-      (* GPU targets execute on the simulator's device twins through the
-         closure engine regardless of [engine]; the vector and native
-         tiers are CPU execution strategies (under [Dist], both use the
-         per-rank vector plans in [Dist_kernel], native being a
-         per-process-JIT story that does not fit rank-sliced spaces). *)
-      let native_kernel =
+      (* Native is a CPU execution strategy: under [Dist] the ranks run
+         the per-rank vector plans in [Dist_kernel] (a per-process JIT
+         does not fit rank-sliced spaces), and GPU targets run the vector
+         plan on the simulator's device twins. *)
+      let impl, exec =
         match (engine, target, native) with
         | Engine_native, (Serial | Openmp _), Some nctx ->
-          Some (Fsc_codegen.Native.prepare nctx ~name spec)
-        | _ -> None
+          let nk = Fsc_codegen.Native.prepare nctx ~name spec in
+          (Native_jit (spec, nk), Fsc_codegen.Native.run nk)
+        | _ ->
+          let plan = Kb.compile_spec spec in
+          (Vectorised (spec, plan), Kb.run plan)
       in
-      let vplan =
-        match (engine, target) with
-        | (Engine_vector | Engine_native), (Serial | Openmp _ | Dist _)
-          when Option.is_none native_kernel ->
-          Some (Kb.compile_spec spec)
-        | _ -> None
-      in
-      let exec ?pool ~bufs ~scalars () =
-        match native_kernel with
-        | Some nk -> Fsc_codegen.Native.run nk ?pool ~bufs ~scalars ()
-        | None -> (
-          match vplan with
-          | Some plan -> Kb.run plan ?pool ~bufs ~scalars ()
-          | None -> Kc.run spec ?pool ~bufs ~scalars ())
-      in
-      let impl _ctx args =
+      let run _ctx args =
         Obs.with_span ~cat:"kernel" ("kernel.exec " ^ name) @@ fun () ->
         let bufs = Array.of_list (spec_buffers args) in
         let scalars = Array.of_list (spec_scalars args) in
@@ -284,15 +265,12 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
             ~block_threads
             ~flops:(float_of_int (Kc.flops spec))
             ~bytes_accessed:(8.0 *. float_of_int (Kc.loads spec))
-            ~body:(fun () -> Kc.run spec ~bufs:dev_bufs ~scalars ())
+            ~body:(fun () -> exec ~bufs:dev_bufs ~scalars ())
             (Array.to_list bufs));
         []
       in
-      Interp.register_external ctx name impl;
-      (match (native_kernel, vplan) with
-      | Some nk, _ -> (name, Native_jit (spec, nk))
-      | None, Some plan -> (name, Vectorised (spec, plan))
-      | None, None -> (name, Compiled spec)))
+      Interp.register_external ctx name run;
+      (name, impl))
 
 (* GPU data-management externals for the optimised strategy; [managed]
    is the list of kernel symbols whose placement was hoisted. *)
@@ -323,17 +301,17 @@ type stencil_stats = {
 
 type options = {
   opt_target : target;
-  opt_tile_sizes : int list;
   opt_merge : bool;
-  opt_specialize : bool;
-  opt_l2_kb : int; (* per-core cache budget for CPU tile annotation *)
 }
 
-let default_options ?(target = Serial) ?(tile_sizes = [ 32; 32; 1 ])
-    ?(merge = true) ?(specialize = true)
-    ?(l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb) () =
-  { opt_target = target; opt_tile_sizes = tile_sizes; opt_merge = merge;
-    opt_specialize = specialize; opt_l2_kb = l2_kb }
+let default_options ?(target = Serial) ?(merge = true) () =
+  { opt_target = target; opt_merge = merge }
+
+(* the paper's Listing-4 GPU tile *)
+let gpu_tile_sizes = [ 32; 32; 1 ]
+
+(* per-core cache budget behind the CPU tile annotations *)
+let cpu_l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb
 
 type compiled_artifact = {
   ca_host : Op.op;
@@ -357,9 +335,9 @@ let is_stencil_kernel n =
 
 (* The pure front half of the paper's Figure 1: everything from source
    text to lowered modules. No runtime state is created here, so the
-   result can be printed, cached and re-linked at will. [opt_merge] and
-   [opt_specialize] exist for the ablation studies: disabling them
-   leaves the rest of the pipeline untouched. *)
+   result can be printed, cached and re-linked at will. [opt_merge]
+   exists for the ablation studies: disabling it leaves the rest of the
+   pipeline untouched. *)
 let compile options src =
   ensure_registered ();
   let target = options.opt_target in
@@ -397,12 +375,6 @@ let compile options src =
       Fsc_lowering.Stencil_to_scf.run ~mode stencil_m);
   stage "canonicalize" (fun () ->
       ignore (Fsc_transforms.Canonicalize.run stencil_m));
-  (match target with
-  | Serial | Openmp _ | Dist _ ->
-    if options.opt_specialize then
-      stage "loop specialisation" (fun () ->
-          ignore (Fsc_lowering.Loop_specialize.run stencil_m))
-  | Gpu _ -> ());
   (* keep a pre-GPU-pipeline copy for compiled execution; the Listing 4
      pipeline output is produced alongside for inspection/verification *)
   let gpu_ir =
@@ -411,8 +383,7 @@ let compile options src =
       stage "gpu pipeline (Listing 4)" (fun () ->
           let clone = Op.clone stencil_m in
           ignore
-            (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:options.opt_tile_sizes
-               clone);
+            (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:gpu_tile_sizes clone);
           Some clone)
     | _ -> None
   in
@@ -428,16 +399,16 @@ let compile options src =
   | Serial | Openmp _ | Dist _ ->
     stage "cpu tile annotation" (fun () ->
         ignore
-          (Fsc_lowering.Loop_tiling.annotate_cpu ~l2_kb:options.opt_l2_kb
-             stencil_m))
+          (Fsc_lowering.Loop_tiling.annotate_cpu ~l2_kb:cpu_l2_kb stencil_m))
   | Gpu _ -> ());
   let kernel_funcs =
     Fsc_dialects.Func.all_functions stencil_m
     |> List.filter (fun f -> is_stencil_kernel (Fsc_dialects.Func.name f))
   in
   let kernels = List.map Fsc_dialects.Func.name kernel_funcs in
-  (* per-kernel affine footprints, for the halo-staling and guard-elision
-     consumers; kernels outside the analysable shape simply have none *)
+  (* per-kernel affine footprints, the read/write regions [sfc compile
+     --stats] prints and the cache recomputes on every hit; kernels
+     outside the analysable shape simply have none *)
   let footprints =
     stage "footprint analysis" (fun () ->
         List.filter_map
@@ -490,13 +461,8 @@ let link ?(engine = Engine_vector) ?native ca =
   ctx.Interp.pool <- pool;
   let dist =
     match (target, engine) with
-    | Dist ranks, (Engine_closure | Engine_vector | Engine_native) ->
-      let dengine =
-        match engine with
-        | Engine_vector | Engine_native -> Fsc_dmp.Dist_kernel.E_vector
-        | _ -> Fsc_dmp.Dist_kernel.E_closure
-      in
-      Some (Fsc_dmp.Dist_kernel.create ?pool ~ranks ~engine:dengine ())
+    | Dist ranks, (Engine_vector | Engine_native) ->
+      Some (Fsc_dmp.Dist_kernel.create ?pool ~ranks ())
     | _ -> None
   in
   (match target with
@@ -524,8 +490,8 @@ let link ?(engine = Engine_vector) ?native ca =
    kernel-name counter for reproducible names — which is why [compile]
    (callable concurrently from server workers) does not: a reset racing
    another in-flight compile could hand out duplicate names. *)
-let stencil ?target ?tile_sizes ?merge ?specialize ?engine ?native src =
-  let options = default_options ?target ?tile_sizes ?merge ?specialize () in
+let stencil ?target ?merge ?engine ?native src =
+  let options = default_options ?target ?merge () in
   Fsc_core.Extraction.reset_name_counter ();
   let ca = compile options src in
   (link ?engine ?native ca, ca.ca_stats)

@@ -33,15 +33,14 @@ val target_kind : target -> string
 (** Which execution tier runs compiled kernels on CPU targets. The
     engine is link-time state (like the pool size): it never changes the
     compiled IR, so it is not part of {!options} or the cache key. GPU
-    targets always execute through the closure engine on the simulator's
-    device twins. *)
+    targets always execute the vector plan on the simulator's device
+    twins. *)
 type exec_engine =
   | Engine_interp  (** force the tree-walking interpreter *)
-  | Engine_closure  (** {!Fsc_rt.Kernel_compile}'s per-cell closure JIT *)
   | Engine_vector
       (** {!Fsc_rt.Kernel_bytecode}'s row engine; per-nest automatic
-          fallback to the closure engine outside the vectorisable
-          shape *)
+          fallback to {!Fsc_rt.Kernel_compile}'s closure JIT outside the
+          vectorisable shape or the bounds proof *)
   | Engine_native
       (** {!Fsc_codegen.Native}: kernels emitted as OCaml source,
           compiled with [ocamlfind ocamlopt -shared] and Dynlink'ed;
@@ -49,7 +48,7 @@ type exec_engine =
           falls back to it per nest (emit/bounds) or per kernel
           (toolchain/build/load failures). CPU targets only: [Dist]
           executes its rank-sliced spaces on the vector engine, GPU
-          targets on the device twins as always. *)
+          targets the vector plan on the device twins. *)
 
 val engine_name : exec_engine -> string
 
@@ -64,8 +63,6 @@ val engine_names : string list
 
 (** How a kernel is executed at runtime. *)
 type kernel_impl =
-  | Compiled of Fsc_rt.Kernel_compile.spec
-      (** closure-compiled fast path *)
   | Vectorised of Fsc_rt.Kernel_compile.spec * Fsc_rt.Kernel_bytecode.plan
       (** row-vectorised engine (inspect the plan for per-nest
           fallbacks) *)
@@ -73,8 +70,6 @@ type kernel_impl =
       (** native JIT tier (query {!Fsc_codegen.Native.report} for build
           origin, timing and per-nest fallbacks) *)
   | Interpreted of string  (** fallback, with the analyser's reason *)
-  | Distributed of Fsc_rt.Kernel_compile.spec
-      (** SPMD execution over the ranks of a [Dist] target *)
 
 type artifact = {
   a_host : Op.op;  (** the FIR host module *)
@@ -85,8 +80,8 @@ type artifact = {
   a_kernels : (string * kernel_impl) list;
   a_target : target;
   a_dist : Fsc_dmp.Dist_kernel.state option;
-      (** distributed runtime ([Dist] targets under the closure/vector
-          engines) *)
+      (** distributed runtime ([Dist] targets under the vector and
+          native engines) *)
 }
 
 type stencil_stats = {
@@ -100,22 +95,17 @@ type stencil_stats = {
     artifact's identity. *)
 type options = {
   opt_target : target;
-  opt_tile_sizes : int list;  (** GPU pipeline tiling (paper: 32,32,1) *)
   opt_merge : bool;  (** ablation: stencil merging *)
-  opt_specialize : bool;  (** ablation: loop specialisation *)
-  opt_l2_kb : int;
-      (** per-core cache budget (KB) driving the ["cpu_tile"] nest
-          annotations the vector engine blocks by *)
 }
 
-val default_options :
-  ?target:target ->
-  ?tile_sizes:int list ->
-  ?merge:bool ->
-  ?specialize:bool ->
-  ?l2_kb:int ->
-  unit ->
-  options
+val default_options : ?target:target -> ?merge:bool -> unit -> options
+
+(** The GPU pipeline's tile (the paper's Listing 4: 32,32,1). *)
+val gpu_tile_sizes : int list
+
+(** Per-core cache budget (KB) behind the ["cpu_tile"] nest annotations
+    the vector engine blocks by: the host's L2. *)
+val cpu_l2_kb : int
 
 (** The pure, serializable half of a stencil compilation: IR modules and
     metadata only — no interpreter context, no domain pool, no GPU
@@ -130,8 +120,8 @@ type compiled_artifact = {
       (** kernels whose GPU data placement was hoisted (optimised GPU) *)
   ca_footprints : (string * Fsc_analysis.Footprint.t) list;
       (** per-kernel affine read/write footprints (analysable kernels
-          only) — the proof artifacts behind halo-aware staling and
-          codegen guard elision, and part of the cache contract *)
+          only), printed by [sfc compile --stats]; part of the cache
+          contract, recomputed and compared on every hit *)
   ca_stats : stencil_stats;
   ca_options : options;
 }
@@ -150,8 +140,9 @@ val compile : options -> string -> compiled_artifact
     and stencil modules, allocate the OpenMP pool / GPU simulator for
     the artifact's target, and compile each kernel for [engine]
     (default {!Engine_vector}; falls back to the interpreter outside
-    the analysable shape, and per nest to the closure engine outside
-    the vectorisable shape). Safe to call several times on one
+    the analysable shape, and per nest to the closure JIT of
+    {!Fsc_rt.Kernel_compile} outside the vectorisable shape or the
+    bounds proof). Safe to call several times on one
     artifact; each call yields an independent runnable.
 
     For [Dist] targets ranks execute concurrently on a domain pool sized
@@ -172,15 +163,11 @@ val link :
   compiled_artifact ->
   artifact
 
-(** The full stencil pipeline: {!compile} then {!link}. [merge] and
-    [specialize] default to [true] and exist for ablation studies;
-    [tile_sizes] parameterises the GPU pipeline (paper default
-    32,32,1). *)
+(** The full stencil pipeline: {!compile} then {!link}. [merge]
+    defaults to [true] and exists for ablation studies. *)
 val stencil :
   ?target:target ->
-  ?tile_sizes:int list ->
   ?merge:bool ->
-  ?specialize:bool ->
   ?engine:exec_engine ->
   ?native:Fsc_codegen.Native.ctx ->
   string ->

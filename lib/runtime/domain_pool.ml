@@ -92,6 +92,8 @@ type task = {
   t_pos : int Atomic.t array;
   t_end : int array;
   t_min_chunk : int;
+  (* the first exception a chunk raised, re-raised by the caller *)
+  t_error : (exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
 (* Two kinds of published work: a stealable parallel-for task, or a
@@ -124,12 +126,13 @@ let size pool = pool.size
 (* Claim the next chunk from segment [seg]: a quarter of what remains,
    never below the task's minimum chunk. fetch_and_add may over-claim
    past the segment end when racing a thief; the claimed window is
-   clipped, so every index is still executed exactly once. *)
+   clipped, so every index is still executed exactly once. Once a chunk
+   has raised, nothing more is claimed. *)
 let claim task seg =
   let pos = Array.unsafe_get task.t_pos seg in
   let seg_end = Array.unsafe_get task.t_end seg in
   let cur = Atomic.get pos in
-  if cur >= seg_end then None
+  if cur >= seg_end || Option.is_some (Atomic.get task.t_error) then None
   else begin
     let remaining = seg_end - cur in
     let c = max task.t_min_chunk ((remaining + 3) / 4) in
@@ -137,12 +140,20 @@ let claim task seg =
     if lo >= seg_end then None else Some (lo, min (lo + c) seg_end)
   end
 
+(* A raising chunk must not kill its worker domain or skip the
+   completion barrier: the exception is recorded for the caller. *)
+let run_chunk task lo hi =
+  try task.t_body lo hi
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Atomic.compare_and_set task.t_error None (Some (e, bt)))
+
 let drain task seg counter =
   let rec go () =
     match claim task seg with
     | Some (lo, hi) ->
       Obs.incr counter;
-      task.t_body lo hi;
+      run_chunk task lo hi;
       go ()
     | None -> ()
   in
@@ -163,7 +174,7 @@ let run_task ~self task =
         | Some (lo, hi) ->
           progressed := true;
           Obs.incr c_steals;
-          task.t_body lo hi;
+          run_chunk task lo hi;
           drain task victim c_steals
         | None -> ()
       done
@@ -237,7 +248,7 @@ let parallel_for ?chunk pool ~lo ~hi body =
       { t_body = body;
         t_pos = Array.init n (fun i -> Atomic.make (seg_start i));
         t_end = Array.init n (fun i -> seg_start (i + 1));
-        t_min_chunk = min_chunk }
+        t_min_chunk = min_chunk; t_error = Atomic.make None }
     in
     Mutex.lock pool.work_mutex;
     pool.work := Some (W_for task);
@@ -246,7 +257,10 @@ let parallel_for ?chunk pool ~lo ~hi body =
     Mutex.unlock pool.work_mutex;
     (* the caller participates as worker 0 *)
     run_task ~self:0 task;
-    Barrier.await pool.barrier
+    Barrier.await pool.barrier;
+    match Atomic.get task.t_error with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
 (* Launch a fixed team of [members] participants: each runs

@@ -24,7 +24,10 @@ val shutdown : t -> unit
     the pool. Blocks until every chunk completed. [chunk] sets the
     minimum chunk granularity (clamped to [>= 1]); workers claim
     geometrically shrinking chunks down to that floor. Ranges smaller
-    than twice the pool size run inline on the caller. *)
+    than twice the pool size run inline on the caller. When a chunk
+    raises, no further chunks start, and the first exception is
+    re-raised in the caller once every participant has stopped; the
+    pool stays usable. *)
 val parallel_for :
   ?chunk:int -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 

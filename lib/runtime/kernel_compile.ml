@@ -42,7 +42,6 @@ type loop_spec = {
   l_lb : int;
   l_ub : int;     (* exclusive *)
   l_parallel : bool;
-  l_vector_width : int;
 }
 
 type nest = {
@@ -115,8 +114,7 @@ let analyze_nest ~arg_class top_op =
         let level = List.length !loops in
         (* prepended (reversed) to stay linear; re-ordered once below *)
         loops :=
-          (level, const_exn lb, const_exn (List.nth ubs i), true, 1)
-          :: !loops;
+          (level, const_exn lb, const_exn (List.nth ubs i), true) :: !loops;
         Hashtbl.replace iv_level (Op.block_arg ~index:i body).Op.v_id level)
       lbs;
     body
@@ -132,14 +130,9 @@ let analyze_nest ~arg_class top_op =
       let ub = const_exn (Op.operand ~index:1 op) in
       let step = const_exn (Op.operand ~index:2 op) in
       if step <> 1 then fallback "non-unit loop step";
-      let width =
-        match Op.attr op "vector_width" with
-        | Some (Attr.Int_a w) when Op.has_attr op "specialized" -> w
-        | _ -> 1
-      in
       let body = Fsc_dialects.Scf.body_block op in
       let level = List.length !loops in
-      loops := (level, lb, ub, false, width) :: !loops;
+      loops := (level, lb, ub, false) :: !loops;
       Hashtbl.replace iv_level (Op.block_arg ~index:0 body).Op.v_id level;
       descend_block body
     | name -> fallback "unexpected op %s in loop nest" name
@@ -311,9 +304,9 @@ let analyze_nest ~arg_class top_op =
     level_dim;
   let loop_specs =
     List.rev_map
-      (fun (level, lb, ub, par, width) ->
+      (fun (level, lb, ub, par) ->
         { l_level = level; l_dim = level_dim.(level); l_lb = lb; l_ub = ub;
-          l_parallel = par; l_vector_width = width })
+          l_parallel = par })
       !loops
   in
   let tile =
@@ -375,7 +368,7 @@ let delta_of strides idxs = delta_from strides 0 0 idxs
    over the nest's loops; strides are positive, so the extreme offsets
    of an access sit at the loop-bound corners [lo] and [hi]. Written as
    top-level recursions over the spec so that a successful check
-   allocates nothing (the vector engine runs it on every call). *)
+   allocates nothing (every engine runs it on every call). *)
 exception Out_of_bounds of string
 
 let rec corner strides ~upper acc = function
@@ -419,8 +412,8 @@ let check_nest_bounds ~strides ~bufs nest =
       nest.n_stores
 
 (* [unchecked] accesses use Bigarray's unsafe (bounds-check-free) path;
-   it is only enabled for specialised nests, modelling the bounds-check
-   elimination / vectorisation a specialised constant-trip loop allows *)
+   [run_nest] enables it only once [check_nest_bounds] has proven the
+   nest's whole iteration space in range *)
 let rec compile_expr ~unchecked bufs scalars strides ivs (e : fexpr) :
     int -> float =
   match e with
@@ -463,15 +456,7 @@ let rec compile_expr ~unchecked bufs scalars strides ivs (e : fexpr) :
     | "math.atan2" -> fun b -> Float.atan2 (fa b) (fc b)
     | name -> fallback "binary op %s" name)
 
-(* A nest counts as specialised when its innermost loop carries the
-   specialisation annotation (vector_width > 1). *)
-let nest_specialized nest =
-  match List.rev nest.n_loops with
-  | inner :: _ -> inner.l_vector_width > 1
-  | [] -> false
-
-let compile_body nest bufs scalars strides ivs : int -> unit =
-  let unchecked = nest_specialized nest in
+let compile_body ~unchecked nest bufs scalars strides ivs : int -> unit =
   let stmts =
     List.map
       (fun st ->
@@ -498,40 +483,41 @@ let compile_body nest bufs scalars strides ivs : int -> unit =
       c base
   | stmts -> fun base -> List.iter (fun s -> s base) stmts
 
+(* A nest the bounds proof rejects still runs, on Bigarray's checked
+   accesses: the first access outside its buffer raises
+   [Invalid_argument], as the interpreter does. Stride-1 rows that do
+   not read induction values run 4-wide unrolled. *)
 let run_nest nest ?pool ~bufs ~scalars () =
   let strides = check_buffers bufs in
+  let unchecked =
+    match check_nest_bounds ~strides ~bufs nest with
+    | () -> true
+    | exception Out_of_bounds _ -> false
+  in
   let ivs = Array.make (List.length nest.n_loops) 0 in
   let track = nest.n_uses_iv in
-  let body = compile_body nest bufs scalars strides ivs in
+  let body = compile_body ~unchecked nest bufs scalars strides ivs in
   let rec go loops base =
     match loops with
     | [] -> body base
     | [ l ] when strides.(l.l_dim) = 1 && not track ->
-      let w = max 1 l.l_vector_width in
       let lb = l.l_lb and ub = l.l_ub in
       let b = ref (base + lb) in
-      if w = 4 then begin
-        let main_end = lb + ((ub - lb) / 4 * 4) in
-        let i = ref lb in
-        while !i < main_end do
-          body !b;
-          body (!b + 1);
-          body (!b + 2);
-          body (!b + 3);
-          b := !b + 4;
-          i := !i + 4
-        done;
-        while !i < ub do
-          body !b;
-          incr b;
-          incr i
-        done
-      end
-      else
-        for _ = lb to ub - 1 do
-          body !b;
-          incr b
-        done
+      let main_end = lb + ((ub - lb) / 4 * 4) in
+      let i = ref lb in
+      while !i < main_end do
+        body !b;
+        body (!b + 1);
+        body (!b + 2);
+        body (!b + 3);
+        b := !b + 4;
+        i := !i + 4
+      done;
+      while !i < ub do
+        body !b;
+        incr b;
+        incr i
+      done
     | l :: rest ->
       let stride = strides.(l.l_dim) in
       for i = l.l_lb to l.l_ub - 1 do

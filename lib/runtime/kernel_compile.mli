@@ -40,7 +40,6 @@ type loop_spec = {
   l_lb : int;
   l_ub : int;  (** exclusive *)
   l_parallel : bool;
-  l_vector_width : int;  (** > 1 on specialised (unroll + unchecked) *)
 }
 
 type nest = {
@@ -71,10 +70,6 @@ val analyze : Op.op -> spec
 (** Non-raising wrapper around {!analyze}. *)
 val try_analyze : Op.op -> (spec, string) result
 
-(** Is this nest's innermost loop specialised (enabling bounds-check-free
-    accesses and unrolling)? *)
-val nest_specialized : nest -> bool
-
 (** Shared helpers for alternative execution engines
     ({!Kernel_bytecode}): validate that all buffers share extents and
     return their stride vector.
@@ -91,16 +86,19 @@ exception Out_of_bounds of string
 
 (** [check_nest_bounds ~strides ~bufs nest] proves that every access of
     the nest's whole iteration space lands inside its buffer, at the
-    flat offset the engines compute (loop base plus {!delta_of}). The
-    engines that skip Bigarray's bounds checks (vector, native) run it
-    before dispatching a nest. An empty iteration space passes. A
-    successful check allocates nothing.
+    flat offset the engines compute (loop base plus {!delta_of}). Every
+    engine that skips Bigarray's bounds checks (closure, vector, native)
+    runs it before dispatching a nest, and skips them only when it
+    passes. An empty iteration space passes. A successful check
+    allocates nothing.
     @raise Out_of_bounds naming the first access outside its buffer, or
     a buffer index the call did not pass. *)
 val check_nest_bounds :
   strides:int array -> bufs:Memref_rt.t array -> nest -> unit
 
-(** Execute one nest. *)
+(** Execute one nest: on unchecked accesses when {!check_nest_bounds}
+    proves the nest in range, otherwise on Bigarray's checked accesses.
+    @raise Invalid_argument on the first access outside its buffer. *)
 val run_nest :
   nest ->
   ?pool:Domain_pool.t ->
@@ -111,7 +109,9 @@ val run_nest :
 
 (** Execute the whole kernel: every nest in order. All buffers must share
     extents (one stencil program's index space).
-    @raise Fallback on mismatched buffer extents. *)
+    @raise Fallback on mismatched buffer extents.
+    @raise Invalid_argument on an access outside its buffer (see
+    {!run_nest}). *)
 val run :
   spec ->
   ?pool:Domain_pool.t ->

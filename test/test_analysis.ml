@@ -747,7 +747,7 @@ let test_footprint_lattice () =
 
 let mk_loop level dim lb ub =
   { Kc.l_level = level; Kc.l_dim = dim; Kc.l_lb = lb; Kc.l_ub = ub;
-    Kc.l_parallel = true; Kc.l_vector_width = 1 }
+    Kc.l_parallel = true }
 
 let test_footprint_of_nest () =
   (* write b0[iv0+0][iv1+0], read b1[iv0-1..+1][3] over a 2-deep nest

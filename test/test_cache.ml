@@ -276,7 +276,7 @@ let native_spec c =
   { Kc.k_nests =
       [ { Kc.n_loops =
             [ { Kc.l_level = 0; l_dim = 0; l_lb = 0; l_ub = 8;
-                l_parallel = false; l_vector_width = 1 } ];
+                l_parallel = false } ];
           n_stores =
             [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
                 st_expr =

@@ -48,8 +48,7 @@ let contains s sub =
    short-circuiting the path under test. *)
 
 let loop1d ~lb ~ub =
-  { Kc.l_level = 0; l_dim = 0; l_lb = lb; l_ub = ub; l_parallel = false;
-    l_vector_width = 1 }
+  { Kc.l_level = 0; l_dim = 0; l_lb = lb; l_ub = ub; l_parallel = false }
 
 let nest1d expr =
   { Kc.n_loops = [ loop1d ~lb:0 ~ub:8 ];
@@ -117,8 +116,7 @@ let test_emit_bakes_strides () =
    position p holds the component for dimension p. *)
 
 let loop3 lvl dim lb ub =
-  { Kc.l_level = lvl; l_dim = dim; l_lb = lb; l_ub = ub; l_parallel = false;
-    l_vector_width = 1 }
+  { Kc.l_level = lvl; l_dim = dim; l_lb = lb; l_ub = ub; l_parallel = false }
 
 let loops3d ?(lb = 1) ?(ub = 5) () =
   [ loop3 0 2 lb ub; loop3 1 1 lb ub; loop3 2 0 lb ub ]

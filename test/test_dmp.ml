@@ -540,14 +540,14 @@ let test_pipeline_dist_gs () =
       in
       check_bitwise ~msg:(Printf.sprintf "gs ranks=%d" ranks) serial dist)
     [ 1; 2; 3; 4; 8 ];
-  (* the other engines at one representative rank count *)
+  (* the interpreter at one representative rank count *)
   List.iter
     (fun (ename, engine) ->
       let dist =
         run_pipeline ~engine ~target:(P.Dist 4) ~grid:"u" src
       in
       check_bitwise ~msg:("gs engine=" ^ ename) serial dist)
-    [ ("closure", P.Engine_closure); ("interp", P.Engine_interp) ]
+    [ ("interp", P.Engine_interp) ]
 
 let test_pipeline_dist_pw () =
   let src = B.pw_advection ~nx:8 ~ny:8 ~nz:8 ~niter:3 () in

@@ -107,19 +107,17 @@ let test_all_kernels_compiled () =
   List.iter
     (fun (name, impl) ->
       match impl with
-      | P.Compiled _ | P.Vectorised _ | P.Native_jit _ | P.Distributed _ ->
-        ()
+      | P.Vectorised _ | P.Native_jit _ -> ()
       | P.Interpreted reason ->
         Alcotest.failf "%s fell back to the interpreter: %s" name reason)
     a.P.a_kernels
 
 let test_ablation_flags () =
-  (* disabling merge/specialisation changes the pipeline, never the
-     answer *)
+  (* disabling merge changes the pipeline, never the answer *)
   let a_ref = P.flang_only pw_src in
   P.run a_ref;
-  let check_flags ~merge ~specialize =
-    let a, st = P.stencil ~target:P.Serial ~merge ~specialize pw_src in
+  let check_flags ~merge =
+    let a, st = P.stencil ~target:P.Serial ~merge pw_src in
     if not merge then
       Alcotest.(check int) "no merges when disabled" 0 st.P.st_merged;
     P.run a;
@@ -129,9 +127,8 @@ let test_ablation_flags () =
           (Rt.max_abs_diff (P.buffer_exn a_ref name) (P.buffer_exn a name)))
       [ "su"; "sv"; "sw" ]
   in
-  check_flags ~merge:false ~specialize:true;
-  check_flags ~merge:true ~specialize:false;
-  check_flags ~merge:false ~specialize:false
+  check_flags ~merge:true;
+  check_flags ~merge:false
 
 (* A failing pass must surface its name and keep the stats recorded up
    to and including the failure — the debuggability contract the
@@ -246,6 +243,58 @@ let test_engine_target_matrix () =
       ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]);
       ("smooth", B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "rs"; "d" ]) ]
 
+(* ---- out-of-bounds kernels ----
+
+   A kernel reading outside its grid must fail with a catchable
+   exception on every engine and target, never read or write past the
+   buffer. The bounds proof rejects the nest, so vector and native run
+   it on the closure JIT's checked accesses. The fixture reads every
+   row far out of range; its variant reading u(i, j+2) overruns only on
+   the last row, so under openmp(2) a single worker's chunk raises.
+   Either way shutdown must still join every worker. *)
+let test_out_of_bounds_raises () =
+  let far =
+    In_channel.with_open_text "fixtures/out_of_bounds.f90"
+      In_channel.input_all
+  in
+  let last_row = Str.global_replace (Str.regexp_string "j+400") "j+2" far in
+  let native =
+    Fsc_codegen.Native.create
+      ~cache:
+        (Fsc_cache.Cache.create
+           ~dir:
+             (Filename.concat
+                (Filename.get_temp_dir_name ())
+                (Printf.sprintf "sfc-driver-oob-%d" (Unix.getpid ())))
+           ~version:Fsc_codegen.Native.format_version ())
+      ~mode:Fsc_codegen.Native.Sync ()
+  in
+  let engines =
+    P.Engine_interp :: P.Engine_vector
+    :: (match Fsc_codegen.Native.toolchain_error native with
+       | None -> [ P.Engine_native ]
+       | Some _ -> [])
+  in
+  List.iter
+    (fun (pname, src) ->
+      List.iter
+        (fun target ->
+          let ca = P.compile (P.default_options ~target ()) src in
+          List.iter
+            (fun engine ->
+              let a = P.link ~engine ~native ca in
+              let raised =
+                match P.run a with exception _ -> true | () -> false
+              in
+              P.shutdown a;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s on %s raises" pname
+                   (P.engine_name engine) (P.target_name target))
+                true raised)
+            engines)
+        [ P.Serial; P.Openmp 2; P.Dist 2 ])
+    [ ("far", far); ("last row", last_row) ]
+
 (* ---- concurrent compiles ----
 
    Server workers compile on several domains at once, sharing the IR
@@ -348,7 +397,9 @@ let () =
            test_gpu_strategy_accounting ]);
       ("matrix",
        [ Alcotest.test_case "every engine x target == flang-only" `Quick
-           test_engine_target_matrix ]);
+           test_engine_target_matrix;
+         Alcotest.test_case "out-of-bounds kernel raises" `Quick
+           test_out_of_bounds_raises ]);
       ("concurrency",
        [ Alcotest.test_case "concurrent compiles match serial" `Quick
            test_concurrent_compiles ]) ]

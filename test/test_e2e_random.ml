@@ -227,8 +227,7 @@ let run_engines p =
       outs
   in
   let engines =
-    [ ("interp", P.Engine_interp); ("closure", P.Engine_closure);
-      ("vector", P.Engine_vector) ]
+    [ ("interp", P.Engine_interp); ("vector", P.Engine_vector) ]
     @ (if Lazy.force native_ready then [ ("native", P.Engine_native) ]
        else [])
   in

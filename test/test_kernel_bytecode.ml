@@ -1,6 +1,6 @@
 (* Directed tests for the row-vectorised execution engine: statement
    classification (copy / wsum / expr), bitwise agreement with the
-   closure engine, and the compile-time fallbacks that keep the fast
+   interpreter, and the compile-time fallbacks that keep the fast
    path safe (read/write overlap, register overflow, unknown
    intrinsics). *)
 
@@ -53,26 +53,26 @@ let test_gs_classification () =
   Alcotest.(check bool) "sweep is a wsum row" true (List.mem "wsum" all);
   Alcotest.(check bool) "copy-back is a copy row" true (List.mem "copy" all)
 
-let bitwise_vs_closure ~grids src =
-  let a_c, _ = P.stencil ~target:P.Serial ~engine:P.Engine_closure src in
+let bitwise_vs_interp ~grids src =
+  let a_i, _ = P.stencil ~target:P.Serial ~engine:P.Engine_interp src in
   let a_v, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
-  P.run a_c;
+  P.run a_i;
   P.run a_v;
   List.iter
     (fun g ->
       Alcotest.(check (float 0.))
         (g ^ " bitwise identical")
         0.0
-        (Rt.max_abs_diff (P.buffer_exn a_c g) (P.buffer_exn a_v g)))
+        (Rt.max_abs_diff (P.buffer_exn a_i g) (P.buffer_exn a_v g)))
     grids
 
-let test_gs_bitwise () = bitwise_vs_closure ~grids:[ "u"; "unew" ] gs_src
+let test_gs_bitwise () = bitwise_vs_interp ~grids:[ "u"; "unew" ] gs_src
 
 let test_laplace_bitwise () =
-  bitwise_vs_closure ~grids:[ "phi"; "phinew" ] (B.laplace ~n:20 ~niter:3 ())
+  bitwise_vs_interp ~grids:[ "phi"; "phinew" ] (B.laplace ~n:20 ~niter:3 ())
 
 let test_pw_bitwise () =
-  bitwise_vs_closure ~grids:[ "su"; "sv"; "sw" ]
+  bitwise_vs_interp ~grids:[ "su"; "sv"; "sw" ]
     (B.pw_advection ~nx:8 ~ny:8 ~nz:8 ~niter:2 ())
 
 (* induction variables and intrinsics force the generic register path *)
@@ -102,7 +102,7 @@ let test_expr_path () =
   let all = List.concat_map (fun (_, p) -> kinds p) (plans a) in
   Alcotest.(check bool) "iv/intrinsic body is an expr row" true
     (List.mem "expr" all);
-  bitwise_vs_closure ~grids:[ "b" ] iv_src;
+  bitwise_vs_interp ~grids:[ "b" ] iv_src;
   (* and the engine matches the naive reference, not just each other *)
   let reference = P.flang_only iv_src in
   P.run reference;
@@ -115,7 +115,7 @@ let test_expr_path () =
 
 let loop ?(parallel = true) ~lb ~ub level dim =
   { Kc.l_level = level; l_dim = dim; l_lb = lb; l_ub = ub;
-    l_parallel = parallel; l_vector_width = 1 }
+    l_parallel = parallel }
 
 let spec1 nest = { Kc.k_nests = [ nest ]; k_num_bufs = 2; k_num_scalars = 0 }
 

@@ -15,7 +15,6 @@ let lowered_kernels ?(openmp = false) src =
   let ex = Fsc_core.Extraction.run m in
   let sm = ex.Fsc_core.Extraction.stencil_module in
   Fsc_lowering.Stencil_to_scf.run ~mode:Fsc_lowering.Stencil_to_scf.Cpu sm;
-  ignore (Fsc_lowering.Loop_specialize.run sm);
   if openmp then ignore (Fsc_lowering.Scf_to_openmp.run sm);
   Fsc_dialects.Func.all_functions sm
 
@@ -116,42 +115,6 @@ let test_fallback_reports_reason () =
   | Error reason -> Alcotest.(check bool) "reason given" true (reason <> "")
   | Ok _ -> Alcotest.fail "should not analyse"
 
-let test_vector_unroll_matches () =
-  (* specialised (unrolled) and unspecialised kernels must agree *)
-  let kernels = lowered_kernels gs_src in
-  let sweep =
-    List.find
-      (fun f ->
-        match Kc.try_analyze f with
-        | Ok s -> List.length s.Kc.k_nests = 2
-        | Error _ -> false)
-      kernels
-  in
-  let spec =
-    match Kc.try_analyze sweep with Ok s -> s | Error e -> Alcotest.fail e
-  in
-  let no_unroll =
-    { spec with
-      Kc.k_nests =
-        List.map
-          (fun n ->
-            { n with
-              Kc.n_loops =
-                List.map
-                  (fun l -> { l with Kc.l_vector_width = 1 })
-                  n.Kc.n_loops })
-          spec.Kc.k_nests }
-  in
-  let mk () =
-    let b = Rt.create [ 8; 8; 8 ] in
-    Rt.init b (fun i -> float_of_int (i mod 17));
-    b
-  in
-  let u1 = mk () and n1 = mk () and u2 = mk () and n2 = mk () in
-  Kc.run spec ~bufs:[| u1; n1 |] ~scalars:[||] ();
-  Kc.run no_unroll ~bufs:[| u2; n2 |] ~scalars:[||] ();
-  Alcotest.(check (float 0.)) "identical" 0.0 (Rt.max_abs_diff u1 u2)
-
 let test_mismatched_buffers_rejected () =
   let kernels = lowered_kernels gs_src in
   let sweep = List.hd kernels in
@@ -164,21 +127,23 @@ let test_mismatched_buffers_rejected () =
       | exception Kc.Fallback _ -> true
       | () -> false)
 
-(* The shared flat-offset bounds proof the vector and native engines
-   run before their unchecked access paths: a 1-D nest over [lb, ub)
-   reading buf0 at offset [off] into buf1, on 8-cell buffers. *)
+(* A 1-D nest over [lb, ub) reading buf0 at offset [off] into buf1. *)
+let nest_1d ~lb ~ub ~off =
+  { Kc.n_loops =
+      [ { Kc.l_level = 0; l_dim = 0; l_lb = lb; l_ub = ub;
+          l_parallel = false } ];
+    n_stores =
+      [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
+          st_expr =
+            Kc.F_unary ("math.sqrt", Kc.F_load (0, [ Kc.Iv (0, off) ])) } ];
+    n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
+    n_tile = [] }
+
+(* The shared flat-offset bounds proof the closure, vector and native
+   engines run before their unchecked access paths, on 8-cell
+   buffers. *)
 let test_nest_bounds () =
-  let nest ~lb ~ub ~off =
-    { Kc.n_loops =
-        [ { Kc.l_level = 0; l_dim = 0; l_lb = lb; l_ub = ub;
-            l_parallel = false; l_vector_width = 1 } ];
-      n_stores =
-        [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
-            st_expr =
-              Kc.F_unary ("math.sqrt", Kc.F_load (0, [ Kc.Iv (0, off) ])) } ];
-      n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
-      n_tile = [] }
-  in
+  let nest = nest_1d in
   let bufs = [| Rt.create [ 8 ]; Rt.create [ 8 ] |] in
   let strides = [| 1 |] in
   let verdict n =
@@ -214,6 +179,24 @@ let test_nest_bounds () =
     (Printf.sprintf "allocation-free (%.0f words over 1000 checks)" words)
     true (words < 100.)
 
+(* The closure JIT runs a nest the proof rejects on checked accesses:
+   the overrun raises instead of reading past the buffer, and an
+   in-range nest of the same shape still runs. *)
+let test_unproven_nest_checked () =
+  let bufs () = [| Rt.create [ 8 ]; Rt.create [ 8 ] |] in
+  let b = bufs () in
+  Rt.init b.(0) (fun i -> float_of_int (i * i));
+  Kc.run_nest (nest_1d ~lb:0 ~ub:7 ~off:1) ~bufs:b ~scalars:[||] ();
+  Alcotest.(check (float 0.)) "in-range nest ran" 7.0
+    (Rt.get b.(1) [| 6 |]);
+  Alcotest.(check bool) "overrun raises Invalid_argument" true
+    (match
+       Kc.run_nest (nest_1d ~lb:0 ~ub:8 ~off:400) ~bufs:(bufs ())
+         ~scalars:[||] ()
+     with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let () =
   Alcotest.run "kernel_compile"
     [ ("analysis",
@@ -225,9 +208,9 @@ let () =
       ("execution",
        [ Alcotest.test_case "compiled == interpreted" `Quick
            test_compiled_equals_interpreted;
-         Alcotest.test_case "unrolled == rolled" `Quick
-           test_vector_unroll_matches;
          Alcotest.test_case "mismatched buffers" `Quick
            test_mismatched_buffers_rejected;
          Alcotest.test_case "flat-offset bounds check" `Quick
-           test_nest_bounds ]) ]
+           test_nest_bounds;
+         Alcotest.test_case "unproven nest runs checked" `Quick
+           test_unproven_nest_checked ]) ]

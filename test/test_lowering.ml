@@ -1,5 +1,5 @@
-(* Lowering tests: stencil->scf in both modes, tiling, specialisation,
-   scf->openmp, the Listing-4 GPU pipeline, and its failure modes. *)
+(* Lowering tests: stencil->scf in both modes, tiling, scf->openmp,
+   the Listing-4 GPU pipeline, and its failure modes. *)
 
 open Fsc_ir
 
@@ -72,19 +72,6 @@ let test_lowering_semantics () =
   in
   Alcotest.(check (float 1e-12)) "cell value" expected
     (Fsc_rt.Memref_rt.get result [| 2; 3 |])
-
-let test_specialization_attr () =
-  let _, sm = stencil_module () in
-  Fsc_lowering.Stencil_to_scf.run ~mode:Fsc_lowering.Stencil_to_scf.Cpu sm;
-  let n = Fsc_lowering.Loop_specialize.run sm in
-  Alcotest.(check bool) "some loops specialised" true (n > 0);
-  Op.walk
-    (fun o ->
-      if Op.has_attr o "specialized" then begin
-        Alcotest.(check string) "only scf.for" "scf.for" o.Op.o_name;
-        Alcotest.(check int) "width recorded" 4 (Op.int_attr o "vector_width")
-      end)
-    sm
 
 let test_tiling () =
   let _, sm = stencil_module () in
@@ -257,7 +244,6 @@ let () =
        [ Alcotest.test_case "cpu mode" `Quick test_cpu_mode_structure;
          Alcotest.test_case "gpu mode" `Quick test_gpu_mode_structure;
          Alcotest.test_case "semantics" `Quick test_lowering_semantics;
-         Alcotest.test_case "specialisation" `Quick test_specialization_attr;
          Alcotest.test_case "tiling" `Quick test_tiling;
          Alcotest.test_case "scf->openmp" `Quick test_scf_to_openmp ]);
       ("semantics",

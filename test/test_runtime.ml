@@ -67,6 +67,48 @@ let test_pool_reuse () =
       done;
       Alcotest.(check int) "all iterations ran" 5000 (Atomic.get total))
 
+(* A raising chunk must neither kill its worker nor strand the caller
+   at the completion barrier: the exception reaches the caller, whether
+   a chunk of the caller or of the worker raised, and the pool stays
+   usable. The caller's chunks wait until the worker has run one, so the
+   worker case really raises on the worker. *)
+let test_parallel_for_raising_chunk () =
+  DP.with_pool 2 (fun pool ->
+      let caller = Domain.self () in
+      List.iter
+        (fun on_worker ->
+          let worker_ran = Atomic.make false in
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let raised =
+            match
+              DP.parallel_for pool ~lo:0 ~hi:64 (fun _ _ ->
+                  if Domain.self () = caller then begin
+                    while
+                      (not (Atomic.get worker_ran))
+                      && Unix.gettimeofday () < deadline
+                    do
+                      Domain.cpu_relax ()
+                    done;
+                    if not on_worker then failwith "caller chunk"
+                  end
+                  else begin
+                    Atomic.set worker_ran true;
+                    if on_worker then failwith "worker chunk"
+                  end)
+            with
+            | exception Failure _ -> true
+            | () -> false
+          in
+          let who = if on_worker then "worker" else "caller" in
+          Alcotest.(check bool) (who ^ " chunk raises in the caller") true
+            raised;
+          let total = Atomic.make 0 in
+          DP.parallel_for pool ~lo:0 ~hi:100 (fun lo hi ->
+              Atomic.fetch_and_add total (hi - lo) |> ignore);
+          Alcotest.(check int) "pool still covers the range" 100
+            (Atomic.get total))
+        [ false; true ])
+
 (* A team pins members to workers for the whole body; the reusable
    phase barrier must order phases across members, round after round,
    without a pool join between phases. *)
@@ -298,6 +340,8 @@ let () =
          Alcotest.test_case "empty and single" `Quick
            test_parallel_for_empty_and_single;
          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+         Alcotest.test_case "raising chunk" `Quick
+           test_parallel_for_raising_chunk;
          Alcotest.test_case "team barrier phases" `Quick
            test_team_barrier_phases;
          Alcotest.test_case "team membership bounds" `Quick

@@ -592,6 +592,31 @@ let test_serve_survives_vanishing_client () =
     (str_of (field "status" (List.hd replies)));
   stop_server socket server
 
+(* A kernel reading far outside its grid fails as a typed error reply,
+   and the server goes on serving: a valid job sent after it on the
+   same connection completes. *)
+let test_serve_out_of_bounds_job () =
+  let oob =
+    In_channel.with_open_text "fixtures/out_of_bounds.f90"
+      In_channel.input_all
+  in
+  let socket, server = start_server ~workers:1 () in
+  let replies =
+    Svc.request ~socket
+      [ job_line ~id:0 ~target:"serial" oob;
+        job_line ~id:1 ~target:"serial" gs ]
+  in
+  let status id =
+    match
+      List.find_opt (fun l -> J.to_string (field "id" l) = id) replies
+    with
+    | Some l -> str_of (field "status" l)
+    | None -> "missing"
+  in
+  Alcotest.(check string) "out-of-bounds job is an error" "error" (status "0");
+  Alcotest.(check string) "next job still served" "ok" (status "1");
+  stop_server socket server
+
 let () =
   Alcotest.run "server"
     [ ( "scheduler",
@@ -627,5 +652,7 @@ let () =
           Alcotest.test_case "overload shed" `Quick test_serve_overload_shed;
           Alcotest.test_case "quota exceeded" `Quick
             test_serve_quota_exceeded;
+          Alcotest.test_case "out-of-bounds job errors" `Quick
+            test_serve_out_of_bounds_job;
           Alcotest.test_case "survives vanishing client" `Quick
             test_serve_survives_vanishing_client ] ) ]
