@@ -141,27 +141,14 @@ let engine_arg =
            tree-walking interpreter). Link-time only: does not affect \
            compiled IR or the artifact cache.")
 
-(* One line per kernel under --stats; for the vector engine include
-   which nests fell back to the closure JIT and why, for the native
-   engine the build origin (cold build ms / warm cache hit) and per-nest
-   fallbacks. *)
+(* One line per kernel under --stats; for the vector engine each nest's
+   row shape and which nests fell back to the closure JIT and why, for
+   the native engine the build origin (cold build ms / warm cache hit)
+   and per-nest fallbacks. *)
 let impl_description = function
   | P.Native_jit (_, nk) -> Fsc_codegen.Native.describe nk
   | P.Interpreted r -> "interpreted (" ^ r ^ ")"
-  | P.Vectorised (_, plan) -> (
-    let base =
-      Printf.sprintf "vectorised (%d/%d nests)" (Kb.vectorised_nests plan)
-        (Kb.nest_count plan)
-    in
-    match Kb.fallbacks plan with
-    | [] -> base
-    | fbs ->
-      base ^ "; "
-      ^ String.concat "; "
-          (List.map
-             (fun (i, reason) ->
-               Printf.sprintf "nest %d -> closure: %s" (i + 1) reason)
-             fbs))
+  | P.Vectorised (_, plan) -> Kb.describe plan
 
 (* ---- artifact cache plumbing ---- *)
 

@@ -40,7 +40,13 @@ let c_team_barriers = Obs.counter "pool.team_barriers"
    mutex, so no wakeup can be lost. Tickets never reset, which is what
    makes immediate reuse across back-to-back phases race-free: a fast
    party re-arriving before slow parties have observed the release
-   simply lands in the next generation. *)
+   simply lands in the next generation.
+
+   A barrier can be poisoned (a team member raised): waiters wake up,
+   and every current and later [await] raises [Aborted] instead of
+   waiting for a party that will never arrive. *)
+exception Aborted
+
 module Barrier = struct
   type t = {
     b_parties : int;
@@ -49,6 +55,7 @@ module Barrier = struct
     b_spin : int;             (* bounded spin before blocking *)
     b_mutex : Mutex.t;
     b_cond : Condition.t;
+    b_poisoned : bool Atomic.t;
   }
 
   (* The default spin is deliberately small: on an oversubscribed host
@@ -57,9 +64,16 @@ module Barrier = struct
   let create ?(spin = 300) parties =
     { b_parties = parties; b_tickets = Atomic.make 0;
       b_phase = Atomic.make 0; b_spin = spin; b_mutex = Mutex.create ();
-      b_cond = Condition.create () }
+      b_cond = Condition.create (); b_poisoned = Atomic.make false }
+
+  let poison b =
+    Mutex.lock b.b_mutex;
+    Atomic.set b.b_poisoned true;
+    Condition.broadcast b.b_cond;
+    Mutex.unlock b.b_mutex
 
   let await b =
+    if Atomic.get b.b_poisoned then raise Aborted;
     if b.b_parties > 1 then begin
       let ticket = Atomic.fetch_and_add b.b_tickets 1 in
       let gen = ticket / b.b_parties in
@@ -77,10 +91,12 @@ module Barrier = struct
         done;
         if Atomic.get b.b_phase <= gen then begin
           Mutex.lock b.b_mutex;
-          while Atomic.get b.b_phase <= gen do
+          while Atomic.get b.b_phase <= gen && not (Atomic.get b.b_poisoned)
+          do
             Condition.wait b.b_cond b.b_mutex
           done;
-          Mutex.unlock b.b_mutex
+          Mutex.unlock b.b_mutex;
+          if Atomic.get b.b_phase <= gen then raise Aborted
         end
       end
     end
@@ -106,8 +122,7 @@ type work =
   | W_for of task
   | W_team of {
       tm_members : int;
-      tm_body : member:int -> barrier:(unit -> unit) -> unit;
-      tm_barrier : unit -> unit;
+      tm_run : int -> unit; (* run member [m]; never raises *)
     }
 
 type t = {
@@ -200,8 +215,7 @@ let worker_loop pool self () =
       | Some (W_team tm) ->
         (* workers beyond the team size sit this launch out but still
            join the pool-wide completion barrier *)
-        if self < tm.tm_members then
-          tm.tm_body ~member:self ~barrier:tm.tm_barrier;
+        if self < tm.tm_members then tm.tm_run self;
         Barrier.await pool.barrier
       | None -> ());
       loop ()
@@ -282,17 +296,33 @@ let team pool ~members body =
   else begin
     Obs.incr c_teams;
     let phase = Barrier.create members in
-    let tm_barrier () =
+    let barrier () =
       Obs.incr c_team_barriers;
       Barrier.await phase
     in
+    (* A raising member must neither kill its worker nor strand the
+       others at the phase barrier: the first exception is recorded and
+       poisons the barrier, so every member stops at its next phase
+       boundary; [Aborted] from the poisoned barrier is not recorded. *)
+    let error = Atomic.make None in
+    let run member =
+      try body ~member ~barrier with
+      | Aborted -> ()
+      | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set error None (Some (e, bt)));
+        Barrier.poison phase
+    in
     Mutex.lock pool.work_mutex;
-    pool.work := Some (W_team { tm_members = members; tm_body = body; tm_barrier });
+    pool.work := Some (W_team { tm_members = members; tm_run = run });
     pool.generation <- pool.generation + 1;
     Condition.broadcast pool.work_cond;
     Mutex.unlock pool.work_mutex;
-    body ~member:0 ~barrier:tm_barrier;
-    Barrier.await pool.barrier
+    run 0;
+    Barrier.await pool.barrier;
+    match Atomic.get error with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
 (* A lazily created default pool sized to the machine. *)

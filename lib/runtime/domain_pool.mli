@@ -42,6 +42,11 @@ val parallel_for :
     phase of the launch. With [members = 1] the body runs inline and
     the barrier is a no-op.
 
+    When a member raises, the team's barrier is poisoned: members
+    waiting at it, and every member reaching it later, stop there; the
+    first exception is re-raised in the caller once every member has
+    returned, and the pool stays usable.
+
     The body must not use the pool itself (a nested [parallel_for] or
     [team] would deadlock). @raise Invalid_argument when [members < 1]
     or [members > size pool]. *)

@@ -1,21 +1,28 @@
 (** Row-at-a-time vectorised execution engine for compiled stencil
-    kernels — the tier above {!Kernel_compile}'s closure JIT.
+    kernels — the default CPU tier, with {!Kernel_compile}'s closure JIT
+    as its per-nest fallback.
 
     Each nest's statements compile once into either a fused fast path
-    (weighted-sum rows, copy rows) or a small register bytecode whose
-    instructions each run as one tight loop over the innermost row.
-    Outer sequential dimensions execute in cache tiles of consecutive
-    rows (sized by the ["cpu_tile"] annotation, falling back to an L2
-    heuristic), and the leading parallel loop levels are flattened and
-    work-shared over the {!Domain_pool}.
+    (weighted-sum rows, copy rows) or a three-address row program: each
+    instruction [dst := a op b] runs as one tight loop over the
+    innermost row, and its operands are row registers, buffer rows read
+    in place inside the op's loop, or invariant slots. Subtrees without
+    loads are hoisted out of the row passes: evaluated once per row when
+    they read no innermost induction value (constants, scalars, outer
+    ivs), once per run into a fixed row when the innermost iv is all
+    they read. Outer sequential dimensions execute in cache tiles of
+    consecutive rows (sized by the ["cpu_tile"] annotation, falling back
+    to an L2 heuristic), and the leading parallel loop levels are
+    flattened and work-shared over the {!Domain_pool}.
 
     Results are bitwise identical to the closure engine: no float
     reassociation (only syntactically left-leaning add/sub chains are
-    flattened, accumulated in source order), and nests whose statements
-    read a buffer the nest writes — where row batching could change the
+    flattened, accumulated in source order; hoisted subtrees run the
+    same operations in the same order), and nests whose statements read
+    a buffer the nest writes — where row batching could change the
     read/write interleaving — fall back to the closure engine, as do
-    unsupported shapes (compile time) and accesses provably outside a
-    buffer (bind time). Fallbacks are visible per nest via {!summary} /
+    unsupported shapes (compile time) and nests the bounds proof
+    rejects (run time). Fallbacks are visible per nest via {!summary} /
     {!fallbacks} and counted on the ["rt.vector.fallbacks"] Obs
     counter; execution volume appears on ["rt.vector.rows"] and
     ["rt.vector.tiles"]. *)
@@ -25,19 +32,27 @@ module Kc = Kernel_compile
 (** A compiled execution plan for one kernel (every nest, in order). *)
 type plan
 
-(** How one nest compiled. [N_vector kinds] lists the per-statement row
-    shapes (["copy"], ["wsum"] or ["expr"]); [N_scalar reason] means the
-    nest runs on the closure engine. *)
+(** How one statement runs: [s_kind] is ["copy"], ["wsum"] or ["expr"];
+    [s_row_ops] is its passes over the row per execution (1 for a copy
+    or a sum; one per instruction of a row program, plus a store pass
+    when its root is hoisted); [s_invariants] counts the subtrees it
+    evaluates outside the row passes (per row, or once per run). *)
+type stmt_shape = {
+  s_kind : string;
+  s_row_ops : int;
+  s_invariants : int;
+}
+
+(** How one nest compiled. [N_vector shapes] lists the per-statement row
+    shapes; [N_scalar reason] means the nest runs on the closure
+    engine. *)
 type nest_compile =
-  | N_vector of string list
+  | N_vector of stmt_shape list
   | N_scalar of string
 
 (** Compile every nest of a kernel spec. Never fails: unsupported nests
     become closure-engine fallbacks recorded in the plan. *)
 val compile_spec : Kc.spec -> plan
-
-(** The spec this plan was compiled from. *)
-val spec : plan -> Kc.spec
 
 (** Per-nest compilation outcome, in nest order. *)
 val summary : plan -> nest_compile list
@@ -48,6 +63,13 @@ val fallbacks : plan -> (int * string) list
 
 val nest_count : plan -> int
 val vectorised_nests : plan -> int
+
+(** One line for [--stats]: vectorised nest count, each nest's shape
+    (e.g. ["wsum+copy"], ["expr 7 row ops, 1 invariant"], or
+    ["closure"]) and the reason of every fallback, e.g.
+    ["vectorised (1/2 nests: expr 7 row ops, 1 invariant; closure);
+    nest 2 -> closure: ..."]. *)
+val describe : plan -> string
 
 (** Execute the whole kernel: every nest in order, vectorised where the
     plan allows and on the closure engine otherwise. Parallel nests are
@@ -76,8 +98,3 @@ val run_nest :
   scalars:float array ->
   unit ->
   unit
-
-(** Default rows-per-tile heuristic used when a nest carries no
-    ["cpu_tile"] annotation (half of a nominal L2 across [arrays]
-    buffers of [row_bytes]-byte rows). Exposed for tests. *)
-val default_tile_rows : row_bytes:int -> arrays:int -> int

@@ -81,6 +81,21 @@ val check_buffers : Memref_rt.t array -> int array
     added separately from the loop bases). *)
 val delta_of : int array -> index_form list -> int
 
+(** [compile_expr ~unchecked bufs scalars strides ivs e] is the closure
+    engine's evaluator for [e]: applied to a cell's base flat offset,
+    it reads loads at [base + delta_of strides idx] (Bigarray's checked
+    accesses unless [unchecked]) and induction values from [ivs]
+    (indexed by loop level) at call time. *)
+val compile_expr :
+  unchecked:bool ->
+  Memref_rt.t array ->
+  float array ->
+  int array ->
+  int array ->
+  fexpr ->
+  int ->
+  float
+
 (** Raised by {!check_nest_bounds}; carries the offending access. *)
 exception Out_of_bounds of string
 

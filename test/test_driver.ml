@@ -112,6 +112,32 @@ let test_all_kernels_compiled () =
         Alcotest.failf "%s fell back to the interpreter: %s" name reason)
     a.P.a_kernels
 
+(* The --stats vector line names each nest's row shape. Residual: the
+   sweep is one row program of 7 passes (5 adds, the divide by the
+   hoisted 6.0, the subtract writing r) and the probe nest falls back;
+   init: two row ops over a fixed row of 0.01*i*i and two per-row
+   invariants, plus the fill r = 0. *)
+let test_vector_stats_line () =
+  let a, _ =
+    P.stencil ~target:P.Serial ~engine:P.Engine_vector (B.residual ())
+  in
+  let lines =
+    List.filter_map
+      (fun (name, impl) ->
+        match impl with
+        | P.Vectorised (_, plan) ->
+          Some (name ^ ": " ^ Fsc_rt.Kernel_bytecode.describe plan)
+        | _ -> None)
+      a.P.a_kernels
+  in
+  Alcotest.(check (list string)) "residual kernels"
+    [ "_stencil_kernel_0: vectorised (1/2 nests: expr 7 row ops, 1 \
+       invariant; closure); nest 2 -> closure: nest reads buffer 0 that \
+       it also writes";
+      "_stencil_kernel_1: vectorised (1/1 nests: expr+expr 3 row ops, 4 \
+       invariants)" ]
+    lines
+
 let test_ablation_flags () =
   (* disabling merge changes the pipeline, never the answer *)
   let a_ref = P.flang_only pw_src in
@@ -388,6 +414,8 @@ let () =
        [ Alcotest.test_case "stencil counts" `Quick test_stencil_counts;
          Alcotest.test_case "all kernels compiled" `Quick
            test_all_kernels_compiled;
+         Alcotest.test_case "vector stats line" `Quick
+           test_vector_stats_line;
          Alcotest.test_case "ablation flags" `Quick test_ablation_flags;
          Alcotest.test_case "failed pass preserves stats" `Quick
            test_failed_pass_preserves_stats;

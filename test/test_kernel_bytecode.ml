@@ -19,9 +19,16 @@ let plans a =
       | _ -> None)
     a.P.a_kernels
 
+let shapes plan =
+  List.concat_map
+    (function Kb.N_vector ss -> ss | Kb.N_scalar _ -> [])
+    (Kb.summary plan)
+
 let kinds plan =
   List.concat_map
-    (function Kb.N_vector ks -> ks | Kb.N_scalar _ -> [])
+    (function
+      | Kb.N_vector ks -> List.map (fun s -> s.Kb.s_kind) ks
+      | Kb.N_scalar _ -> [])
     (Kb.summary plan)
 
 let contains ~sub s =
@@ -111,6 +118,187 @@ let test_expr_path () =
   Alcotest.(check (float 0.)) "matches flang-only" 0.0
     (Rt.max_abs_diff (P.buffer_exn reference "b") (P.buffer_exn a "b"))
 
+(* ---- row programs: operand kinds, hoisting, strides, sums ---- *)
+
+(* A 2-D program over inputs a, b (positive, b >= 0.4) and scalar s,
+   with one nest per right-hand side writing o1, o2, ... The stencil
+   lowering always puts dimension 0 innermost, so these rows are
+   unit-stride; the non-unit-stride rows are hand-built specs below. *)
+let grid_program name rhss =
+  let outs = List.mapi (fun k _ -> Printf.sprintf "o%d" (k + 1)) rhss in
+  let nest o rhs =
+    Printf.sprintf
+      "  do j = 1, n\n    do i = 1, n\n      %s(i, j) = %s\n    end do\n  end do\n"
+      o rhs
+  in
+  let src =
+    Printf.sprintf
+      {|
+program %s
+  implicit none
+  integer, parameter :: n = 11
+  integer :: i, j
+  real(kind=8) :: s
+  real(kind=8), dimension(0:n+1, 0:n+1) :: a, b, %s
+  s = 0.37d0
+  do j = 0, n + 1
+    do i = 0, n + 1
+      a(i, j) = 0.3d0 + 0.01d0 * dble(i) * dble(j) + 0.07d0 * dble(i)
+      b(i, j) = 1.1d0 + 0.02d0 * dble(i) - 0.003d0 * dble(j) * dble(j)
+    end do
+  end do
+%send program %s
+|}
+      name (String.concat ", " outs)
+      (String.concat "" (List.map2 nest outs rhss))
+      name
+  in
+  (src, outs)
+
+(* the statements' shapes over every kernel, and bitwise agreement of
+   every output with the interpreter *)
+let check_program name rhss =
+  let src, outs = grid_program name rhss in
+  bitwise_vs_interp ~grids:outs src;
+  let a, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
+  let ps = plans a in
+  List.iter
+    (fun (k, plan) ->
+      Alcotest.(check int) (name ^ "/" ^ k ^ ": no fallbacks") 0
+        (List.length (Kb.fallbacks plan)))
+    ps;
+  (a, List.concat_map (fun (_, p) -> shapes p) ps)
+
+let reg = "(a(i, j) * b(i-1, j))" (* a product: one row register *)
+let load = "b(i+1, j)" (* a buffer row, read inside the op *)
+let inv = "(s * dble(j))" (* a row invariant over an outer iv *)
+
+let pairings =
+  [ ("reg", reg, "reg", "(a(i-1, j) * a(i, j))"); ("reg", reg, "load", load);
+    ("reg", reg, "inv", inv); ("load", load, "reg", reg);
+    ("load", load, "load", "a(i, j-1)"); ("load", load, "inv", inv);
+    ("inv", inv, "reg", reg); ("inv", inv, "load", load) ]
+
+let test_arith_pairings () =
+  List.iter
+    (fun (opname, op) ->
+      (* each pairing twice: as the root (the op writes the output row)
+         and under a product (the op writes a register) *)
+      let rhss =
+        List.concat_map
+          (fun (_, l, _, r) ->
+            let e = Printf.sprintf "%s %s %s" l op r in
+            [ e; Printf.sprintf "(%s) * a(i, j+1)" e ])
+          pairings
+      in
+      let _, sh = check_program ("arith_" ^ opname) rhss in
+      Alcotest.(check bool) (opname ^ ": row programs used") true
+        (List.exists (fun s -> s.Kb.s_kind = "expr") sh))
+    [ ("add", "+"); ("sub", "-"); ("mul", "*"); ("div", "/") ]
+
+let test_intrinsic_operands () =
+  let _, sh =
+    check_program "intrinsics"
+      [ "max(" ^ load ^ ", " ^ inv ^ ")"; "max(" ^ inv ^ ", " ^ load ^ ")";
+        "min(" ^ load ^ ", " ^ inv ^ ")"; "min(" ^ inv ^ ", " ^ load ^ ")";
+        "max(" ^ reg ^ ", " ^ load ^ ")"; load ^ " ** (s + 0.5d0)";
+        "(s + 1.0d0) ** " ^ load; reg ^ " ** a(i, j)";
+        "atan2(" ^ load ^ ", " ^ inv ^ ")"; "atan2(" ^ inv ^ ", " ^ load ^ ")";
+        "atan2(" ^ reg ^ ", " ^ load ^ ")"; "sqrt(" ^ load ^ ") + " ^ inv ]
+  in
+  Alcotest.(check bool) "row programs used" true
+    (List.exists (fun s -> s.Kb.s_kind = "expr") sh)
+
+let test_invariant_statements () =
+  let a, _ =
+    check_program "invariants"
+      [ "s * 2.0d0 + dble(j)"; "0.0d0"; "sqrt(s) + 0.5d0"; "0.25d0 * dble(i)";
+        "dble(i) * dble(j) - s" ]
+  in
+  (* the last five statements: the init nest's come first *)
+  let exprs =
+    List.concat_map (fun (_, p) -> shapes p) (plans a)
+    |> List.filter (fun s -> s.Kb.s_kind = "expr")
+    |> List.rev |> List.filteri (fun k _ -> k < 5) |> List.rev
+  in
+  (* o1..o4 are hoisted whole: one store pass (a fill or a fixed-row
+     copy) each; o5 mixes the inner iv with an outer one, 2 row ops *)
+  Alcotest.(check (list int)) "row ops" [ 1; 1; 1; 1; 2 ]
+    (List.map (fun s -> s.Kb.s_row_ops) exprs);
+  Alcotest.(check (list int)) "invariants" [ 1; 1; 1; 1; 3 ]
+    (List.map (fun s -> s.Kb.s_invariants) exprs)
+
+(* dble(j) * dble(k) depends on two outer loops: it is evaluated once
+   per row, as in the Gauss-Seidel and residual init nests *)
+let test_outer_iv_invariants () =
+  let src =
+    {|
+program outer_ivs
+  implicit none
+  integer, parameter :: n = 9
+  integer :: i, j, k
+  real(kind=8), dimension(0:n+1, 0:n+1, 0:n+1) :: u, v
+  do k = 0, n + 1
+    do j = 0, n + 1
+      do i = 0, n + 1
+        u(i, j, k) = 0.01d0 * dble(i) * dble(i) &
+                   + 0.02d0 * dble(j) * dble(k) + 0.03d0 * dble(k)
+      end do
+    end do
+  end do
+  do k = 1, n
+    do j = 1, n
+      do i = 1, n
+        v(i, j, k) = u(i, j, k) * (dble(j) * dble(k)) - dble(k) / 7.0d0
+      end do
+    end do
+  end do
+end program outer_ivs
+|}
+  in
+  bitwise_vs_interp ~grids:[ "u"; "v" ] src;
+  let a, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
+  let exprs =
+    List.concat_map (fun (_, p) -> shapes p) (plans a)
+    |> List.filter (fun s -> s.Kb.s_kind = "expr")
+  in
+  Alcotest.(check (list (pair int int))) "row ops, invariants"
+    [ (2, 3); (2, 2) ]
+    (List.map (fun s -> (s.Kb.s_row_ops, s.Kb.s_invariants)) exprs)
+
+let sum4 = "(a(i-1, j) + a(i+1, j) + b(i, j-1) + b(i, j+1))"
+let sum6 = "(a(i-1, j) + a(i+1, j) + a(i, j-1) + a(i, j+1) + b(i, j) + b(i-1, j))"
+let sum3 = "(a(i-1, j) - 2.0d0 * b(i, j) + s * a(i+1, j))"
+
+let scaled sum =
+  [ sum; sum ^ " * 0.25d0"; "0.25d0 * " ^ sum; sum ^ " / 6.0d0"; sum ^ " * s";
+    "s * " ^ sum; sum ^ " / s" ]
+
+let test_wsum_scales () =
+  let rhss = scaled sum4 @ scaled sum6 @ scaled sum3 in
+  let _, sh = check_program "wsum_scales" rhss in
+  Alcotest.(check int) "every sum is a wsum row" (List.length rhss)
+    (List.length (List.filter (fun s -> s.Kb.s_kind = "wsum") sh))
+
+(* x / 3.0d0 stays a division: on these inputs multiplying by the
+   rounded reciprocal differs in some cell, so bitwise agreement with
+   the interpreter pins it *)
+let test_division_not_reciprocal () =
+  let src, _ = grid_program "div3" [ "a(i, j) / 3.0d0" ] in
+  let r = P.flang_only src in
+  P.run r;
+  let a = P.buffer_exn r "a" in
+  let differs = ref false in
+  for k = 0 to Bigarray.Array1.dim a.Rt.data - 1 do
+    let x = Bigarray.Array1.get a.Rt.data k in
+    if x /. 3.0 <> x *. (1.0 /. 3.0) then differs := true
+  done;
+  Alcotest.(check bool) "reciprocal would differ" true !differs;
+  ignore
+    (check_program "div3"
+       [ "a(i, j) / 3.0d0"; "(a(i, j) * b(i, j)) / 3.0d0";
+         "a(i, j) / 3.0d0 + b(i, j)" ])
+
 (* ---- hand-built specs: the compile-time fallbacks ---- *)
 
 let loop ?(parallel = true) ~lb ~ub level dim =
@@ -133,6 +321,72 @@ let run_both spec =
   let plan = Kb.compile_spec spec in
   Kb.run plan ~bufs:[| v0; v1 |] ~scalars:[||] ();
   (plan, Rt.max_abs_diff c0 v0, Rt.max_abs_diff c1 v1)
+
+(* Rows at non-unit stride: level 1 (innermost) walks dimension 1 of
+   12 x 12 buffers, so consecutive cells of a row are 12 apart. The
+   stencil lowering never produces such a nest, so it is built by hand
+   and held to the closure engine, the per-cell reference that the
+   interpreter comparisons above pin. Buffer 0 = a, 1 = b, 2.. = one
+   output per statement; scalar 0 = s. *)
+let test_strided_rows () =
+  let n = 12 in
+  let ld buf c0 c1 = Kc.F_load (buf, [ Kc.Iv (0, c0); Kc.Iv (1, c1) ]) in
+  let bin op x y = Kc.F_binary (op, x, y) in
+  let s = Kc.F_scalar 0 in
+  let reg = bin "arith.mulf" (ld 0 0 0) (ld 1 (-1) 0) in
+  let inv = bin "arith.mulf" s (Kc.F_ivf (0, 0)) in
+  let plus = List.fold_left (bin "arith.addf") in
+  let sum4 = plus (ld 0 (-1) 0) [ ld 0 1 0; ld 1 0 (-1); ld 1 0 1 ] in
+  let sum6 = plus (ld 0 (-1) 0) [ ld 0 1 0; ld 0 0 (-1); ld 0 0 1; ld 1 0 0; ld 1 (-1) 0 ] in
+  let scales sum =
+    [ sum; bin "arith.mulf" sum (Kc.F_const 0.25);
+      bin "arith.divf" sum (Kc.F_const 6.0); bin "arith.mulf" s sum;
+      bin "arith.divf" sum s ]
+  in
+  let exprs =
+    [ bin "arith.addf" reg (ld 1 1 0); bin "arith.subf" inv (ld 1 1 0);
+      bin "arith.mulf" (Kc.F_unary ("math.sqrt", ld 1 0 1)) inv;
+      bin "arith.maximumf" (ld 1 0 (-1)) reg;
+      bin "arith.divf" inv (ld 0 0 0);
+      bin "arith.mulf" (Kc.F_ivf (1, 0)) (Kc.F_const 0.5);
+      bin "arith.addf" s (Kc.F_ivf (1, 2)); Kc.F_const 0.0 ]
+  in
+  let all = exprs @ scales sum4 @ scales sum6 in
+  let nest =
+    { Kc.n_loops =
+        [ loop ~lb:1 ~ub:(n - 1) 0 0; loop ~parallel:false ~lb:1 ~ub:(n - 1) 1 1 ];
+      n_stores =
+        List.mapi
+          (fun k e ->
+            { Kc.st_buf = k + 2; st_index = [ Kc.Iv (0, 0); Kc.Iv (1, 0) ];
+              st_expr = e })
+          all;
+      n_uses_iv = true; n_flops_per_cell = 1; n_loads_per_cell = 1;
+      n_tile = [] }
+  in
+  let nbufs = List.length all + 2 in
+  let spec = { Kc.k_nests = [ nest ]; k_num_bufs = nbufs; k_num_scalars = 1 } in
+  let mk () =
+    Array.init nbufs (fun k ->
+        let b = Rt.create [ n; n ] in
+        Rt.init b (fun i -> 0.4 +. (0.01 *. float_of_int ((i * (k + 3)) mod 97)));
+        b)
+  in
+  let c = mk () and v = mk () in
+  let scalars = [| 0.37 |] in
+  Kc.run spec ~bufs:c ~scalars ();
+  let plan = Kb.compile_spec spec in
+  Alcotest.(check int) "vectorised" 1 (Kb.vectorised_nests plan);
+  Alcotest.(check (list string)) "shapes"
+    (List.map (fun _ -> "expr") exprs @ List.init 10 (fun _ -> "wsum"))
+    (List.map (fun s -> s.Kb.s_kind) (shapes plan));
+  Kb.run plan ~bufs:v ~scalars ();
+  Array.iteri
+    (fun k cb ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "buffer %d bitwise identical" k)
+        0.0 (Rt.max_abs_diff cb v.(k)))
+    c
 
 let test_rw_overlap_falls_back () =
   (* u(i) = u(i-1) + u(i+1) reads the buffer it writes: row batching
@@ -162,20 +416,26 @@ let test_rw_overlap_falls_back () =
 
 let test_register_overflow_falls_back () =
   (* right-leaning chains cannot be flattened without reassociating, so
-     evaluation depth — and the register need — grows with the chain;
+     every left operand stays live while the rest of the chain is
+     evaluated. Loads are read in place and need no register, so the
+     left operands are products, each held in a register of its own;
      past the engine's cap the nest must fall back, not miscompile *)
+  let product =
+    Kc.F_binary
+      ( "arith.mulf",
+        Kc.F_load (0, [ Kc.Iv (0, 0) ]),
+        Kc.F_load (0, [ Kc.Iv (0, 0) ]) )
+  in
   let rec chain k =
     if k = 0 then Kc.F_load (0, [ Kc.Iv (0, 0) ])
-    else
-      Kc.F_binary
-        ("arith.addf", Kc.F_load (0, [ Kc.Iv (0, 0) ]), chain (k - 1))
+    else Kc.F_binary ("arith.addf", product, chain (k - 1))
   in
   let nest =
     { Kc.n_loops = [ loop ~lb:0 ~ub:16 0 0 ];
       n_stores =
         [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
             st_expr = chain 70 } ];
-      n_uses_iv = false; n_flops_per_cell = 70; n_loads_per_cell = 71;
+      n_uses_iv = false; n_flops_per_cell = 140; n_loads_per_cell = 141;
       n_tile = [] }
   in
   let plan, d0, d1 = run_both (spec1 nest) in
@@ -273,6 +533,19 @@ let () =
        [ Alcotest.test_case "gauss-seidel" `Quick test_gs_bitwise;
          Alcotest.test_case "laplace" `Quick test_laplace_bitwise;
          Alcotest.test_case "pw advection" `Quick test_pw_bitwise ]);
+      ("row programs",
+       [ Alcotest.test_case "arithmetic x operand pairings" `Quick
+           test_arith_pairings;
+         Alcotest.test_case "intrinsics with load and invariant operands"
+           `Quick test_intrinsic_operands;
+         Alcotest.test_case "invariant-only statements" `Quick
+           test_invariant_statements;
+         Alcotest.test_case "outer-iv invariants" `Quick
+           test_outer_iv_invariants;
+         Alcotest.test_case "wsum scale kinds" `Quick
+           test_wsum_scales;
+         Alcotest.test_case "division is not a reciprocal multiply" `Quick
+           test_division_not_reciprocal ]);
       ("fallbacks",
        [ Alcotest.test_case "read/write overlap" `Quick
            test_rw_overlap_falls_back;
@@ -281,6 +554,7 @@ let () =
          Alcotest.test_case "unknown unary" `Quick
            test_unknown_unary_falls_back ]);
       ("execution",
-       [ Alcotest.test_case "tile override" `Quick
+       [ Alcotest.test_case "non-unit stride rows" `Quick test_strided_rows;
+         Alcotest.test_case "tile override" `Quick
            test_tile_override_bitwise;
          Alcotest.test_case "pooled" `Quick test_pooled_bitwise ]) ]

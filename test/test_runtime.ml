@@ -109,6 +109,37 @@ let test_parallel_for_raising_chunk () =
             (Atomic.get total))
         [ false; true ])
 
+(* A raising team member must neither kill its worker nor strand the
+   other members at the phase barrier: member 1 (a worker) raises
+   before the first barrier of a 3-phase body, then member 0 (the
+   caller) raises between phases. Each exception reaches the caller,
+   and the pool stays usable. *)
+let test_team_raising_member () =
+  DP.with_pool 3 (fun pool ->
+      List.iter
+        (fun (who, raiser, at_phase) ->
+          let raised =
+            match
+              DP.team pool ~members:3 (fun ~member ~barrier ->
+                  for p = 0 to 2 do
+                    if member = raiser && p = at_phase then
+                      failwith (Printf.sprintf "member %d" member);
+                    barrier ()
+                  done)
+            with
+            | exception Failure m -> m
+            | () -> "no exception"
+          in
+          Alcotest.(check string) (who ^ " raises in the caller")
+            (Printf.sprintf "member %d" raiser)
+            raised;
+          let total = Atomic.make 0 in
+          DP.parallel_for pool ~lo:0 ~hi:100 (fun lo hi ->
+              Atomic.fetch_and_add total (hi - lo) |> ignore);
+          Alcotest.(check int) (who ^ ": parallel_for after the team") 100
+            (Atomic.get total))
+        [ ("worker member", 1, 0); ("caller member", 0, 1) ])
+
 (* A team pins members to workers for the whole body; the reusable
    phase barrier must order phases across members, round after round,
    without a pool join between phases. *)
@@ -342,6 +373,8 @@ let () =
          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
          Alcotest.test_case "raising chunk" `Quick
            test_parallel_for_raising_chunk;
+         Alcotest.test_case "raising team member" `Quick
+           test_team_raising_member;
          Alcotest.test_case "team barrier phases" `Quick
            test_team_barrier_phases;
          Alcotest.test_case "team membership bounds" `Quick
