@@ -378,6 +378,9 @@ let print_dist_stats dst =
       "dist: %d halo stale(s) avoided by footprint analysis (interior \
        writes kept halos fresh)\n"
       s.Dk.ds_stales_avoided;
+  if s.Dk.ds_scatters_skipped > 0 then
+    Printf.eprintf "dist: %d scatters skipped (kernel overwrites the grid)\n"
+      s.Dk.ds_scatters_skipped;
   Printf.eprintf
     "dist: %d distributed runs, %d host fallbacks, %d overlap / %d \
      blocking / %d fused stages\n"
@@ -420,6 +423,25 @@ let print_dist_stats dst =
           m s.Dk.ds_ranks
       | _ -> ())
     s.Dk.ds_groups
+
+(* Grids allocated without a zero-fill, grouped by the kernel whose
+   first call overwrites them: "grids without zero-fill: u, unew
+   (overwritten by _stencil_kernel_1)". *)
+let print_unzeroed = function
+  | [] -> ()
+  | unzeroed ->
+    let kernels = List.sort_uniq compare (List.map snd unzeroed) in
+    Printf.eprintf "grids without zero-fill: %s\n"
+      (String.concat "; "
+         (List.map
+            (fun k ->
+              Printf.sprintf "%s (overwritten by %s)"
+                (String.concat ", "
+                   (List.filter_map
+                      (fun (g, k') -> if k' = k then Some g else None)
+                      unzeroed))
+                k)
+            kernels))
 
 let run_cmd =
   let run file target threads ranks engine cache_flag cache_dir cache_mb stats
@@ -499,6 +521,7 @@ let run_cmd =
                   (s.Fsc_rt.Gpu_sim.s_bytes_h2d / 1024)
                   (s.Fsc_rt.Gpu_sim.s_bytes_d2h / 1024)
               | None -> ());
+              print_unzeroed a.P.a_unzeroed;
               Option.iter print_dist_stats a.P.a_dist;
               List.iter
                 (fun (name, buf) ->

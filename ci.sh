@@ -231,22 +231,28 @@ else
 fi
 rm -rf "$NCACHE"
 
-# Benchmark smoke: the benchmark's own tests, then short cold-start and
-# exec-steady runs that must check every op correct with none failed —
-# a benchmark that cannot run its workloads fails here, before merge.
-# exec-steady checks every vector and native op bitwise against the
-# interpreter's reference checksums. Both need the native toolchain, so
-# they follow the native smoke's skip.
+# Benchmark smoke: the benchmark's own tests, then short cold-start,
+# exec-steady and exec-parallel runs that must check every op correct
+# with none failed and exit 0 — a benchmark that cannot run its
+# workloads fails here, before merge. exec-steady checks every vector
+# and native op bitwise against the interpreter's reference checksums,
+# exec-parallel every native openmp(2) and dist(2) op. All three need
+# the native toolchain, so they follow the native smoke's skip.
 if ! python3 perfbench/test_perfbench.py; then
   echo "ci: perfbench tests failed"
   exit 1
 fi
 if printf '%s\n' "$cold_out" | grep -q 'native unavailable'; then
-  echo "perfbench smoke: cold-start and exec-steady SKIPPED (no ocamlopt toolchain)"
+  echo "perfbench smoke: cold-start, exec-steady and exec-parallel SKIPPED (no ocamlopt toolchain)"
 else
-  for workload in cold-start exec-steady; do
-    pb_out=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
-      --seconds 3 --trace 0 | tail -n 1)
+  for workload in cold-start exec-steady exec-parallel; do
+    if ! pb_full=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 3 --trace 0); then
+      echo "ci: perfbench $workload smoke exited nonzero"
+      printf '%s\n' "$pb_full"
+      exit 1
+    fi
+    pb_out=$(printf '%s\n' "$pb_full" | tail -n 1)
     if ! printf '%s\n' "$pb_out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
@@ -256,7 +262,7 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
       exit 1
     fi
   done
-  echo "perfbench smoke: tests pass, 3 s cold-start and exec-steady runs correct with 0 failed ops"
+  echo "perfbench smoke: tests pass, 3 s cold-start, exec-steady and exec-parallel runs correct with 0 failed ops"
 fi
 
 # Distributed-backend smoke: the dist target must reproduce the serial

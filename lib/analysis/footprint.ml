@@ -123,3 +123,35 @@ let nest_to_string i fp =
       (if fp.nf_writes = [] then "-" else accesses_to_string fp.nf_writes)
 
 let to_string t = String.concat "\n" (List.mapi nest_to_string t)
+
+(* Must-write: a store whose index is [Iv (l_d, 0)] in every dimension,
+   each [l_d] a loop walking exactly [0, dims.(d)) of that dimension,
+   in a nest with one loop per dimension, executes once per cell of the
+   buffer. Loads anywhere in the kernel could observe the old contents
+   (before the store, or through a later nest), so any read footprint
+   of [buf] disqualifies it; an empty nest reads nothing. *)
+let overwrites (spec : Kc.spec) ~buf ~dims =
+  let rank = Array.length dims in
+  let covers (n : Kc.nest) (st : Kc.store_stmt) =
+    st.Kc.st_buf = buf
+    && List.length st.Kc.st_index = rank
+    && List.for_all2
+         (fun d form ->
+           match form with
+           | Kc.Iv (lvl, 0) ->
+             List.exists
+               (fun l ->
+                 l.Kc.l_level = lvl && l.Kc.l_dim = d && l.Kc.l_lb = 0
+                 && l.Kc.l_ub = dims.(d))
+               n.Kc.n_loops
+           | Kc.Iv _ | Kc.Cst _ -> false)
+         (List.init rank Fun.id) st.Kc.st_index
+  in
+  List.for_all
+    (fun fp -> not (List.mem_assoc buf fp.nf_reads))
+    (of_spec spec)
+  && List.exists
+       (fun n ->
+         List.length n.Kc.n_loops = rank
+         && List.exists (covers n) n.Kc.n_stores)
+       spec.Kc.k_nests

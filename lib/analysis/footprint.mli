@@ -8,8 +8,9 @@
     offset)] / [Cst c]) and loop bounds, with a sound [Top] for any
     subscript the abstraction cannot bound.  Consumers: halo-aware
     staling in [Fsc_dmp.Dist_kernel] (a write only stales halo
-    freshness when its footprint touches a mirrored boundary plane)
-    and the [sfc check] lints built in {!Check}. *)
+    freshness when its footprint touches a mirrored boundary plane),
+    the [sfc check] lints built in {!Check}, and the must-write check
+    {!overwrites} behind skipped zero-fills and scatters. *)
 
 (** One dimension of a footprint: a closed interval or the whole axis.
     [Range (lo, hi)] is inclusive on both ends and satisfies
@@ -72,3 +73,13 @@ val to_string : t -> string
 (** Stable multi-line rendering, one line per nest; used both for
     [--stats] display and as the canonical form the artifact cache
     stores and revalidates against. *)
+
+(** [overwrites spec ~buf ~dims] is a must-write check: true when no
+    nest of the kernel loads buffer argument [buf], and some nest, with
+    one loop per dimension of [dims], stores to [buf] at [Iv (l_d, 0)]
+    in every dimension [d], where the loop at level [l_d] walks [d] over
+    [\[0, dims.(d))]. That nest writes every cell of a [dims]-shaped
+    buffer before anything reads one, so the buffer's prior contents
+    cannot reach any result. Callers must rule out aliasing themselves:
+    the check sees argument indices, not physical buffers. *)
+val overwrites : Fsc_rt.Kernel_compile.spec -> buf:int -> dims:int array -> bool

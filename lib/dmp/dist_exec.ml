@@ -94,10 +94,13 @@ let fill_local t st buf f =
     done
   done
 
+(* Unfilled: every caller writes every cell of the block it gets
+   ([fill_local], the scatter) or hands it to a kernel that does
+   ([alloc_field]). *)
 let alloc_local t rank =
   let lx, ly, lz = Decomp.local_extents t.decomp rank in
-  if t.field_rank = 2 then Rt.create [ lx + 2; ly + 2 ]
-  else Rt.create [ lx + 2; ly + 2; lz + 2 ]
+  if t.field_rank = 2 then Rt.create_uninit [ lx + 2; ly + 2 ]
+  else Rt.create_uninit [ lx + 2; ly + 2; lz + 2 ]
 
 (* Find-or-allocate a rank's buffer for [name]. On overwrite the assoc
    list is rebuilt with exactly one binding: a duplicate left behind by
@@ -166,8 +169,8 @@ let set_field_from_global t name gbuf =
       end)
     t.ranks
 
-let has_field t name =
-  Array.length t.ranks > 0 && List.mem_assoc name t.ranks.(0).rs_fields
+let alloc_field t name =
+  Array.iter (fun st -> ignore (rank_buffer t st name)) t.ranks
 
 let create ?pool ?(field_rank = 3) decomp ~fields ~init =
   (if field_rank <> 2 && field_rank <> 3 then
@@ -536,55 +539,63 @@ let iterate t ?(mode = Blocking) ~iters ~swap_fields ~sweep ?finish () =
 (* Gather                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Gather field [name] into a global (nx+2)(ny+2)[(nz+2)] grid. Each
-   rank contributes its interior plus only those halo planes that sit on
-   the *global* boundary — interior halos are other ranks' cells (and
-   may be one exchange stale), so writing them would corrupt the
-   gather. Row copies with flat indices (x is contiguous in both). *)
-let gather_into t name out =
+(* Copy rank [rank]'s part of field [name] into a global
+   (nx+2)(ny+2)[(nz+2)] grid: its interior plus only those halo planes
+   that sit on the *global* boundary — interior halos are other ranks'
+   cells (and may be one exchange stale), so writing them would corrupt
+   the gather. The ranks' regions are disjoint and together cover the
+   grid, so ranks may copy concurrently. Row copies with flat indices
+   (x is contiguous in both). *)
+let gather_rank t name ~rank out =
   let nx, ny, nz = t.decomp.Decomp.global in
   let odata = out.Rt.data in
   let os1 = out.Rt.strides.(1) in
-  Array.iter
-    (fun st ->
-      let (_, _), (yl, yh), (zl, zh) = st.rs_range in
-      let jlo = if yl = 1 then yl - 1 else yl in
-      let jhi = if yh = ny then yh + 1 else yh in
-      let klo = if zl = 1 then zl - 1 else zl in
-      let khi = if zh = nz then zh + 1 else zh in
-      let buf = field st name in
-      let data = buf.Rt.data in
-      let ls1 = buf.Rt.strides.(1) in
-      if t.field_rank = 2 then
-        for j = jlo to jhi do
-          let l = (j - yl + 1) * ls1 and g = j * os1 in
-          for i = 0 to nx + 1 do
-            Bigarray.Array1.unsafe_set odata (g + i)
-              (Bigarray.Array1.unsafe_get data (l + i))
-          done
+  let st = t.ranks.(rank) in
+  let (_, _), (yl, yh), (zl, zh) = st.rs_range in
+  let jlo = if yl = 1 then yl - 1 else yl in
+  let jhi = if yh = ny then yh + 1 else yh in
+  let klo = if zl = 1 then zl - 1 else zl in
+  let khi = if zh = nz then zh + 1 else zh in
+  let buf = field st name in
+  let data = buf.Rt.data in
+  let ls1 = buf.Rt.strides.(1) in
+  if t.field_rank = 2 then
+    for j = jlo to jhi do
+      let l = (j - yl + 1) * ls1 and g = j * os1 in
+      for i = 0 to nx + 1 do
+        Bigarray.Array1.unsafe_set odata (g + i)
+          (Bigarray.Array1.unsafe_get data (l + i))
+      done
+    done
+  else begin
+    let os2 = out.Rt.strides.(2) and ls2 = buf.Rt.strides.(2) in
+    for k = klo to khi do
+      for j = jlo to jhi do
+        let l = ((j - yl + 1) * ls1) + ((k - zl + 1) * ls2)
+        and g = (j * os1) + (k * os2) in
+        for i = 0 to nx + 1 do
+          Bigarray.Array1.unsafe_set odata (g + i)
+            (Bigarray.Array1.unsafe_get data (l + i))
         done
-      else begin
-        let os2 = out.Rt.strides.(2) and ls2 = buf.Rt.strides.(2) in
-        for k = klo to khi do
-          for j = jlo to jhi do
-            let l = ((j - yl + 1) * ls1) + ((k - zl + 1) * ls2)
-            and g = (j * os1) + (k * os2) in
-            for i = 0 to nx + 1 do
-              Bigarray.Array1.unsafe_set odata (g + i)
-                (Bigarray.Array1.unsafe_get data (l + i))
-            done
-          done
-        done
-      end)
-    t.ranks
+      done
+    done
+  end
+
+(* Gather several fields in one team launch: each member copies its own
+   ranks' regions of every field. *)
+let gather_fields t fields =
+  run_phases t
+    [ (fun ~rank ->
+        List.iter (fun (name, out) -> gather_rank t name ~rank out) fields)
+    ]
 
 let gather t name =
   let nx, ny, nz = t.decomp.Decomp.global in
   let out =
-    if t.field_rank = 2 then Rt.create [ nx + 2; ny + 2 ]
-    else Rt.create [ nx + 2; ny + 2; nz + 2 ]
+    if t.field_rank = 2 then Rt.create_uninit [ nx + 2; ny + 2 ]
+    else Rt.create_uninit [ nx + 2; ny + 2; nz + 2 ]
   in
-  gather_into t name out;
+  Array.iteri (fun rank _ -> gather_rank t name ~rank out) t.ranks;
   out
 
 let stats t = (Mpi.messages t.mpi, Mpi.bytes t.mpi)

@@ -67,18 +67,19 @@ val create :
   init:(string -> int * int * int -> float) ->
   t
 
-(** Add a field on every rank (or re-initialise an existing one; the
-    per-rank field list is deduplicated on overwrite so a stale
-    duplicate binding can never shadow the authoritative buffer). *)
-val set_field : t -> string -> (int * int * int -> float) -> unit
-
-(** Like {!set_field}, but scatters from a global
-    (nx+2)(ny+2)[(nz+2)] buffer by contiguous row copies — the fast
-    path behind kernel scatter. @raise Invalid_argument when the buffer
-    shape does not match the decomposition's global extents. *)
+(** Add field [name] on every rank (or overwrite an existing one's
+    values) by scattering a global (nx+2)(ny+2)[(nz+2)] buffer with
+    contiguous row copies — the kernel scatter. Each rank's block,
+    halos included, mirrors the global buffer afterwards.
+    @raise Invalid_argument when the buffer shape does not match the
+    decomposition's global extents. *)
 val set_field_from_global : t -> string -> Rt.t -> unit
 
-val has_field : t -> string -> bool
+(** Add field [name] on every rank without initialising it: the blocks'
+    cells hold arbitrary values until written. For a field whose next
+    kernel overwrites every cell, where a scatter would be wasted. *)
+val alloc_field : t -> string -> unit
+
 val field : rank_state -> string -> Rt.t
 
 (** The whole local interior of a rank. *)
@@ -165,12 +166,15 @@ val iterate :
   unit ->
   unit
 
-(** Gather a field into a global grid. Each rank contributes its
+(** Gather a field into a new global grid. Each rank contributes its
     interior plus only global-boundary halo planes (interior halos are
     other ranks' cells and may be one exchange stale). *)
 val gather : t -> string -> Rt.t
 
-val gather_into : t -> string -> Rt.t -> unit
+(** Gather every [(field, global grid)] pair into its grid, as
+    {!gather} does, in one {!run_phases} launch: each team member
+    copies its own ranks' disjoint regions. *)
+val gather_fields : t -> (string * Rt.t) list -> unit
 
 (** (messages, bytes) moved so far. *)
 val stats : t -> int * int

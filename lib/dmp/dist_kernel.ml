@@ -10,10 +10,14 @@
    Coherence follows the GPU device-resident contract: buffer groups
    live scattered across ranks while distributed kernels run, and are
    gathered back into the host's global buffers only at the end of the
-   run ([sync_back]) or when a non-distributable kernel needs the host
+   run ([sync_back], one team launch in which every member copies its
+   own ranks' blocks) or when a non-distributable kernel needs the host
    copy ([run_fallback]). Host code reading grids between kernels inside
    one run sees stale data — exactly as with device-resident GPU
-   buffers.
+   buffers. Like the paper's data-placement pass, only data a kernel
+   needs moves: a buffer whose calling kernel overwrites every cell
+   before reading any ([Footprint.overwrites]) is not scattered — its
+   rank blocks are allocated unfilled and the kernel fills them.
 
    A kernel distributes when, in every decomposed dimension (y, and z
    for 3-D fields), all stores hit the iteration cell exactly
@@ -39,6 +43,7 @@ module SS = Set.Make (String)
 let c_fallbacks = Obs.counter "dmp.fallbacks"
 let c_scatters = Obs.counter "dmp.scatters"
 let c_gathers = Obs.counter "dmp.gathers"
+let c_scatters_skipped = Obs.counter "dmp.scatters_skipped"
 let c_fused = Obs.counter "dmp.fused"
 let c_stales_avoided = Obs.counter "dmp.stales_avoided"
 
@@ -95,6 +100,7 @@ type state = {
   mutable dk_blocking_stages : int;
   mutable dk_fused_stages : int;
   mutable dk_stales_avoided : int;
+  mutable dk_scatters_skipped : int;
   mutable dk_vec_nests : int;
   mutable dk_total_nests : int;
 }
@@ -104,8 +110,8 @@ let create ?pool ~ranks () =
     dk_groups = []; dk_ids = [];
     dk_next_id = 0; dk_plans = Hashtbl.create 8; dk_dist_runs = 0;
     dk_fallback_runs = 0; dk_overlap_stages = 0; dk_blocking_stages = 0;
-    dk_fused_stages = 0; dk_stales_avoided = 0; dk_vec_nests = 0;
-    dk_total_nests = 0 }
+    dk_fused_stages = 0; dk_stales_avoided = 0; dk_scatters_skipped = 0;
+    dk_vec_nests = 0; dk_total_nests = 0 }
 
 let buf_id st b =
   let rec find = function
@@ -521,11 +527,34 @@ let group_for st dims =
     st.dk_groups <- g :: st.dk_groups;
     g
 
-let ensure_scattered st g bufs =
+(* Make global buffer [gb] authoritative on the ranks before a call of
+   [spec] on [bufs]. A buffer the kernel overwrites — passed once, never
+   loaded, every cell stored by one covering nest — needs no scatter:
+   its rank blocks are allocated unfilled and the kernel writes every
+   owned and global-boundary cell. The inter-rank halo planes hold
+   garbage until an exchange, so the field is not fresh; a covering
+   write stales every mirrored plane anyway, so the exchange schedule is
+   the one a scatter would have led to. Without mirrored planes (one
+   rank) the kernel writes the whole block, as fresh as a scatter. *)
+let place st g spec bufs id gb =
+  let name = field_name id in
+  let args =
+    List.filter (fun i -> bufs.(i) == gb) (List.init (Array.length bufs) Fun.id)
+  in
+  match args with
+  | [ i ] when Fp.overwrites spec ~buf:i ~dims:gb.Rt.dims ->
+    st.dk_scatters_skipped <- st.dk_scatters_skipped + 1;
+    Obs.incr c_scatters_skipped;
+    Dist_exec.alloc_field g.g_dx name;
+    if mirror_planes g.g_dx.Dist_exec.decomp = ([], []) then
+      g.g_fresh <- SS.add name g.g_fresh
+  | _ -> scatter g name gb
+
+let ensure_scattered st g spec bufs =
   if not g.g_valid then begin
     (* the host globals are authoritative after a fallback *)
     g.g_fresh <- SS.empty;
-    List.iter (fun (id, gb) -> scatter g (field_name id) gb) g.g_bufs;
+    List.iter (fun (id, gb) -> place st g spec bufs id gb) g.g_bufs;
     g.g_valid <- true
   end;
   Array.iter
@@ -533,17 +562,15 @@ let ensure_scattered st g bufs =
       let id = buf_id st b in
       if not (List.mem_assoc id g.g_bufs) then begin
         g.g_bufs <- (id, b) :: g.g_bufs;
-        scatter g (field_name id) b
+        place st g spec bufs id b
       end)
     bufs
 
 let gather_group g =
   if g.g_valid then begin
-    List.iter
-      (fun (id, gb) ->
-        Obs.incr c_gathers;
-        Dist_exec.gather_into g.g_dx (field_name id) gb)
-      g.g_bufs;
+    Obs.add c_gathers (List.length g.g_bufs);
+    Dist_exec.gather_fields g.g_dx
+      (List.map (fun (id, gb) -> (field_name id, gb)) g.g_bufs);
     g.g_valid <- false
   end
 
@@ -705,7 +732,7 @@ let run_kernel st ~name spec ~host ~bufs ~scalars =
       with
       | Error reason -> run_fallback st ~reason host
       | Ok kplan ->
-        ensure_scattered st g bufs;
+        ensure_scattered st g spec bufs;
         run_dist st g kplan ~bufs ~scalars
     end
 
@@ -730,6 +757,7 @@ type stats = {
   ds_blocking_stages : int;
   ds_fused_stages : int; (* supersteps whose exchange was fused away *)
   ds_stales_avoided : int; (* writes footprint-proven off mirrored planes *)
+  ds_scatters_skipped : int; (* buffers the calling kernel overwrites *)
   ds_thin_y_fallbacks : int; (* overlap fallbacks: active y axis < 3 *)
   ds_thin_z_fallbacks : int;
   ds_vec_nests : int; (* vectorised / total nests over compiled runners *)
@@ -757,6 +785,7 @@ let stats st =
     ds_overlap_stages = st.dk_overlap_stages;
     ds_blocking_stages = st.dk_blocking_stages;
     ds_fused_stages = st.dk_fused_stages;
-    ds_stales_avoided = st.dk_stales_avoided; ds_thin_y_fallbacks = thin_y;
+    ds_stales_avoided = st.dk_stales_avoided;
+    ds_scatters_skipped = st.dk_scatters_skipped; ds_thin_y_fallbacks = thin_y;
     ds_thin_z_fallbacks = thin_z; ds_vec_nests = st.dk_vec_nests;
     ds_total_nests = st.dk_total_nests }

@@ -100,6 +100,9 @@ type stats = {
   ds_stales_avoided : int;
       (** stage writes whose footprint was proven off every mirrored
           plane, leaving the field's halos fresh; cumulative *)
+  ds_scatters_skipped : int;
+      (** buffers not scattered because the calling kernel overwrites
+          every cell ({!Fsc_analysis.Footprint.overwrites}); cumulative *)
   ds_thin_y_fallbacks : int;
       (** overlap fallbacks because an active y axis was thinner than 3
           (per affected rank per superstep) *)

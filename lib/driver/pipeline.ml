@@ -113,6 +113,7 @@ type artifact = {
   a_kernels : (string * kernel_impl) list;
   a_target : target;
   a_dist : Fsc_dmp.Dist_kernel.state option; (* distributed runtime *)
+  a_unzeroed : (string * string) list; (* grid, kernel overwriting it *)
 }
 
 (* Not [lazy]: forcing a lazy from two domains at once is undefined in
@@ -139,7 +140,7 @@ let flang_only src =
   let ctx = Interp.create_context () in
   Interp.add_module ctx m;
   { a_host = m; a_stencil = None; a_gpu_ir = None; a_ctx = ctx;
-    a_kernels = []; a_target = Serial; a_dist = None }
+    a_kernels = []; a_target = Serial; a_dist = None; a_unzeroed = [] }
 
 (* -------------------- stencil flow -------------------- *)
 
@@ -429,6 +430,103 @@ let compile options src =
         st_kernels = List.length kernels };
     ca_options = options }
 
+(* -------------------- zero-fill elision -------------------- *)
+
+let kernel_spec = function
+  | Vectorised (spec, _) | Native_jit (spec, _) -> Some spec
+  | Interpreted _ -> None
+
+(* Which array [fir.alloca]s of [_QQmain]'s top-level block can skip
+   their zero-fill: those whose first use, in program order and seeing
+   through [fir.convert] aliases, is a call to a compiled kernel whose
+   spec overwrites that argument ([Footprint.overwrites]) — the kernel
+   writes every cell before anything reads one. Every other first use
+   keeps the fill: a use inside a region (a loop body may run a host
+   access first, or not at all), a host access, a call to anything but
+   a compiled kernel (interp engine, analysis fallback, GPU data
+   trampolines), a grid passed twice to one call (the spec's argument
+   indices would alias), or a call whose buffer arguments cannot be
+   matched to the spec's. Returns (alloca result id, grid name, kernel)
+   in program order. *)
+let unzeroed_grids host kernels =
+  let main =
+    List.find_opt
+      (fun f -> Fsc_dialects.Func.name f = "_QQmain")
+      (Fsc_dialects.Func.all_functions host)
+  in
+  match main with
+  | None -> []
+  | Some main ->
+    (* value id -> (alloca id, extents), for allocas and their aliases *)
+    let roots : (int, int * int array) Hashtbl.t = Hashtbl.create 16 in
+    let names : (int, string) Hashtbl.t = Hashtbl.create 16 in
+    let decided : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let found = ref [] in
+    let keep_fill (v : Op.value) =
+      match Hashtbl.find_opt roots v.Op.v_id with
+      | Some (id, _) -> Hashtbl.replace decided id ()
+      | None -> ()
+    in
+    let kernel_call op =
+      if op.Op.o_name <> "fir.call" then None
+      else
+        let callee = Op.string_attr op "callee" in
+        Option.bind (List.assoc_opt callee kernels) (fun impl ->
+            Option.map (fun spec -> (callee, spec)) (kernel_spec impl))
+    in
+    (* buffer argument k of the spec is the k-th grid operand, as at run
+       time; an operand that is neither a grid nor a scalar could shift
+       that numbering, so such a call elides nothing *)
+    let decide_call callee spec operands =
+      let grids =
+        List.filter_map (fun v -> Hashtbl.find_opt roots v.Op.v_id) operands
+      in
+      let matched =
+        List.length grids = spec.Kc.k_num_bufs
+        && List.for_all
+             (fun v ->
+               Hashtbl.mem roots v.Op.v_id
+               || Types.is_scalar (Op.value_type v))
+             operands
+      in
+      List.iteri
+        (fun buf (id, dims) ->
+          if not (Hashtbl.mem decided id) then begin
+            Hashtbl.replace decided id ();
+            let passed_once =
+              List.length (List.filter (fun (i, _) -> i = id) grids) = 1
+            in
+            if matched && passed_once
+               && Fsc_analysis.Footprint.overwrites spec ~buf ~dims
+            then found := (id, Hashtbl.find names id, callee) :: !found
+          end)
+        grids
+    in
+    List.iter
+      (fun op ->
+        match (Interp.alloca_dims op, op.Op.o_name, kernel_call op) with
+        | Some dims, _, _ ->
+          let id = (Op.result op).Op.v_id in
+          Hashtbl.replace roots id (id, Array.of_list dims);
+          Hashtbl.replace names id
+            (match Op.attr op "bindc_name" with
+            | Some (Attr.Str_a n) -> n
+            | _ -> Printf.sprintf "%%%d" id)
+        | None, "fir.convert", _ ->
+          List.iter
+            (fun (v : Op.value) ->
+              Option.iter
+                (Hashtbl.replace roots (Op.result op).Op.v_id)
+                (Hashtbl.find_opt roots v.Op.v_id))
+            (Op.operands op)
+        | None, _, Some (callee, spec) ->
+          decide_call callee spec (Op.operands op)
+        | None, _, None ->
+          List.iter keep_fill (Op.operands op);
+          Op.walk_inner (fun o -> List.iter keep_fill (Op.operands o)) op)
+      (Op.block_ops (Fsc_dialects.Func.entry_block main));
+    List.rev !found
+
 (* The impure back half: host interpreted, kernels compiled where
    possible, pool/device allocated per target. Works identically on a
    freshly compiled artifact and on one re-parsed from the cache. *)
@@ -482,9 +580,13 @@ let link ?(engine = Engine_vector) ?native ca =
              (register_kernel ~engine ~target ~pool ~dist ~native ctx))
   in
   register_gpu_data ctx ca.ca_managed;
+  let unzeroed = unzeroed_grids ca.ca_host kernels in
+  List.iter (fun (id, _, _) -> Hashtbl.replace ctx.Interp.unzeroed id ())
+    unzeroed;
   { a_host = ca.ca_host; a_stencil = Some ca.ca_stencil;
     a_gpu_ir = ca.ca_gpu_ir; a_ctx = ctx; a_kernels = kernels;
-    a_target = target; a_dist = dist }
+    a_target = target; a_dist = dist;
+    a_unzeroed = List.map (fun (_, grid, kernel) -> (grid, kernel)) unzeroed }
 
 (* The full stencil pipeline of the paper's Figure 1. Resets the global
    kernel-name counter for reproducible names — which is why [compile]

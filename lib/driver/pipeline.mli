@@ -82,6 +82,10 @@ type artifact = {
   a_dist : Fsc_dmp.Dist_kernel.state option;
       (** distributed runtime ([Dist] targets under the vector and
           native engines) *)
+  a_unzeroed : (string * string) list;
+      (** grids allocated without a zero-fill, each with the kernel
+          whose first call overwrites every cell, in program order (see
+          {!link}) *)
 }
 
 type stencil_stats = {
@@ -156,7 +160,15 @@ val compile : options -> string -> compiled_artifact
     [native] supplies the {!Engine_native} context (cache directory,
     build mode, toolchain); without it a process-wide default ctx
     (async builds, default cache directory) is created on first use.
-    It is ignored under other engines. *)
+    It is ignored under other engines.
+
+    Link also decides which grids skip their zero-fill: an array
+    [fir.alloca] in [_QQmain]'s top-level block whose first use (seeing
+    through [fir.convert]) is a call to a compiled kernel whose spec
+    {!Fsc_analysis.Footprint.overwrites} that argument is allocated
+    with {!Fsc_rt.Memref_rt.create_uninit}. A first use inside a
+    region, a host access, a call to an interpreted kernel or a grid
+    passed twice to one call keeps the fill. *)
 val link :
   ?engine:exec_engine ->
   ?native:Fsc_codegen.Native.ctx ->

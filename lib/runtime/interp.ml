@@ -21,6 +21,7 @@ module Obs = Fsc_obs.Obs
    and are only accumulated while tracing is enabled *)
 let c_interp_ops = Obs.counter "interp.ops"
 let c_kernel_launches = Obs.counter "interp.gpu_launches"
+let c_grids_unzeroed = Obs.counter "rt.grids_unzeroed"
 
 exception Interp_error of string
 
@@ -63,6 +64,9 @@ type context = {
   mutable op_count : int; (* interpreted ops, for tests/inspection *)
   (* every named array allocation, so drivers/tests can inspect grids *)
   mutable named_buffers : (string * Memref_rt.t) list;
+  (* result value ids of the array fir.allocas whose first use
+     overwrites every cell: allocated without the zero-fill *)
+  unzeroed : (int, unit) Hashtbl.t;
 }
 
 let create_context () =
@@ -70,7 +74,7 @@ let create_context () =
     externals = Hashtbl.create 16; pool = None; gpu = None;
     gpu_strategy = Gpu_sim.Strategy_host_register;
     gpu_coords = Array.make 6 0; output = None; op_count = 0;
-    named_buffers = [] }
+    named_buffers = []; unzeroed = Hashtbl.create 4 }
 
 (* Register every function of [m] (plus gpu.module kernels). *)
 let add_module ctx m =
@@ -133,6 +137,12 @@ let buffer_dims_of_type = function
         | Types.Dynamic -> err "cannot allocate dynamic extent statically")
       dims
   | t -> err "not an array type: %s" (Types.to_string t)
+
+let alloca_dims op =
+  match (op.Op.o_name, Op.attr op "in_type") with
+  | "fir.alloca", Some (Attr.Type_a (Types.Fir_array _ as t)) -> (
+    try Some (buffer_dims_of_type t) with Interp_error _ -> None)
+  | _ -> None
 
 exception Early_return of block_result
 
@@ -282,7 +292,14 @@ and exec_op ctx env op : block_result option =
   | "fir.alloca" -> (
     match Op.attr_exn op "in_type" with
     | Attr.Type_a (Types.Fir_array _ as t) ->
-      let buf = Memref_rt.create (buffer_dims_of_type t) in
+      let dims = buffer_dims_of_type t in
+      let buf =
+        if Hashtbl.mem ctx.unzeroed (Op.result op).Op.v_id then begin
+          Obs.incr c_grids_unzeroed;
+          Memref_rt.create_uninit dims
+        end
+        else Memref_rt.create dims
+      in
       register_buffer buf;
       bind_result (R_buf buf);
       None

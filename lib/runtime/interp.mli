@@ -44,9 +44,18 @@ type context = {
   mutable output : Buffer.t option;  (** capture fir.print *)
   mutable op_count : int;  (** interpreted ops, for inspection *)
   mutable named_buffers : (string * Memref_rt.t) list;
+  unzeroed : (int, unit) Hashtbl.t;
+      (** result value ids of array [fir.alloca]s to allocate with
+          {!Memref_rt.create_uninit}: [Pipeline.link] fills it
+          with the grids whose first use is a kernel that overwrites
+          every cell. Empty by default (every grid zero-filled). *)
 }
 
 val create_context : unit -> context
+
+(** Extents of a [fir.alloca] of a statically shaped array; [None] for
+    any other op. *)
+val alloca_dims : Op.op -> int list option
 
 (** Register every [func.func] (and gpu.module kernel) of a module. *)
 val add_module : context -> Op.op -> unit

@@ -39,8 +39,13 @@ let bytes t = 8 * size t
    recycled when its record is collected: the record is the only
    durable path to the data (engines extract [t.data] only transiently,
    while [t] is live), so an unreachable record means unreachable
-   storage. Recycled arrays are zero-filled before reuse, exactly like
-   fresh ones — a pooled create is indistinguishable from a cold one.
+   storage. [create] zero-fills recycled arrays before reuse, exactly
+   like fresh ones — a pooled [create] is indistinguishable from a cold
+   one. [create_uninit] takes the same path without the fill: its cells
+   hold whatever the recycled (or fresh) storage held, so its callers
+   must write every cell before reading any — a whole-grid initialiser,
+   a scatter, or a kernel whose spec overwrites the buffer
+   ([Fsc_analysis.Footprint.overwrites]).
 
    Why this matters: re-running a linked artifact re-allocates every
    program grid, and grids above glibc's mmap threshold each cost an
@@ -97,7 +102,7 @@ let arena_take n =
 
 let arena_stats () = (!arena_hit_count, !arena_retire_count)
 
-let create dims =
+let create_uninit dims =
   let dims = Array.of_list dims in
   let total = max (Array.fold_left ( * ) 1 dims) 1 in
   let data =
@@ -106,11 +111,15 @@ let create dims =
     | None ->
       Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total
   in
-  Bigarray.Array1.fill data 0.0;
   let t = { data; dims; strides = column_major_strides dims;
             buf_id = next_id () } in
   if total >= arena_min_elems then
     Gc.finalise (fun t -> arena_retire t.data) t;
+  t
+
+let create dims =
+  let t = create_uninit dims in
+  Bigarray.Array1.fill t.data 0.0;
   t
 
 let scalar () = create [ 1 ]
@@ -138,7 +147,7 @@ let copy_into ~src ~dst =
   Bigarray.Array1.blit src.data dst.data
 
 let clone t =
-  let t' = create (Array.to_list t.dims) in
+  let t' = create_uninit (Array.to_list t.dims) in
   Bigarray.Array1.blit t.data t'.data;
   t'
 
@@ -148,12 +157,21 @@ let init t f =
     set_flat t i (f i)
   done
 
-(* max |a - b| over all elements *)
+(* max |a - b| over all elements. A NaN difference would compare false
+   against the running maximum and vanish, so a NaN on one side only
+   (or infinities of opposite sign) counts as infinitely different;
+   equal infinities and NaN on both sides count as equal. *)
 let max_abs_diff a b =
   if size a <> size b then invalid_arg "Memref_rt.max_abs_diff: size";
   let m = ref 0.0 in
   for i = 0 to size a - 1 do
-    let d = Float.abs (get_flat a i -. get_flat b i) in
+    let x = get_flat a i and y = get_flat b i in
+    let d = Float.abs (x -. y) in
+    let d =
+      if not (Float.is_nan d) then d
+      else if x = y || (Float.is_nan x && Float.is_nan y) then 0.0
+      else Float.infinity
+    in
     if d > !m then m := d
   done;
   !m

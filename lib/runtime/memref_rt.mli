@@ -28,6 +28,14 @@ val bytes : t -> int
     zero-filled and carries a fresh [buf_id]. *)
 val create : int list -> t
 
+(** Like {!create}, from the same arena, but without the zero-fill: the
+    cells hold arbitrary values (a recycled buffer's old contents, or
+    whatever fresh storage holds). The caller must write every cell
+    before any read — a whole-grid initialiser, a scatter, or a kernel
+    whose spec overwrites the buffer
+    ([Fsc_analysis.Footprint.overwrites]). *)
+val create_uninit : int list -> t
+
 (** Cumulative [(hits, retires)] of the storage arena: how many creates
     were served from recycled storage, and how many collected buffers
     donated theirs. Monotone process-wide counters (tests diff them). *)
@@ -55,7 +63,10 @@ val clone : t -> t
 (** Initialise from a function of the flat index (deterministic data). *)
 val init : t -> (int -> float) -> unit
 
-(** max |a - b| over all elements; the differential tests' metric. *)
+(** max |a - b| over all elements; the differential tests' metric. A
+    NaN on one side only, or infinities of opposite sign, count as an
+    infinite difference; NaN on both sides and equal infinities count as
+    equal. *)
 val max_abs_diff : t -> t -> float
 
 (** Position-weighted checksum (orders of elements matter). *)

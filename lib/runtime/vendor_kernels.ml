@@ -9,6 +9,8 @@
 
 module A1 = Bigarray.Array1
 
+type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+
 type grid3 = {
   g_buf : Memref_rt.t;
   g_nx : int; (* interior extents; allocation is (nx+2)(ny+2)(nz+2) *)
@@ -162,7 +164,9 @@ let pw_advect ?pool ~u ~v ~w ~su ~sv ~sw ~rdx ~rdy ~rdz () =
   let _, sy, sz = strides u in
   let nx = u.g_nx and ny = u.g_ny and nz = u.g_nz in
   let hx = 0.5 *. rdx and hy = 0.5 *. rdy and hz = 0.5 *. rdz in
-  let advect d df i =
+  (* typed as float64: left polymorphic, every access below compiles to
+     a generic [caml_ba_get_1] call instead of an inline load *)
+  let advect (d : f64) (df : f64) i =
     (* 0.5*rdx*( f(i-1)*(d(i)+d(i-1)) - f(i+1)*(d(i)+d(i+1)) ) + y, z *)
     let c = A1.unsafe_get d i in
     (hx

@@ -790,6 +790,78 @@ let test_footprint_of_nest () =
   Alcotest.(check bool) "missing loop level widens to Top" true
     (stray.F.nf_writes = [ (0, [ F.Top; F.range 2 9 ]) ])
 
+(* The must-write check behind skipped zero-fills and scatters: only a
+   nest storing b0 at [Iv (l_d, 0)] over exactly [0, dims.(d)) in every
+   dimension, with no load of b0 anywhere in the kernel, overwrites. *)
+let test_footprint_overwrites () =
+  let spec nests =
+    { Kc.k_nests = nests; Kc.k_num_bufs = 2; k_num_scalars = 0 }
+  in
+  let nest ?(expr = Kc.F_load (1, [])) loops index =
+    { Kc.n_loops = loops;
+      Kc.n_stores =
+        [ { Kc.st_buf = 0; Kc.st_index = index; Kc.st_expr = expr } ];
+      Kc.n_uses_iv = false; Kc.n_flops_per_cell = 0; Kc.n_loads_per_cell = 1;
+      Kc.n_tile = [] }
+  in
+  let check label expect ~dims nests =
+    Alcotest.(check bool) label expect
+      (F.overwrites (spec nests) ~buf:0 ~dims)
+  in
+  (* loops in Fortran order: the outermost level walks the last dim *)
+  let box3 lo hi =
+    [ mk_loop 0 2 lo (hi 2); mk_loop 1 1 lo (hi 1); mk_loop 2 0 lo (hi 0) ]
+  in
+  let iv3 = [ Kc.Iv (2, 0); Kc.Iv (1, 0); Kc.Iv (0, 0) ] in
+  let d3 = [| 6; 7; 8 |] in
+  check "3-D full box" true ~dims:d3 [ nest (box3 0 (Array.get d3)) iv3 ];
+  check "3-D interior only" false ~dims:d3
+    [ nest (box3 1 (fun d -> d3.(d) - 1)) iv3 ];
+  check "3-D upper bound short by one" false ~dims:d3
+    [ nest (box3 0 (fun d -> d3.(d) - 1)) iv3 ];
+  check "3-D store at an offset" false ~dims:d3
+    [ nest (box3 0 (Array.get d3))
+        [ Kc.Iv (2, 0); Kc.Iv (1, 1); Kc.Iv (0, 0) ] ];
+  check "3-D store at a constant plane" false ~dims:d3
+    [ nest (box3 0 (Array.get d3)) [ Kc.Iv (2, 0); Kc.Iv (1, 0); Kc.Cst 0 ] ];
+  check "3-D same nest reads the buffer" false ~dims:d3
+    [ nest ~expr:(Kc.F_load (0, iv3)) (box3 0 (Array.get d3)) iv3 ];
+  check "3-D later nest reads the buffer" false ~dims:d3
+    [ nest (box3 0 (Array.get d3)) iv3;
+      { (nest (box3 1 (fun d -> d3.(d) - 1)) iv3) with
+        Kc.n_stores =
+          [ { Kc.st_buf = 1; Kc.st_index = iv3;
+              Kc.st_expr = Kc.F_load (0, iv3) } ] } ];
+  check "3-D covering nest after a partial one" true ~dims:d3
+    [ nest (box3 1 (fun d -> d3.(d) - 1)) iv3;
+      nest (box3 0 (Array.get d3)) iv3 ];
+  check "3-D extra loop level" false ~dims:d3
+    [ nest (box3 0 (Array.get d3) @ [ mk_loop 3 0 0 2 ]) iv3 ];
+  (* 2-D: the loops walk j (dim 1) then i (dim 0) *)
+  let d2 = [| 5; 9 |] in
+  let box2 = [ mk_loop 0 1 0 9; mk_loop 1 0 0 5 ] in
+  let iv2 = [ Kc.Iv (1, 0); Kc.Iv (0, 0) ] in
+  check "2-D full box" true ~dims:d2 [ nest box2 iv2 ];
+  check "2-D interior only" false ~dims:d2
+    [ nest [ mk_loop 0 1 1 8; mk_loop 1 0 1 4 ] iv2 ];
+  check "2-D store at an offset" false ~dims:d2
+    [ nest box2 [ Kc.Iv (1, -1); Kc.Iv (0, 0) ] ];
+  check "2-D store at a constant index" false ~dims:d2
+    [ nest box2 [ Kc.Cst 0; Kc.Iv (0, 0) ] ];
+  check "2-D reads the buffer" false ~dims:d2
+    [ nest ~expr:(Kc.F_load (0, [ Kc.Iv (1, 0); Kc.Iv (0, 1) ])) box2 iv2 ];
+  (* transposed: each level claims the other dimension, so the store
+     subscript's loop walks the wrong extent *)
+  check "2-D transposed l_dim" false ~dims:d2
+    [ nest [ mk_loop 0 0 0 9; mk_loop 1 1 0 5 ] iv2 ];
+  check "2-D square transposed l_dim" false ~dims:[| 6; 6 |]
+    [ nest [ mk_loop 0 0 0 6; mk_loop 1 1 0 6 ] iv2 ];
+  check "2-D other buffer" false ~dims:d2
+    [ { (nest box2 iv2) with
+        Kc.n_stores =
+          [ { Kc.st_buf = 1; Kc.st_index = iv2;
+              Kc.st_expr = Kc.F_const 0.0 } ] } ]
+
 let test_footprint_nonaffine_top_sound () =
   (* a non-affine subscript widens the write to Top at the field level:
      it may reach any read, so no dead-write claim survives — even
@@ -1076,6 +1148,8 @@ let () =
             test_footprint_of_nest;
           Alcotest.test_case "non-affine is Top and sound" `Quick
             test_footprint_nonaffine_top_sound;
+          Alcotest.test_case "overwrites must-write check" `Quick
+            test_footprint_overwrites;
           Alcotest.test_case "dead-write fixture" `Quick
             test_footprint_dead_write_lints;
           Alcotest.test_case "redundant exchange" `Quick

@@ -321,6 +321,240 @@ let test_out_of_bounds_raises () =
         [ P.Serial; P.Openmp 2; P.Dist 2 ])
     [ ("far", far); ("last row", last_row) ]
 
+(* ---- zero-fill elision ----
+
+   Link decides per grid whether its zero-fill can go: only when the
+   grid's first use in _QQmain is a compiled kernel that overwrites
+   every cell. *)
+
+let unzeroed ?(engine = P.Engine_vector) ?(target = P.Serial) src =
+  let a = P.link ~engine (P.compile (P.default_options ~target ()) src) in
+  let r = a.P.a_unzeroed in
+  P.shutdown a;
+  List.sort compare (List.map fst r)
+
+let read_fixture f = In_channel.with_open_text f In_channel.input_all
+
+(* A first write that misses two planes: v's nest covers [1, n+2) in
+   both dimensions, so v's i = 0 and j = 0 planes keep the zero-fill
+   and show up in the checksum. *)
+let partial_src =
+  {|
+program partial_first
+  implicit none
+  integer, parameter :: n = 62
+  integer :: i, j
+  real(kind=8), dimension(0:n+1, 0:n+1) :: u, v
+
+  do j = 0, n + 1
+    do i = 0, n + 1
+      u(i, j) = 0.5d0 * dble(i) + 0.25d0 * dble(j)
+    end do
+  end do
+  do j = 1, n + 1
+    do i = 1, n + 1
+      v(i, j) = 2.0d0 * u(i, j)
+    end do
+  end do
+end program partial_first
+|}
+
+(* A host store before u's kernel, and w written inside a host loop:
+   both keep the fill; only v goes. *)
+let mixed_src =
+  {|
+program mixed
+  implicit none
+  integer, parameter :: n = 8
+  integer :: i, j, it
+  real(kind=8), dimension(0:n+1, 0:n+1) :: u, v, w
+
+  u(3, 4) = 7.0d0
+  do j = 0, n + 1
+    do i = 0, n + 1
+      u(i, j) = 0.5d0 * dble(i)
+      v(i, j) = 0.25d0 * dble(j)
+    end do
+  end do
+  do it = 1, 2
+    do j = 0, n + 1
+      do i = 0, n + 1
+        w(i, j) = 1.0d0 * dble(it)
+      end do
+    end do
+  end do
+end program mixed
+|}
+
+let test_unzeroed_decisions () =
+  let check label expect got =
+    Alcotest.(check (list string)) label expect got
+  in
+  (* every benchmark program initialises all of its grids in one
+     merged whole-box kernel before anything reads them *)
+  check "gauss-seidel" [ "u"; "unew" ] (unzeroed gs_src);
+  check "laplace" [ "phi"; "phinew" ] (unzeroed (B.laplace ~n:12 ~niter:2 ()));
+  check "pw-advection" [ "su"; "sv"; "sw"; "u"; "v"; "w" ] (unzeroed pw_src);
+  check "residual" [ "r"; "u" ]
+    (unzeroed (B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 ()));
+  check "smooth" [ "d"; "rs"; "u" ]
+    (unzeroed (B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 ()));
+  (* the init kernel also reads a (the scale nest) and u (the copy), so
+     only the field written without being read goes *)
+  check "dead_write fixture" [ "s" ]
+    (unzeroed (read_fixture "fixtures/dead_write.f90"));
+  check "out_of_bounds fixture" [ "v" ]
+    (unzeroed (read_fixture "fixtures/out_of_bounds.f90"));
+  (* one kernel runs both nests: it reads u, and v's nest misses the
+     i = 0 and j = 0 planes *)
+  check "first write misses a plane" [] (unzeroed partial_src);
+  check "host store first, kernel in a host loop" [ "v" ]
+    (unzeroed mixed_src);
+  check "same decision on every CPU target" [ "u"; "unew" ]
+    (unzeroed ~target:(P.Dist 2) gs_src);
+  (* kernels without a spec keep every fill: the interp engine, and the
+     optimised GPU strategy, whose data-placement trampolines touch the
+     grids first *)
+  check "interp engine" [] (unzeroed ~engine:P.Engine_interp gs_src);
+  check "gpu data placement first" []
+    (unzeroed ~target:(P.Gpu P.Gpu_optimised) gs_src)
+
+(* The --stats lines naming the elided fills and the skipped scatters,
+   end to end through the CLI on the checked-in GS example. *)
+let test_unzeroed_stats_lines () =
+  let err = Filename.temp_file "sfc-zero-fill-stats" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/sfc.exe"
+         [ "run"; "../examples/laplace.f90"; "--target"; "dist"; "--ranks";
+           "2"; "--stats" ]
+         ~stdout:Filename.null ~stderr:err)
+  in
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin err In_channel.input_all)
+  in
+  Sys.remove err;
+  Alcotest.(check int) "sfc run exits 0" 0 code;
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) l true (List.mem l lines))
+    [ "grids without zero-fill: u, unew (overwritten by _stencil_kernel_1)";
+      "dist: 2 scatters skipped (kernel overwrites the grid)" ]
+
+(* Poisoned-arena differential. Grid-sized storage is recycled, so an
+   elided fill hands a grid whatever a collected buffer held. Before
+   each run, fill the arena with NaN buffers of every grid and
+   rank-block size the run allocates: any cell an elision wrongly
+   leaves unwritten turns a checksum into NaN. The arena only pools
+   buffers of 4096 cells and up, so the programs are sized to make
+   their grids (and the larger rank blocks) poolable. *)
+let block_dims grid_dims ranks =
+  let global =
+    match grid_dims with
+    | [ d0; d1 ] -> (d0 - 2, d1 - 2, 1)
+    | [ d0; d1; d2 ] -> (d0 - 2, d1 - 2, d2 - 2)
+    | _ -> invalid_arg "block_dims"
+  in
+  match Fsc_dmp.Decomp.create ~global ~ranks with
+  | exception Fsc_dmp.Decomp.Invalid_decomp _ -> []
+  | d ->
+    List.init (Fsc_dmp.Decomp.nranks d) (fun r ->
+        let lx, ly, lz = Fsc_dmp.Decomp.local_extents d r in
+        if List.length grid_dims = 2 then [ lx + 2; ly + 2 ]
+        else [ lx + 2; ly + 2; lz + 2 ])
+
+(* Empty the arena's class for [dims] (the drained buffers stay alive
+   in the result so they cannot come back), then retire [per_class]
+   NaN-filled buffers into it. *)
+let poison_class ~per_class dims =
+  let rec drain acc =
+    let h0, _ = Rt.arena_stats () in
+    let b = Rt.create_uninit dims in
+    let h1, _ = Rt.arena_stats () in
+    if h1 > h0 then drain (b :: acc) else b :: acc
+  in
+  let held = drain [] in
+  let _, r0 = Rt.arena_stats () in
+  for _ = 1 to per_class do
+    Rt.fill (Rt.create_uninit dims) Float.nan
+  done;
+  Gc.full_major ();
+  let _, r1 = Rt.arena_stats () in
+  if Rt.size (List.hd held) >= 4096 then
+    Alcotest.(check bool)
+      (Printf.sprintf "NaN buffers retired into the %s class"
+         (String.concat "x" (List.map string_of_int dims)))
+      true (r1 > r0);
+  held
+
+let bitwise_diffs a b =
+  let n = ref 0 in
+  for i = 0 to Rt.size a - 1 do
+    if Int64.bits_of_float (Rt.get_flat a i)
+       <> Int64.bits_of_float (Rt.get_flat b i)
+    then incr n
+  done;
+  !n
+
+let test_poisoned_arena () =
+  let native =
+    Fsc_codegen.Native.create
+      ~cache:
+        (Fsc_cache.Cache.create
+           ~dir:
+             (Filename.concat
+                (Filename.get_temp_dir_name ())
+                (Printf.sprintf "sfc-zero-fill-poison-%d" (Unix.getpid ())))
+           ~version:Fsc_codegen.Native.format_version ())
+      ~mode:Fsc_codegen.Native.Sync ()
+  in
+  List.iter
+    (fun (pname, src, grids) ->
+      let refs =
+        List.map (fun (n, b) -> (n, Rt.clone b)) (reference src grids)
+      in
+      let grid_dims =
+        Array.to_list (snd (List.hd refs)).Rt.dims
+      in
+      let sizes =
+        List.sort_uniq compare
+          (grid_dims
+          :: List.concat_map (block_dims grid_dims) [ 1; 2; 4; 8 ])
+      in
+      List.iter
+        (fun target ->
+          let ca = P.compile (P.default_options ~target ()) src in
+          List.iter
+            (fun engine ->
+              let a = P.link ~engine ~native ca in
+              (* retire the previous runs' storage first, so it cannot
+                 take the poison's place in the arena *)
+              Gc.full_major ();
+              let held = List.map (poison_class ~per_class:8) sizes in
+              P.run a;
+              List.iter
+                (fun (g, r) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s/%s %s %s on a poisoned arena: cells \
+                                     differing bitwise"
+                       pname g (P.target_name target) (P.engine_name engine))
+                    0
+                    (bitwise_diffs r (P.buffer_exn a g)))
+                refs;
+              ignore (Sys.opaque_identity held);
+              P.shutdown a)
+            P.all_engines)
+        [ P.Serial; P.Openmp 2; P.Dist 1; P.Dist 2; P.Dist 4; P.Dist 8 ])
+    [ ("gauss-seidel", B.gauss_seidel ~nx:16 ~ny:16 ~nz:16 ~niter:2 (),
+       [ "u"; "unew" ]);
+      ("laplace", B.laplace ~n:126 ~niter:2 (), [ "phi"; "phinew" ]);
+      ("pw-advection", B.pw_advection ~nx:16 ~ny:16 ~nz:16 ~niter:1 (),
+       [ "su"; "sv"; "sw" ]);
+      ("residual", B.residual ~nx:16 ~ny:16 ~nz:16 ~niter:2 (), [ "u"; "r" ]);
+      ("smooth", B.smooth ~nx:16 ~ny:16 ~nz:16 ~niter:2 (), [ "rs"; "d" ]);
+      ("partial first write", partial_src, [ "u"; "v" ]) ]
+
 (* ---- concurrent compiles ----
 
    Server workers compile on several domains at once, sharing the IR
@@ -428,6 +662,13 @@ let () =
            test_engine_target_matrix;
          Alcotest.test_case "out-of-bounds kernel raises" `Quick
            test_out_of_bounds_raises ]);
+      ("zero-fill",
+       [ Alcotest.test_case "per-grid elision decisions" `Quick
+           test_unzeroed_decisions;
+         Alcotest.test_case "stats lines name grids and skipped scatters"
+           `Quick test_unzeroed_stats_lines;
+         Alcotest.test_case "poisoned arena: every engine x target == \
+                             flang-only" `Quick test_poisoned_arena ]);
       ("concurrency",
        [ Alcotest.test_case "concurrent compiles match serial" `Quick
            test_concurrent_compiles ]) ]

@@ -33,6 +33,22 @@ let test_clone_copy_diff () =
   Rt.copy_into ~src:a ~dst:b;
   Alcotest.(check (float 0.)) "copy restores" 0.0 (Rt.max_abs_diff a b)
 
+(* A NaN must not vanish from the differential metric: [nan > m] is
+   false, so a plain running maximum would report 0. *)
+let test_diff_sees_nan () =
+  let a = Rt.create [ 4 ] and b = Rt.create [ 4 ] in
+  Rt.set_flat b 2 Float.nan;
+  Alcotest.(check (float 0.)) "NaN on one side" Float.infinity
+    (Rt.max_abs_diff a b);
+  Rt.set_flat a 2 Float.nan;
+  Alcotest.(check (float 0.)) "NaN on both sides" 0.0 (Rt.max_abs_diff a b);
+  Rt.set_flat a 1 Float.infinity;
+  Rt.set_flat b 1 Float.neg_infinity;
+  Alcotest.(check (float 0.)) "opposite infinities" Float.infinity
+    (Rt.max_abs_diff a b);
+  Rt.set_flat b 1 Float.infinity;
+  Alcotest.(check (float 0.)) "equal infinities" 0.0 (Rt.max_abs_diff a b)
+
 (* ---- domain pool ---- *)
 
 let test_parallel_for_covers_range () =
@@ -364,7 +380,8 @@ let () =
        [ Alcotest.test_case "column-major strides" `Quick
            test_column_major_strides;
          Alcotest.test_case "get/set" `Quick test_get_set;
-         Alcotest.test_case "clone/copy/diff" `Quick test_clone_copy_diff ]);
+         Alcotest.test_case "clone/copy/diff" `Quick test_clone_copy_diff;
+         Alcotest.test_case "diff sees NaN" `Quick test_diff_sees_nan ]);
       ("domain-pool",
        [ Alcotest.test_case "covers range" `Quick
            test_parallel_for_covers_range;
