@@ -398,14 +398,13 @@ let write_kernels_json () =
 
 (* The Figure-6 counterpart for the real distributed backend: strong and
    weak scaling of the full pipeline at `--target dist` (concurrent
-   ranks, vector engine per rank), overlap-vs-blocking supersteps on
-   identical work, measured halo traffic beside the ARCHER2 model's
-   projection — with the model curve extended past the measurable rank
-   counts to 128 simulated ranks — and per-rank vector-engine
-   utilisation. Self-validating: the file is re-read and failures
-   (overlap losing to blocking, measured throughput falling outside the
-   stated factor of the model, a superstep sending other than one
-   message per neighbour) exit nonzero so CI can gate on it. *)
+   ranks, vector engine per rank), measured halo traffic beside the
+   ARCHER2 model's projection — with the model curve extended past the
+   measurable rank counts to 128 simulated ranks — and per-rank
+   vector-engine utilisation. Self-validating: the file is re-read and
+   failures (measured throughput falling outside the stated factor of
+   the model, a superstep sending other than one message per neighbour)
+   exit nonzero so CI can gate on it. *)
 let write_dmp_json () =
   let module J = Fsc_obs.Obs.Json in
   let module Dk = Fsc_dmp.Dist_kernel in
@@ -523,65 +522,6 @@ let write_dmp_json () =
             ("mcells", J.Num mc) ])
       rank_list
   in
-  (* overlap vs blocking on identical work, with a real pool attached so
-     the comparison measures the superstep structures (without one,
-     overlap collapses to the blocking schedule): overlap runs one
-     rendezvous fewer per superstep, so best-of-N must not lose *)
-  let ranks_ovb = 4 in
-  let ov, bl =
-    let module DX = Fsc_dmp.Dist_exec in
-    let iters_ovb = iters * 5 in
-    let d = Fsc_dmp.Decomp.create ~global:(n, n, n) ~ranks:ranks_ovb in
-    let init name (i, j, k) =
-      if name = "u" then V.gs_init i j k else 0.0
-    in
-    let pool = Fsc_rt.Domain_pool.create 2 in
-    let bench mode =
-      let t = DX.create ~pool d ~fields:[ "u"; "unew" ] ~init in
-      let local_grids t rank =
-        let st = t.DX.ranks.(rank) in
-        let lu = DX.field st "u" and ln = DX.field st "unew" in
-        let lx, ly, lz = Fsc_dmp.Decomp.local_extents d rank in
-        ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-          { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
-      in
-      let best = ref infinity in
-      for _ = 1 to reps do
-        let t0 = Unix.gettimeofday () in
-        DX.iterate t ~mode ~iters:iters_ovb ~swap_fields:[ "u" ]
-          ~sweep:(fun t ~rank w ->
-            let gu, gn = local_grids t rank in
-            V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-              ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-          ~finish:(fun t ~rank ->
-            let gu, gn = local_grids t rank in
-            V.gs3d_copyback ~u:gu ~unew:gn ())
-          ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt
-      done;
-      float_of_int (n * n * n * iters_ovb) /. !best /. 1e6
-    in
-    (* interleaved best-of rounds: each mode's best converges to its
-       floor, and overlap's floor is structurally lower (one rendezvous
-       fewer), so extra rounds settle scheduling noise toward the truth
-       instead of gambling on it *)
-    let bl = ref (bench DX.Blocking) in
-    let ov = ref (bench DX.Overlap) in
-    let rounds = ref 1 in
-    while !ov < !bl && !rounds < 10 do
-      incr rounds;
-      bl := Float.max !bl (bench DX.Blocking);
-      ov := Float.max !ov (bench DX.Overlap)
-    done;
-    Fsc_rt.Domain_pool.shutdown pool;
-    (!ov, !bl)
-  in
-  if ov < bl then
-    failures :=
-      Printf.sprintf
-        "overlap (%.2f MCells/s) slower than blocking (%.2f MCells/s)" ov bl
-      :: !failures;
   (* one halo message per neighbour for a superstep's whole swap set: a
      three-field swap over [iters_co] supersteps must move exactly
      [iters_co] x the decomposition's neighbour links (each field's
@@ -605,9 +545,8 @@ let write_dmp_json () =
       DX.create d ~fields:swap ~init:(fun _ (i, j, k) ->
           float_of_int ((i * 7 + j * 3 + k) mod 11))
     in
-    DX.iterate t ~mode:DX.Blocking ~iters:iters_co ~swap_fields:swap
-      ~sweep:(fun _ ~rank:_ _ -> ())
-      ();
+    DX.iterate t ~iters:iters_co ~swap_fields:swap
+      ~sweep:(fun _ ~rank:_ -> ());
     let msgs, bytes = DX.stats t in
     let links = neighbour_links d in
     if msgs <> iters_co * links then
@@ -694,25 +633,16 @@ let write_dmp_json () =
              ("measured_mcells", J.Num !measured_8);
              ("model_mcells", J.Num model_8) ]);
         ("coalescing", coalescing);
-        ("footprint_staling", footprint_staling);
-        ("overlap_vs_blocking",
-         J.Obj
-           [ ("ranks", J.Num (float_of_int ranks_ovb));
-             ("overlap_mcells", J.Num ov);
-             ("blocking_mcells", J.Num bl);
-             ("ratio", J.Num (ov /. bl)) ]) ]
+        ("footprint_staling", footprint_staling) ]
   in
   let path = "BENCH_dmp.json" in
   write_gated_json ~path
     ~keys:
-      [ "strong"; "overlap_vs_blocking"; "projected"; "coalescing";
-        "footprint_staling" ]
+      [ "strong"; "projected"; "coalescing"; "footprint_staling" ]
     ~failures:!failures
     ~summary:
-      (Printf.sprintf
-         "distributed scaling written to %s (%d strong points, \
-          overlap/blocking %.2f)"
-         path (List.length strong) (ov /. bl))
+      (Printf.sprintf "distributed scaling written to %s (%d strong points)"
+         path (List.length strong))
     json
 
 let header title =
@@ -980,15 +910,10 @@ let figure6 () =
   in
   let t0 = Unix.gettimeofday () in
   Fsc_dmp.Dist_exec.iterate t ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
+    ~sweep:(fun t ~rank ->
       let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.Fsc_dmp.Dist_exec.w_jlo
-        ~jhi:w.Fsc_dmp.Dist_exec.w_jhi ~klo:w.Fsc_dmp.Dist_exec.w_klo
-        ~khi:w.Fsc_dmp.Dist_exec.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ();
+      V.gs3d_sweep ~u:gu ~unew:gn ();
+      V.gs3d_copyback ~u:gu ~unew:gn ());
   let dt = Unix.gettimeofday () -. t0 in
   let msgs, bytes = Fsc_dmp.Dist_exec.stats t in
   Printf.printf

@@ -268,8 +268,8 @@ fi
 # Distributed-backend smoke: the dist target must reproduce the serial
 # grid checksums exactly, a rank count the grid cannot host must fail
 # with the located decomposition diagnostic, and the dist bench must
-# emit a well-formed BENCH_dmp.json (it exits nonzero when overlap
-# loses to blocking).
+# emit a well-formed BENCH_dmp.json (it exits nonzero when a gate
+# fails).
 serial_grids=$("$SFC" run examples/laplace.f90 --stats 2>&1 >/dev/null \
   | grep '^grid')
 dist_grids=$("$SFC" run examples/laplace.f90 --target dist --ranks 4 \
@@ -326,9 +326,8 @@ echo "dist fusion smoke: residual at 4 ranks sends $res_msgs msgs, bitwise vs se
 
 # The dist bench self-validates (strong-scaling traffic present, the
 # 8-rank point within the stated factor of the Net_model projection,
-# one message per neighbour per superstep, overlap >= blocking)
-# and exits nonzero on any violation; CI only re-checks the sections
-# landed in the file.
+# one message per neighbour per superstep) and exits nonzero on any
+# violation; CI only re-checks the sections landed in the file.
 DISTDIR=$(mktemp -d)
 if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
     --dist --quick); then
@@ -337,7 +336,6 @@ if ! (cd "$DISTDIR" && "$ROOT/_build/default/bench/main.exe" \
   exit 1
 fi
 if ! [ -s "$DISTDIR/BENCH_dmp.json" ] \
-    || ! grep -q '"overlap_vs_blocking"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"projected"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"model_gate"' "$DISTDIR/BENCH_dmp.json" \
     || ! grep -q '"coalescing"' "$DISTDIR/BENCH_dmp.json" \

@@ -79,21 +79,16 @@ let () =
     ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
       { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
   in
-  (* overlapped superstep: the interior block is swept while the halo
-     messages are in flight, then the boundary shells finish *)
-  DX.iterate t ~mode:DX.Overlap ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
+  (* one superstep per iteration: post the halos of u; then consume
+     them, sweep the whole local interior and copy back *)
+  DX.iterate t ~iters ~swap_fields:[ "u" ] ~sweep:(fun t ~rank ->
       let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-        ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ();
+      V.gs3d_sweep ~u:gu ~unew:gn ();
+      V.gs3d_copyback ~u:gu ~unew:gn ());
   Fsc_rt.Domain_pool.shutdown pool;
   let msgs, bytes = DX.stats t in
   Printf.printf
-    "\nSPMD run (overlapped): %d iterations, %d halo messages, %d kB moved\n"
+    "\nSPMD run: %d iterations, %d halo messages, %d kB moved\n"
     iters msgs (bytes / 1024);
 
   (* --- validation against serial --- *)

@@ -5,7 +5,7 @@
    is re-targeted at SPMD execution over a [Decomp] — each rank runs the
    same nests over its ownership-clipped local bounds through the
    vector engine, with [Dist_exec] supersteps providing the
-   halo swaps and the comm/compute overlap.
+   halo swaps.
 
    Coherence follows the GPU device-resident contract: buffer groups
    live scattered across ranks while distributed kernels run, and are
@@ -26,11 +26,11 @@
    analysis fallbacks — runs on the host between a gather and a
    re-scatter. Nests are grouped into stages so that one halo swap per
    stage suffices: a nest that reads, at a nonzero decomposed offset, a
-   buffer written earlier in the stage starts a new stage. Within a
-   stage, nests that would overwrite data still being read through the
-   halo (the Gauss-Seidel copy-back) run as the per-rank [finish] after
-   all of the rank's windows — mirroring how the hand-MPI code orders
-   sweep and copy-back. *)
+   buffer written earlier in the stage starts a new stage. Each rank
+   runs a stage's nests in program order over its whole local
+   interior, so a nest that overwrites data an earlier nest read
+   through the halo (the Gauss-Seidel copy-back) follows the sweep, as
+   in the hand-MPI code. *)
 
 module Kc = Fsc_rt.Kernel_compile
 module Kb = Fsc_rt.Kernel_bytecode
@@ -40,6 +40,7 @@ module Obs = Fsc_obs.Obs
 module Fp = Fsc_analysis.Footprint
 module SS = Set.Make (String)
 
+(* host fallback runs only ([run_fallback]) *)
 let c_fallbacks = Obs.counter "dmp.fallbacks"
 let c_scatters = Obs.counter "dmp.scatters"
 let c_gathers = Obs.counter "dmp.gathers"
@@ -65,25 +66,20 @@ type group = {
 }
 
 type stage_plan = {
-  sg_windowed : Kc.nest list;
-  sg_finish : Kc.nest list;
+  sg_nests : Kc.nest list;
   sg_swap : int list; (* buffer arg indices whose halos the stage reads *)
   sg_writes : int list; (* buffer arg indices the stage stores to *)
   sg_write_regions : (int * Fp.region) list;
       (* per written buffer, the joined global write footprint — what
          halo-aware staling tests against the decomposition's mirrored
          planes *)
-  sg_overlap_ok : bool;
 }
 
 type kplan = {
   kp_spec : Kc.spec;
   kp_stages : stage_plan list;
-  (* (stage, rank) -> ownership-localized nests, windowed and finish *)
-  kp_local_memo : (int * int, Kc.nest list * Kc.nest list) Hashtbl.t;
-  (* (stage, rank, window) -> compiled sweep runner *)
-  kp_sweep_memo : (int * int * Dist_exec.window, runner) Hashtbl.t;
-  kp_finish_memo : (int * int, runner) Hashtbl.t;
+  (* (stage, rank) -> runner over the stage's ownership-localized nests *)
+  kp_runners : (int * int, runner) Hashtbl.t;
 }
 
 type state = {
@@ -96,8 +92,7 @@ type state = {
   (* cumulative statistics *)
   mutable dk_dist_runs : int;
   mutable dk_fallback_runs : int;
-  mutable dk_overlap_stages : int;
-  mutable dk_blocking_stages : int;
+  mutable dk_exchanged_stages : int;
   mutable dk_fused_stages : int;
   mutable dk_stales_avoided : int;
   mutable dk_scatters_skipped : int;
@@ -109,9 +104,9 @@ let create ?pool ~ranks () =
   { dk_ranks = ranks; dk_pool = pool;
     dk_groups = []; dk_ids = [];
     dk_next_id = 0; dk_plans = Hashtbl.create 8; dk_dist_runs = 0;
-    dk_fallback_runs = 0; dk_overlap_stages = 0; dk_blocking_stages = 0;
-    dk_fused_stages = 0; dk_stales_avoided = 0; dk_scatters_skipped = 0;
-    dk_vec_nests = 0; dk_total_nests = 0 }
+    dk_fallback_runs = 0; dk_exchanged_stages = 0; dk_fused_stages = 0;
+    dk_stales_avoided = 0; dk_scatters_skipped = 0; dk_vec_nests = 0;
+    dk_total_nests = 0 }
 
 let buf_id st b =
   let rec find = function
@@ -129,7 +124,7 @@ let buf_id st b =
 let field_name id = "b" ^ string_of_int id
 
 (* ------------------------------------------------------------------ *)
-(* Kernel planning: distributability, stages, windowed/finish split    *)
+(* Kernel planning: distributability and stages                        *)
 (* ------------------------------------------------------------------ *)
 
 exception Not_distributable of string
@@ -233,44 +228,11 @@ let split_stages ~ddims nests =
   if !cur <> [] then stages := List.rev !cur :: !stages;
   List.rev !stages
 
-(* Within a stage, a nest that writes a buffer an earlier nest reads at
-   a nonzero decomposed offset (the copy-back overwriting the sweep's
-   input) must wait until every window of the rank is swept: it and all
-   later nests run in the per-rank finish phase. *)
-let split_phase ~ddims nests =
-  let rec go acc earlier_reads = function
-    | [] -> (List.rev acc, [])
-    | nest :: tl ->
-      if List.exists (fun b -> List.mem b earlier_reads) (writes nest)
-      then (List.rev acc, nest :: tl)
-      else go (nest :: acc) (offset_reads ~ddims nest @ earlier_reads) tl
-  in
-  go [] [] nests
-
-(* A stage may overlap comm with compute only if its windowed nests stay
-   within the interior in every decomposed dimension: the overlap
-   windows cover interior cells only, so boundary-plane iterations (an
-   initialisation nest writing index 0 / n+1) must run under the
-   blocking whole-sweep. *)
-let stage_overlap_ok ~ddims ~global nests =
-  let _, ny, nz = global in
-  List.for_all
-    (fun nest ->
-      List.for_all
-        (fun l ->
-          if List.mem l.Kc.l_dim ddims then
-            let n_d = if l.Kc.l_dim = 1 then ny else nz in
-            l.Kc.l_lb >= 1 && l.Kc.l_ub <= n_d + 1
-          else true)
-        nest.Kc.n_loops)
-    nests
-
-let plan_spec spec ~field_rank ~global =
+let plan_spec spec ~field_rank =
   let ddims = decomposed_dims field_rank in
   List.iter (check_nest ~ddims) spec.Kc.k_nests;
   split_stages ~ddims spec.Kc.k_nests
   |> List.map (fun nests ->
-         let windowed, finish = split_phase ~ddims nests in
          let swap =
            List.sort_uniq compare
              (List.concat_map (offset_reads ~ddims) nests)
@@ -295,9 +257,8 @@ let plan_spec spec ~field_rank ~global =
                  acc fp.Fp.nf_writes)
              [] nests
          in
-         { sg_windowed = windowed; sg_finish = finish; sg_swap = swap;
-           sg_writes = stage_writes; sg_write_regions = write_regions;
-           sg_overlap_ok = stage_overlap_ok ~ddims ~global windowed })
+         { sg_nests = nests; sg_swap = swap; sg_writes = stage_writes;
+           sg_write_regions = write_regions })
 
 (* ------------------------------------------------------------------ *)
 (* Halo-aware staling                                                  *)
@@ -335,18 +296,16 @@ let write_stales ~ddims ~planes:(planes_y, planes_z) region =
       | Some dim -> List.exists (Fp.dim_contains dim) planes)
     ddims
 
-let plan st spec ~field_rank ~global ~name =
+let plan st spec ~field_rank ~name =
   match Hashtbl.find_opt st.dk_plans name with
   | Some r -> r
   | None ->
     let r =
-      match plan_spec spec ~field_rank ~global with
+      match plan_spec spec ~field_rank with
       | stages ->
         Ok
           { kp_spec = spec; kp_stages = stages;
-            kp_local_memo = Hashtbl.create 16;
-            kp_sweep_memo = Hashtbl.create 64;
-            kp_finish_memo = Hashtbl.create 16 }
+            kp_runners = Hashtbl.create 16 }
       | exception Not_distributable reason -> Error reason
     in
     Hashtbl.add st.dk_plans name r;
@@ -410,33 +369,6 @@ let localize_nest ~decomp ~ddims ~rank nest =
     Some { nest with Kc.n_loops = loops; n_stores = stores }
   with Empty_nest -> None
 
-(* Restrict a localized nest to one sweep window. Windows cover the
-   local interior; when a window touches the local edge it absorbs the
-   adjacent boundary-plane iterations (only present in the bounds on
-   global-boundary ranks). *)
-let clip_nest ~ddims ~extents:(ly, lz) ~w nest =
-  try
-    Some
-      { nest with
-        Kc.n_loops =
-          List.map
-            (fun l ->
-              if List.mem l.Kc.l_dim ddims then begin
-                let wlo, whi, n =
-                  if l.Kc.l_dim = 1 then
-                    (w.Dist_exec.w_jlo, w.Dist_exec.w_jhi, ly)
-                  else (w.Dist_exec.w_klo, w.Dist_exec.w_khi, lz)
-                in
-                let lo = if wlo = 1 then 0 else wlo in
-                let hi = if whi = n then n + 2 else whi + 1 in
-                let lb = max l.Kc.l_lb lo and ub = min l.Kc.l_ub hi in
-                if lb >= ub then raise Empty_nest;
-                { l with Kc.l_lb = lb; l_ub = ub }
-              end
-              else l)
-            nest.Kc.n_loops }
-  with Empty_nest -> None
-
 (* ------------------------------------------------------------------ *)
 (* Runner compilation (memoized; built on the caller thread only)      *)
 (* ------------------------------------------------------------------ *)
@@ -455,37 +387,19 @@ let compile_runner st spec nests =
     st.dk_vec_nests <- st.dk_vec_nests + Kb.vectorised_nests vplan;
     fun ~bufs ~scalars -> Kb.run vplan ~bufs ~scalars ())
 
-let localized st kplan ~decomp ~ddims ~stage_idx ~rank =
-  match Hashtbl.find_opt kplan.kp_local_memo (stage_idx, rank) with
+(* One runner per (stage, rank) over all of the stage's localized
+   nests: [Kb.run] runs them in program order over the whole local
+   interior. *)
+let stage_runner st kplan ~decomp ~ddims ~stage_idx ~rank =
+  match Hashtbl.find_opt kplan.kp_runners (stage_idx, rank) with
   | Some r -> r
   | None ->
-    ignore st;
     let stage = List.nth kplan.kp_stages stage_idx in
-    let loc = List.filter_map (localize_nest ~decomp ~ddims ~rank) in
-    let r = (loc stage.sg_windowed, loc stage.sg_finish) in
-    Hashtbl.add kplan.kp_local_memo (stage_idx, rank) r;
-    r
-
-let sweep_runner st kplan ~decomp ~ddims ~stage_idx ~rank ~w =
-  match Hashtbl.find_opt kplan.kp_sweep_memo (stage_idx, rank, w) with
-  | Some r -> r
-  | None ->
-    let windowed, _ = localized st kplan ~decomp ~ddims ~stage_idx ~rank in
-    let _, ly, lz = Decomp.local_extents decomp rank in
     let nests =
-      List.filter_map (clip_nest ~ddims ~extents:(ly, lz) ~w) windowed
+      List.filter_map (localize_nest ~decomp ~ddims ~rank) stage.sg_nests
     in
     let r = compile_runner st kplan.kp_spec nests in
-    Hashtbl.add kplan.kp_sweep_memo (stage_idx, rank, w) r;
-    r
-
-let finish_runner st kplan ~decomp ~ddims ~stage_idx ~rank =
-  match Hashtbl.find_opt kplan.kp_finish_memo (stage_idx, rank) with
-  | Some r -> r
-  | None ->
-    let _, finish = localized st kplan ~decomp ~ddims ~stage_idx ~rank in
-    let r = compile_runner st kplan.kp_spec finish in
-    Hashtbl.add kplan.kp_finish_memo (stage_idx, rank) r;
+    Hashtbl.add kplan.kp_runners (stage_idx, rank) r;
     r
 
 (* ------------------------------------------------------------------ *)
@@ -630,29 +544,11 @@ let run_dist st g kplan ~bufs ~scalars =
            let stale =
              List.filter (fun n -> not (SS.mem n g.g_fresh)) swap_fields
            in
-           let fused = swap_fields <> [] && stale = [] in
-           (* mirror the superstep's no-pool collapse: the runners below
-              are keyed by window, so the window set must match the
-              schedule the superstep will actually run. A fused stage
-              has no communication to hide and runs the blocking
-              whole-sweep windows. *)
-           let mode =
-             if fused then Dist_exec.Blocking
-             else if stage.sg_overlap_ok && st.dk_pool <> None then
-               Dist_exec.Overlap
-             else Dist_exec.Blocking
-           in
-           if fused then begin
+           if stale <> [] then
+             st.dk_exchanged_stages <- st.dk_exchanged_stages + 1
+           else if swap_fields <> [] then begin
              st.dk_fused_stages <- st.dk_fused_stages + 1;
              Obs.incr c_fused
-           end
-           else begin
-             match mode with
-             | Dist_exec.Overlap ->
-               st.dk_overlap_stages <- st.dk_overlap_stages + 1
-             | Dist_exec.Blocking ->
-               st.dk_blocking_stages <- st.dk_blocking_stages + 1;
-               Obs.incr c_fallbacks
            end;
            (* the exchange refreshes every swap field; the stage's
               writes then stale the written fields' halos — but only
@@ -677,36 +573,16 @@ let run_dist st g kplan ~bufs ~scalars =
            let written = arg_names staling in
            g.g_fresh <- SS.union (SS.of_list swap_fields) g.g_fresh;
            g.g_fresh <- SS.diff g.g_fresh (SS.of_list written);
-           (* compile every runner this superstep can need up front, on
-              the caller: the memo tables are not thread-safe and the
-              sweep callbacks run concurrently on pool workers *)
+           (* compile every rank's runner up front, on the caller: the
+              memo table is not thread-safe and the sweep callbacks run
+              concurrently on pool workers *)
            let runners =
              Array.init nranks (fun rank ->
-                 let windows =
-                   match mode with
-                   | Dist_exec.Blocking -> [ Dist_exec.interior dx rank ]
-                   | Dist_exec.Overlap ->
-                     if Dist_exec.overlap_capable dx rank then
-                       Dist_exec.interior_block dx rank
-                       :: Dist_exec.shells dx rank
-                     else [ Dist_exec.interior dx rank ]
-                 in
-                 ( List.map
-                     (fun w ->
-                       ( w,
-                         sweep_runner st kplan ~decomp ~ddims ~stage_idx
-                           ~rank ~w ))
-                     windows,
-                   finish_runner st kplan ~decomp ~ddims ~stage_idx ~rank ))
+                 stage_runner st kplan ~decomp ~ddims ~stage_idx ~rank)
            in
-           Dist_exec.superstep_phases dx ~swap_fields:stale ~mode
-             ~sweep:(fun ~rank w ->
-               let sweeps, _ = runners.(rank) in
-               (List.assoc w sweeps) ~bufs:local_bufs.(rank) ~scalars)
-             ~finish:(fun ~rank ->
-               let _, fin = runners.(rank) in
-               fin ~bufs:local_bufs.(rank) ~scalars)
-             ())
+           Dist_exec.superstep_phases dx ~swap_fields:stale
+             ~sweep:(fun ~rank ->
+               runners.(rank) ~bufs:local_bufs.(rank) ~scalars))
          kplan.kp_stages)
   in
   Dist_exec.run_phases dx phases
@@ -727,9 +603,7 @@ let run_kernel st ~name spec ~host ~bufs ~scalars =
       ignore (Kc.check_buffers bufs);
       let dims = Array.to_list bufs.(0).Rt.dims in
       let g = group_for st dims in
-      match
-        plan st spec ~field_rank:nd ~global:(global_of_dims dims) ~name
-      with
+      match plan st spec ~field_rank:nd ~name with
       | Error reason -> run_fallback st ~reason host
       | Ok kplan ->
         ensure_scattered st g spec bufs;
@@ -752,26 +626,16 @@ type stats = {
   ds_ranks : int;
   ds_groups : group_stats list;
   ds_dist_runs : int; (* distributed kernel executions, cumulative *)
-  ds_fallback_runs : int;
-  ds_overlap_stages : int;
-  ds_blocking_stages : int;
+  ds_fallback_runs : int; (* host fallback runs, cumulative *)
+  ds_exchanged_stages : int; (* supersteps that exchanged halos *)
   ds_fused_stages : int; (* supersteps whose exchange was fused away *)
   ds_stales_avoided : int; (* writes footprint-proven off mirrored planes *)
   ds_scatters_skipped : int; (* buffers the calling kernel overwrites *)
-  ds_thin_y_fallbacks : int; (* overlap fallbacks: active y axis < 3 *)
-  ds_thin_z_fallbacks : int;
   ds_vec_nests : int; (* vectorised / total nests over compiled runners *)
   ds_total_nests : int;
 }
 
 let stats st =
-  let thin_y, thin_z =
-    List.fold_left
-      (fun (ay, az) g ->
-        let y, z = Dist_exec.fallback_reasons g.g_dx in
-        (ay + y, az + z))
-      (0, 0) st.dk_groups
-  in
   { ds_ranks = st.dk_ranks;
     ds_groups =
       List.rev_map
@@ -782,10 +646,8 @@ let stats st =
             gs_bytes = bytes })
         st.dk_groups;
     ds_dist_runs = st.dk_dist_runs; ds_fallback_runs = st.dk_fallback_runs;
-    ds_overlap_stages = st.dk_overlap_stages;
-    ds_blocking_stages = st.dk_blocking_stages;
+    ds_exchanged_stages = st.dk_exchanged_stages;
     ds_fused_stages = st.dk_fused_stages;
     ds_stales_avoided = st.dk_stales_avoided;
-    ds_scatters_skipped = st.dk_scatters_skipped; ds_thin_y_fallbacks = thin_y;
-    ds_thin_z_fallbacks = thin_z; ds_vec_nests = st.dk_vec_nests;
-    ds_total_nests = st.dk_total_nests }
+    ds_scatters_skipped = st.dk_scatters_skipped;
+    ds_vec_nests = st.dk_vec_nests; ds_total_nests = st.dk_total_nests }

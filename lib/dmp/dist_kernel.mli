@@ -3,7 +3,7 @@
     {!Fsc_rt.Kernel_compile} are re-targeted at SPMD execution over a
     {!Decomp} — each rank runs ownership-clipped local bounds through
     the vector engine, with {!Dist_exec} supersteps providing
-    halo swaps and comm/compute overlap.
+    the halo swaps.
 
     Coherence follows the GPU device-resident contract: buffers live
     scattered across ranks while distributed kernels run and are
@@ -18,9 +18,9 @@ type state
 (** [create ?pool ~ranks ()] — one state per linked artifact.
     [pool] runs ranks concurrently. The superstep schedule is fixed and
     every part of it preserves bitwise results:
-    - a stage overlaps its interior sweep with the halo exchange, and
-      falls back to blocking when a nest writes outside the interior,
-      when its exchange was fused away, or without a pool;
+    - a stage is one {!Dist_exec} superstep: post the halos, then
+      consume them and run the stage's nests in program order over each
+      rank's whole local interior, through one runner per rank;
     - a stage's exchange is skipped when every swap field's halos are
       already fresh (scattered or exchanged since last written), so
       e.g. the superstep right after a scatter pays no messages;
@@ -62,7 +62,9 @@ val sync_back : state -> unit
 
 (** Run a host-side (non-distributed) computation: gathers all valid
     groups first and marks them invalid so the next distributed kernel
-    re-scatters. Used for kernels that cannot be distributed. *)
+    re-scatters. Used for kernels that cannot be distributed. Each call
+    is one [ds_fallback_runs] and one [dmp.fallbacks] count; nothing
+    else bumps that counter. *)
 val run_fallback : state -> reason:string -> (unit -> 'a) -> 'a
 
 (** Execute one compiled kernel distributed over the ranks, falling back
@@ -91,9 +93,10 @@ type stats = {
   ds_ranks : int;
   ds_groups : group_stats list;
   ds_dist_runs : int;  (** distributed kernel executions, cumulative *)
-  ds_fallback_runs : int;
-  ds_overlap_stages : int;
-  ds_blocking_stages : int;
+  ds_fallback_runs : int;  (** host fallback runs, cumulative *)
+  ds_exchanged_stages : int;
+      (** supersteps that exchanged halos, cumulative (a stage with no
+          swap set is neither exchanged nor fused) *)
   ds_fused_stages : int;
       (** supersteps whose halo exchange was fused away (halos already
           fresh), cumulative *)
@@ -103,12 +106,9 @@ type stats = {
   ds_scatters_skipped : int;
       (** buffers not scattered because the calling kernel overwrites
           every cell ({!Fsc_analysis.Footprint.overwrites}); cumulative *)
-  ds_thin_y_fallbacks : int;
-      (** overlap fallbacks because an active y axis was thinner than 3
-          (per affected rank per superstep) *)
-  ds_thin_z_fallbacks : int;
   ds_vec_nests : int;
-      (** vectorised / total nests over compiled per-rank runners *)
+      (** vectorised / total nests over the compiled per-rank runners,
+          one runner per (stage, rank) *)
   ds_total_nests : int;
 }
 

@@ -148,26 +148,19 @@ let prop_split_covers =
 
 (* ---- halo exchange correctness ---- *)
 
-(* Drive the distributed Gauss-Seidel with the windowed vendor kernels:
-   sweep honours the window (interior block or boundary shell under
-   Overlap), copy-back runs per rank once all its windows are done. *)
-let gs_iterate t ~mode ~iters =
-  let local_grids t rank =
-    let st = t.DX.ranks.(rank) in
-    let lu = DX.field st "u" and ln = DX.field st "unew" in
-    let lx, ly, lz = D.local_extents t.DX.decomp rank in
-    ( { V.g_buf = lu; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz },
-      { V.g_buf = ln; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz } )
-  in
-  DX.iterate t ~mode ~iters ~swap_fields:[ "u" ]
-    ~sweep:(fun t ~rank w ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_sweep_in ~u:gu ~unew:gn ~jlo:w.DX.w_jlo ~jhi:w.DX.w_jhi
-        ~klo:w.DX.w_klo ~khi:w.DX.w_khi ())
-    ~finish:(fun t ~rank ->
-      let gu, gn = local_grids t rank in
-      V.gs3d_copyback ~u:gu ~unew:gn ())
-    ()
+(* Drive the distributed Gauss-Seidel with the vendor kernels on each
+   rank's local grids: after the halo swap every rank sweeps its whole
+   interior and then copies back, inside the superstep's second phase. *)
+let gs_iterate t ~iters =
+  DX.iterate t ~iters ~swap_fields:[ "u" ] ~sweep:(fun t ~rank ->
+      let st = t.DX.ranks.(rank) in
+      let lx, ly, lz = D.local_extents t.DX.decomp rank in
+      let grid name =
+        { V.g_buf = DX.field st name; V.g_nx = lx; V.g_ny = ly; V.g_nz = lz }
+      in
+      let u = grid "u" and unew = grid "unew" in
+      V.gs3d_sweep ~u ~unew ();
+      V.gs3d_copyback ~u ~unew ())
 
 let gs_serial ~nx ~ny ~nz ~iters =
   let u = V.grid3 ~nx ~ny ~nz and unew = V.grid3 ~nx ~ny ~nz in
@@ -212,8 +205,7 @@ let test_halo_exchange () =
         done
       done)
     t.DX.ranks;
-  DX.iterate t ~iters:1 ~swap_fields:[ "u" ] ~sweep:(fun _ ~rank:_ _ -> ())
-    ();
+  DX.iterate t ~iters:1 ~swap_fields:[ "u" ] ~sweep:(fun _ ~rank:_ -> ());
   (* interior halos restored *)
   Array.iter
     (fun st ->
@@ -234,29 +226,29 @@ let test_halo_exchange () =
       | None -> ())
     t.DX.ranks
 
-(* Distributed GS must be bitwise-identical to serial over the interior,
-   in both superstep modes, at every rank count that fits — including 1,
-   a prime, the full extent of one dimension, and a non-square process
-   grid — with ranks running concurrently on a pool. *)
+(* Distributed GS must be bitwise-identical to serial over the interior
+   at every rank count that fits — including 1, a prime, the full extent
+   of one dimension, and a non-square process grid — both with ranks
+   running concurrently on a pool and sequentially without one. *)
 let test_distributed_gs_equals_serial () =
   let nx, ny, nz = (6, 8, 10) in
   let iters = 3 in
   let serial = gs_serial ~nx ~ny ~nz ~iters in
   Fsc_rt.Domain_pool.with_pool 3 (fun pool ->
       List.iter
-        (fun ranks ->
-          let d = D.create ~global:(nx, ny, nz) ~ranks in
+        (fun (pname, pool) ->
           List.iter
-            (fun mode ->
+            (fun ranks ->
+              let d = D.create ~global:(nx, ny, nz) ~ranks in
               let t =
-                DX.create ~pool d ~fields:[ "u"; "unew" ]
+                DX.create ?pool d ~fields:[ "u"; "unew" ]
                   ~init:gs_init_fields
               in
               let label =
                 Printf.sprintf "%d ranks (%dx%d grid), %s" ranks d.D.py
-                  d.D.pz (DX.mode_name mode)
+                  d.D.pz pname
               in
-              gs_iterate t ~mode ~iters;
+              gs_iterate t ~iters;
               let gathered = DX.gather t "u" in
               (* compare interiors only: distributed halos of the global
                  boundary follow a different update discipline than the
@@ -271,9 +263,25 @@ let test_distributed_gs_equals_serial () =
                   true
                   (msgs > 0 && bytes > 0)
               end)
-            [ DX.Blocking; DX.Overlap ])
-        (* 1, 2, prime, ny (8 = full y extent), non-square 2x3 *)
-        [ 1; 2; 3; ny; 6 ])
+            (* 1, 2, prime, ny (8 = full y extent), non-square 2x3 *)
+            [ 1; 2; 3; ny; 6 ])
+        [ ("pool of 3", Some pool); ("no pool", None) ])
+
+(* One superstep schedule: a swap set builds two phases (post, then
+   consume and sweep), an empty one a single compute phase — the same
+   with and without a pool. *)
+let test_superstep_phases () =
+  let d = D.create ~global:(6, 8, 10) ~ranks:4 in
+  Fsc_rt.Domain_pool.with_pool 2 (fun pool ->
+      List.iter
+        (fun (pname, pool) ->
+          let t = DX.create ?pool d ~fields:[ "u" ] ~init:(fun _ _ -> 0.0) in
+          let sweep ~rank:_ = () in
+          Alcotest.(check int) (pname ^ ": swap set") 2
+            (List.length (DX.superstep_phases t ~swap_fields:[ "u" ] ~sweep));
+          Alcotest.(check int) (pname ^ ": empty swap set") 1
+            (List.length (DX.superstep_phases t ~swap_fields:[] ~sweep)))
+        [ ("pool", Some pool); ("no pool", None) ])
 
 (* Coalesced halo payloads: for every rank and every neighbour
    direction, packing a two-field swap set on the sender and unpacking
@@ -372,38 +380,6 @@ let test_coalesced_roundtrip () =
     corrupt
       (fun p -> p.(1) <- float_of_int (Array.length payload * 2))
       "escaping offset")
-
-(* Overlap splits the sweep into interior block + shells; the union must
-   cover each rank's interior exactly once. *)
-let test_overlap_windows_partition () =
-  let d = D.create ~global:(6, 9, 11) ~ranks:6 in
-  let t = DX.create d ~fields:[ "u" ] ~init:(fun _ _ -> 0.0) in
-  Array.iter
-    (fun st ->
-      let rank = st.DX.rs_rank in
-      let _, ly, lz = D.local_extents d rank in
-      let seen = Array.make_matrix (ly + 1) (lz + 1) 0 in
-      let mark w =
-        for j = w.DX.w_jlo to w.DX.w_jhi do
-          for k = w.DX.w_klo to w.DX.w_khi do
-            seen.(j).(k) <- seen.(j).(k) + 1
-          done
-        done
-      in
-      if DX.overlap_capable t rank then begin
-        mark (DX.interior_block t rank);
-        List.iter mark (DX.shells t rank)
-      end
-      else mark (DX.interior t rank);
-      for j = 1 to ly do
-        for k = 1 to lz do
-          if seen.(j).(k) <> 1 then
-            Alcotest.failf "rank %d cell (%d,%d) covered %d times" rank j
-              k
-              seen.(j).(k)
-        done
-      done)
-    t.DX.ranks
 
 (* Interior halo planes must never overwrite owner cells in a gather:
    scribble a sentinel into every interior halo, gather, and check no
@@ -525,8 +501,8 @@ let check_bitwise ~msg serial dist =
 
 (* Every rank count / engine must reproduce the serial answer bit for
    bit — the distributed lowering is a pure execution strategy, never a
-   numerics change. Thin blocks at 8 ranks exercise the blocking
-   fallback inside the overlapped schedule. *)
+   numerics change. 8 ranks leave blocks two planes thick in z, where
+   every interior cell reads an exchanged halo. *)
 let test_pipeline_dist_gs () =
   let src = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:4 () in
   let serial =
@@ -780,6 +756,71 @@ end program residual_probe
         [ (1, 0); (2, 2); (4, 8); (8, 20) ])
     [ "r"; "u" ]
 
+(* [dmp.fallbacks] counts host fallback runs and nothing else: it
+   equals [ds_fallback_runs], 0 on Gauss-Seidel (every kernel
+   distributes) and at least 1 on a kernel reading two planes away in a
+   decomposed dimension, beyond the one-cell halo. *)
+let test_pipeline_dist_fallback_counter () =
+  let module Dk = Fsc_dmp.Dist_kernel in
+  let far_src =
+    {|
+program far_read
+  implicit none
+  integer, parameter :: nx = 6, ny = 6, nz = 6
+  integer :: i, j, k
+  real(kind=8), dimension(0:nx+1, 0:ny+1, 0:nz+1) :: u, v
+
+  do k = 0, nz + 1
+    do j = 0, ny + 1
+      do i = 0, nx + 1
+        u(i, j, k) = 0.01d0 * dble(i) + 0.02d0 * dble(j) * dble(k)
+        v(i, j, k) = 0.0d0
+      end do
+    end do
+  end do
+
+  do k = 1, nz
+    do j = 1, ny - 1
+      do i = 1, nx
+        v(i, j, k) = 2.0d0 * u(i, j + 2, k)
+      end do
+    end do
+  end do
+end program far_read
+|}
+  in
+  let c = Fsc_obs.Obs.counter "dmp.fallbacks" in
+  Fsc_obs.Obs.set_counters_only true;
+  Fun.protect
+    ~finally:(fun () -> Fsc_obs.Obs.set_counters_only false)
+    (fun () ->
+      List.iter
+        (fun (label, src, grid, want_some) ->
+          let serial =
+            run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid src
+          in
+          let before = Fsc_obs.Obs.counter_value c in
+          let dist, stats =
+            run_pipeline_stats ~engine:P.Engine_vector ~target:(P.Dist 2)
+              ~grid src
+          in
+          let counted = Fsc_obs.Obs.counter_value c - before in
+          check_bitwise ~msg:label serial dist;
+          match stats with
+          | None -> Alcotest.fail (label ^ ": no dist state")
+          | Some s ->
+            Alcotest.(check int) (label ^ ": counter = host fallback runs")
+              s.Dk.ds_fallback_runs counted;
+            if want_some then
+              Alcotest.(check bool) (label ^ ": falls back") true
+                (s.Dk.ds_fallback_runs >= 1)
+            else
+              Alcotest.(check int) (label ^ ": no fallback") 0
+                s.Dk.ds_fallback_runs)
+        [ ("gs dist(2)", B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 (), "u",
+           false);
+          ("far read dist(2)", far_src, "v", true) ])
+
 (* A grid too small for the rank count must fail with the located
    decomposition diagnostic, not a degenerate layout or a crash. *)
 let test_pipeline_dist_degenerate () =
@@ -813,8 +854,8 @@ let () =
        [ Alcotest.test_case "halo exchange" `Quick test_halo_exchange;
          Alcotest.test_case "coalesced payload round trip" `Quick
            test_coalesced_roundtrip;
-         Alcotest.test_case "overlap windows partition interior" `Quick
-           test_overlap_windows_partition;
+         Alcotest.test_case "superstep phase count" `Quick
+           test_superstep_phases;
          Alcotest.test_case "gather ignores stale halos" `Quick
            test_gather_staleness;
          Alcotest.test_case "distributed GS == serial" `Quick
@@ -831,7 +872,9 @@ let () =
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick
            test_pipeline_footprint_staling;
          Alcotest.test_case "degenerate decomposition diagnosed" `Quick
-           test_pipeline_dist_degenerate ]);
+           test_pipeline_dist_degenerate;
+         Alcotest.test_case "dmp.fallbacks counts host fallbacks" `Quick
+           test_pipeline_dist_fallback_counter ]);
       ("dialect",
        [ Alcotest.test_case "stencil -> dmp" `Quick test_stencil_to_dmp;
          Alcotest.test_case "dmp -> mpi" `Quick test_dmp_to_mpi ]) ]

@@ -86,30 +86,36 @@ let test_pool_reuse () =
 (* A raising chunk must neither kill its worker nor strand the caller
    at the completion barrier: the exception reaches the caller, whether
    a chunk of the caller or of the worker raised, and the pool stays
-   usable. The caller's chunks wait until the worker has run one, so the
-   worker case really raises on the worker. *)
+   usable. The side that must not raise waits (bounded) inside its
+   chunk until the raising side has started one, so the raising side
+   always runs a chunk: otherwise a preempted caller can lose its whole
+   segment to the worker's steals, or the caller can run every chunk
+   before the worker wakes. *)
 let test_parallel_for_raising_chunk () =
   DP.with_pool 2 (fun pool ->
       let caller = Domain.self () in
       List.iter
         (fun on_worker ->
           let worker_ran = Atomic.make false in
+          let caller_ran = Atomic.make false in
           let deadline = Unix.gettimeofday () +. 5.0 in
+          let wait_for flag =
+            while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done
+          in
           let raised =
             match
               DP.parallel_for pool ~lo:0 ~hi:64 (fun _ _ ->
                   if Domain.self () = caller then begin
-                    while
-                      (not (Atomic.get worker_ran))
-                      && Unix.gettimeofday () < deadline
-                    do
-                      Domain.cpu_relax ()
-                    done;
-                    if not on_worker then failwith "caller chunk"
+                    Atomic.set caller_ran true;
+                    if on_worker then wait_for worker_ran
+                    else failwith "caller chunk"
                   end
                   else begin
                     Atomic.set worker_ran true;
                     if on_worker then failwith "worker chunk"
+                    else wait_for caller_ran
                   end)
             with
             | exception Failure _ -> true
