@@ -8,6 +8,23 @@ cd "$(dirname "$0")"
 dune build
 dune runtest
 
+# Export scan: every value a library interface exports must be used by
+# some other .ml file (library, binaries, benches, tests, examples);
+# a value used only inside its own module stays out of the .mli.
+unused_exports=$(
+  for m in lib/*/*.mli; do
+    for v in $(grep -oP '^\s*val\s+\K[a-z_][A-Za-z0-9_'"'"']*' "$m"); do
+      grep -rlw --include=*.ml -- "$v" lib bin bench perfbench test examples \
+        | grep -qv "^${m%.mli}.ml$" || echo "$m $v"
+    done
+  done)
+if [ -n "$unused_exports" ]; then
+  echo "ci: exported values used nowhere outside their module:"
+  printf '%s\n' "$unused_exports"
+  exit 1
+fi
+echo "export scan: every exported value is used outside its module"
+
 SFC=_build/default/bin/sfc.exe
 
 # Static-analysis gate: every example program must check clean, and the

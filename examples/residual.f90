@@ -9,7 +9,7 @@
 !   dune exec bin/sfc.exe -- run examples/residual.f90 \
 !     --target dist --ranks 4 --stats
 !
-! (compare against --dist-no-footprint: halo traffic grows with niter)
+! (it prints 8 halo messages at 4 ranks: one exchange, whatever niter is)
 program residual_probe
   implicit none
   integer, parameter :: nx = 12, ny = 12, nz = 12, niter = 3

@@ -31,17 +31,6 @@ type result = {
 
 val empty_summary : nest_summary
 
-(** Verify the module, then run the dependence classification (code
-    ["race"]: warnings for provable carried dependences, notes for
-    may-dependences), the static bounds analysis (code ["bounds"],
-    errors) and the footprint lints — ["dead-write"] (warning: a
-    written region no read of the field ever intersects),
-    ["unread-field"] (warning: a field written but never read) and
-    ["redundant-exchange"] (note: a repeated halo exchange the
-    distributed backend's footprint-aware staling would fuse away).
-    Malformed IR yields ["verify"] errors and skips the analyses. *)
-val check_module : Op.op -> result
-
 (** Frontend (lex/parse/sema/lowering) failures as located ["frontend"]
     diagnostics; [None] for unrelated exceptions. *)
 val diag_of_frontend_exn : exn -> Diag.t option

@@ -75,10 +75,6 @@ type dependence = {
     (all-zero-distance) dependence. *)
 val pair : ivs:Op.value list -> access -> access -> dependence option
 
-(** Dependences between the nest's store and every same-root access in
-    its scope. *)
-val store_dependences : nest -> dependence list
-
 (** {2 Nest classification} *)
 
 type classification =
@@ -110,8 +106,6 @@ type scalar_fate =
 val scalar_fate : scope:Op.op -> cell:Op.value -> scalar_fate
 
 (** {2 Descriptions} *)
-
-val kind_to_string : dep_kind -> string
 
 (** One-line human description of a dependence, for diagnostics. *)
 val describe : dependence -> string

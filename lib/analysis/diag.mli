@@ -28,7 +28,6 @@ type t = {
       (** secondary locations, e.g. the conflicting read of a race *)
 }
 
-val severity_to_string : severity -> string
 val loc : int -> int -> srcloc
 
 (** Location of an op's ["loc"] attribute, when the frontend threaded

@@ -26,8 +26,6 @@ let meet_dim a b =
 let dim_contains d x =
   match d with Top -> true | Range (lo, hi) -> lo <= x && x <= hi
 
-let dims_intersect a b = meet_dim a b <> None
-
 (* Regions of different ranks come from rank-mismatched uses of the
    same name; treat the missing dimensions as Top so every lattice
    answer stays conservative. *)

@@ -35,15 +35,11 @@ val meet_dim : dim -> dim -> dim option
 (** Greatest lower bound; [None] when the intersection is empty. *)
 
 val dim_contains : dim -> int -> bool
-val dims_intersect : dim -> dim -> bool
 
 (** Region-level lattice ops.  Mismatched ranks are handled
     conservatively: missing dimensions behave as [Top]. *)
 
 val join_region : region -> region -> region
-
-val meet_region : region -> region -> region option
-(** [None] when the regions are disjoint in some shared dimension. *)
 
 val regions_intersect : region -> region -> bool
 

@@ -16,10 +16,6 @@ type form =
   | Const of int  (** a compile-time constant subscript *)
   | Unknown  (** anything else (indirect, multiplicative in an iv, ...) *)
 
-(** [is_do_loop_arg v] is [true] when [v] is the induction-variable block
-    argument of a [fir.do_loop] body. *)
-val is_do_loop_arg : Op.value -> bool
-
 (** Analyse an index value into its affine {!form}. Walks through
     [fir.convert], [arith.index_cast], [fir.no_reassoc] and combines
     [arith.addi]/[subi]/[muli] where the result stays affine. *)

@@ -31,9 +31,6 @@ type stats = {
   disk_evictions : int;  (** whole artifact sets evicted for the budget *)
 }
 
-(** [$XDG_CACHE_HOME/sfc] or [~/.cache/sfc]. *)
-val default_dir : unit -> string
-
 (** [create ~version ()] makes a cache whose entries are only readable
     by caches of the same [version] (mismatches are evicted on load).
     [mem_entries] bounds the LRU layer (default 64); [dir] places the

@@ -41,10 +41,3 @@ let std_convert b v (to_ : Types.t) =
       invalid_arg
         (Printf.sprintf "Fir_to_std.std_convert: %s -> %s"
            (Types.to_string from) (Types.to_string to_))
-
-(* Is this op representable in the standard dialects that mlir-opt
-   registers (i.e. allowed inside the extracted stencil module)? *)
-let is_standard_op (op : Op.op) =
-  let dialect = Dialect.dialect_of_op_name op.Op.o_name in
-  List.mem dialect [ "arith"; "math"; "scf"; "memref"; "func"; "cf";
-                     "stencil"; "builtin"; "gpu"; "llvm" ]

@@ -14,6 +14,3 @@ open Fsc_ir
     @raise Invalid_argument on conversions with no standard equivalent. *)
 val std_convert : Builder.t -> Op.value -> Types.t -> Op.value
 
-(** Is this operation expressible in the dialects mlir-opt registers
-    (i.e. allowed inside the extracted stencil module)? *)
-val is_standard_op : Op.op -> bool

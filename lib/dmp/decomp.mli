@@ -28,11 +28,6 @@ val create : global:int * int * int -> ranks:int -> t
 
 val nranks : t -> int
 
-(** rank <-> (cy, cz) process-grid coordinates *)
-val coords : t -> int -> int * int
-
-val rank_of : t -> int * int -> int
-
 (** [split n p i] is the 1-based inclusive range of piece [i] when [n]
     cells are divided into [p] near-equal contiguous pieces. *)
 val split : int -> int -> int -> int * int

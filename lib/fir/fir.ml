@@ -186,7 +186,6 @@ let call b ~callee ~results args =
 
 (* ---- queries used by the discovery pass ---- *)
 
-let is_do_loop op = op.Op.o_name = "fir.do_loop"
 let is_store op = op.Op.o_name = "fir.store"
 let is_load op = op.Op.o_name = "fir.load"
 let is_coordinate_of op = op.Op.o_name = "fir.coordinate_of"

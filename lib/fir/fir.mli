@@ -40,8 +40,6 @@ val no_reassoc : Builder.t -> Op.value -> Op.value
 
 (** {2 Control flow} *)
 
-val result_ : Builder.t -> Op.value list -> unit
-
 (** Fortran DO loop: index runs [lb..ub] {e inclusive} with [step]. The
     body callback receives the induction variable and iteration values,
     returning the next iteration values. *)
@@ -79,7 +77,6 @@ val call :
 
 (** {2 Queries used by the discovery pass} *)
 
-val is_do_loop : Op.op -> bool
 val is_store : Op.op -> bool
 val is_load : Op.op -> bool
 val is_coordinate_of : Op.op -> bool

@@ -17,20 +17,6 @@ open Fast
     subset. *)
 exception Unsupported of string * loc
 
-(** FIR scalar type of a Fortran type: integer -> i32, real(4) -> f32,
-    real(8)/double precision -> f64, logical -> i1. *)
-val fir_scalar_type : ftype -> Fsc_ir.Types.t
-
-(** [_QQmain] for programs, [_QP<name>] for subroutines/functions —
-    Flang's mangling. *)
-val mangle : program_unit -> string
-
-(** Lower one analysed unit to a [func.func]. *)
-val lower_unit : Fsema.unit_env -> Fsc_ir.Op.op
-
-(** Lower a whole analysed compilation unit into a fresh module. *)
-val lower_compilation_unit : Fsema.unit_env list -> Fsc_ir.Op.op
-
 (** One-stop front door: Fortran source text -> FIR module.
     @raise Fparser.Parse_error on syntax errors
     @raise Fsema.Sema_error on semantic errors

@@ -58,23 +58,7 @@ let as_string = function
   | Sym_a s -> s
   | a -> invalid_arg ("Attr.as_string: " ^ to_string a)
 
-let as_bool = function
-  | Bool_a b -> b
-  | a -> invalid_arg ("Attr.as_bool: " ^ to_string a)
-
-let as_type = function
-  | Type_a t -> t
-  | a -> invalid_arg ("Attr.as_type: " ^ to_string a)
-
 let as_index = function
   | Index_a xs -> xs
   | Arr_a xs -> List.map as_int xs
   | a -> invalid_arg ("Attr.as_index: " ^ to_string a)
-
-let as_array = function
-  | Arr_a xs -> xs
-  | a -> invalid_arg ("Attr.as_array: " ^ to_string a)
-
-let as_loc = function
-  | Loc_a (line, col) -> (line, col)
-  | a -> invalid_arg ("Attr.as_loc: " ^ to_string a)

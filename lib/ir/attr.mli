@@ -30,8 +30,4 @@ val equal : t -> t -> bool
 val as_int : t -> int
 val as_float : t -> float
 val as_string : t -> string
-val as_bool : t -> bool
-val as_type : t -> Types.t
 val as_index : t -> int list
-val as_array : t -> t list
-val as_loc : t -> int * int

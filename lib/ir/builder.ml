@@ -11,11 +11,8 @@ type t = { mutable point : insertion; mutable loc : (int * int) option }
 let create point = { point; loc = None }
 
 let at_end block = create (At_end block)
-let at_start block = create (At_start block)
 let before op = create (Before op)
 let after op = create (After op)
-
-let set_point b point = b.point <- point
 
 let set_loc b loc = b.loc <- loc
 let loc b = b.loc

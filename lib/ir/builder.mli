@@ -12,10 +12,8 @@ type t = { mutable point : insertion; mutable loc : (int * int) option }
 
 val create : insertion -> t
 val at_end : Op.block -> t
-val at_start : Op.block -> t
 val before : Op.op -> t
 val after : Op.op -> t
-val set_point : t -> insertion -> unit
 
 (** Current source location [(line, col)]. While set, every op built via
     {!op}/{!op1} carries it as a ["loc"] attribute ({!Attr.Loc_a}) — the

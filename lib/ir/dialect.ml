@@ -64,20 +64,11 @@ let lookup_op name =
 let op_is_pure op =
   match lookup_op op.Op.o_name with Some i -> i.oi_pure | None -> false
 
-let op_is_terminator op =
-  match lookup_op op.Op.o_name with
-  | Some i -> i.oi_terminator
-  | None -> false
-
 (* A context = the set of dialects one "tool" registers. *)
 type context = { ctx_name : string; mutable ctx_dialects : string list }
 
 let create_context ~name dialects =
   { ctx_name = name; ctx_dialects = dialects }
-
-let register_dialect ctx name =
-  if not (List.mem name ctx.ctx_dialects) then
-    ctx.ctx_dialects <- name :: ctx.ctx_dialects
 
 let dialect_registered ctx name = List.mem name ctx.ctx_dialects
 
@@ -97,11 +88,6 @@ let mlir_opt_context () =
   create_context ~name:"mlir-opt"
     [ "builtin"; "arith"; "math"; "func"; "cf"; "scf"; "memref"; "omp";
       "gpu"; "llvm"; "vector" ]
-
-let xdsl_context () =
-  create_context ~name:"xdsl"
-    [ "builtin"; "arith"; "math"; "func"; "cf"; "scf"; "memref"; "omp";
-      "gpu"; "llvm"; "vector"; "fir"; "stencil"; "dmp"; "mpi" ]
 
 (* builtin.module is accepted by every tool; model that with a pseudo
    dialect name checked specially. *)

@@ -48,15 +48,11 @@ val dialect_of_op_name : string -> string
 
 val lookup_op : string -> op_info option
 val op_is_pure : Op.op -> bool
-val op_is_terminator : Op.op -> bool
 
 (** A tool's registry: the set of dialect names it accepts. *)
 type context = { ctx_name : string; mutable ctx_dialects : string list }
 
 val create_context : name:string -> string list -> context
-val register_dialect : context -> string -> unit
-val dialect_registered : context -> string -> bool
-val op_registered : context -> Op.op -> bool
 
 (** The three tool registries of the paper's pipeline: Flang (FIR +
     arith/math/func/cf/omp/llvm, but no builtin/scf/memref/gpu/stencil),
@@ -65,7 +61,6 @@ val op_registered : context -> Op.op -> bool
 
 val flang_context : unit -> context
 val mlir_opt_context : unit -> context
-val xdsl_context : unit -> context
 
 (** Like {!op_registered} but [builtin.module] itself is accepted by
     every tool. *)

@@ -67,19 +67,12 @@ let next_id =
 
 let value_type v = v.v_type
 
-let value_uses v = v.v_uses
-
 let has_uses v = v.v_uses <> []
 
 let num_uses v = List.length v.v_uses
 
 let defining_op v =
   match v.v_def with Op_result (op, _) -> Some op | Block_arg _ -> None
-
-let result_index v =
-  match v.v_def with
-  | Op_result (_, i) -> i
-  | Block_arg _ -> invalid_arg "Op.result_index: block argument"
 
 (* ------------------------------------------------------------------ *)
 (* Use-list maintenance                                                *)
@@ -101,11 +94,6 @@ let set_operand op index value =
     op.o_operands.(index) <- value;
     add_use value ~op ~index
   end
-
-let set_operands op values =
-  Array.iteri (fun i v -> remove_use v ~op ~index:i) op.o_operands;
-  op.o_operands <- Array.of_list values;
-  Array.iteri (fun i v -> add_use v ~op ~index:i) op.o_operands
 
 let replace_all_uses_with old_v new_v =
   (* Snapshot: set_operand mutates the use list we are iterating. *)
@@ -191,8 +179,6 @@ let attr_exn op key =
 let set_attr op key a =
   op.o_attrs <- (key, a) :: List.remove_assoc key op.o_attrs
 
-let remove_attr op key = op.o_attrs <- List.remove_assoc key op.o_attrs
-
 (* Source location threaded from the frontend as a "loc" attribute. *)
 let location op =
   match attr op "loc" with
@@ -200,7 +186,6 @@ let location op =
   | _ -> None
 
 let int_attr op key = Attr.as_int (attr_exn op key)
-let float_attr op key = Attr.as_float (attr_exn op key)
 let string_attr op key = Attr.as_string (attr_exn op key)
 
 (* ------------------------------------------------------------------ *)

@@ -56,20 +56,15 @@ and region = {
 (** {2 Values} *)
 
 val value_type : value -> Types.t
-val value_uses : value -> use list
 val has_uses : value -> bool
 val num_uses : value -> int
 
 (** [None] for block arguments. *)
 val defining_op : value -> op option
 
-(** @raise Invalid_argument on block arguments. *)
-val result_index : value -> int
-
 (** {2 Use-list-preserving mutation} *)
 
 val set_operand : op -> int -> value -> unit
-val set_operands : op -> value list -> unit
 val replace_all_uses_with : value -> value -> unit
 
 (** {2 Construction} *)
@@ -112,13 +107,11 @@ val attr : op -> string -> Attr.t option
 val attr_exn : op -> string -> Attr.t
 
 val set_attr : op -> string -> Attr.t -> unit
-val remove_attr : op -> string -> unit
 
 (** The frontend source location carried by the op's ["loc"] attribute
     ([Attr.Loc_a]), when present: [(line, col)]. *)
 val location : op -> (int * int) option
 val int_attr : op -> string -> int
-val float_attr : op -> string -> float
 val string_attr : op -> string -> string
 
 (** {2 Linked-list surgery} *)
@@ -143,9 +136,6 @@ val insert_after : anchor:op -> op -> unit
     unused.
     @raise Invalid_argument otherwise. *)
 val erase : op -> unit
-
-(** Is [op] positioned after [anchor] in the same block? *)
-val is_after : anchor:op -> op -> bool
 
 (** Move the producer chain of a value before [anchor] when positioned
     after it in the same block (dependencies first). Only correct for
@@ -174,7 +164,6 @@ val collect_ops : (op -> bool) -> op -> op list
 
 (** {2 Modules} *)
 
-val module_op_name : string
 val create_module : unit -> op
 val module_block : op -> block
 val is_module : op -> bool

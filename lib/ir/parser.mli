@@ -21,13 +21,6 @@ val parse_type : state -> Types.t
 (** Parse one attribute at the current position. *)
 val parse_attr : state -> Attr.t
 
-(** Parse one operation (with nested regions) at the current position. *)
-val parse_op : state -> Op.op
-
-(** Parse a whole module; input must be fully consumed.
-    @raise Parse_error on malformed input. *)
-val parse_module : string -> Op.op
-
 val parse_module_exn : string -> Op.op
 
 val parse_module_result : string -> (Op.op, string) result

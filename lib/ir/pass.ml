@@ -110,32 +110,3 @@ let run_pipeline ?(verify_each = true) ?ctx passes m =
       | Error (e, bt) -> fail (p.name ^ " (verify)") e bt)
     passes;
   List.rev !stats
-
-let total_seconds stats =
-  List.fold_left
-    (fun acc s -> acc +. s.s_seconds +. s.s_verify_seconds)
-    0. stats
-
-let verify_seconds stats =
-  List.fold_left (fun acc s -> acc +. s.s_verify_seconds) 0. stats
-
-let report_stats stats =
-  let lines =
-    List.map
-      (fun s ->
-        let delta = s.s_ops_after - s.s_ops_before in
-        Printf.sprintf "  %-45s %8.3f ms   %5d ops (%+d)" s.s_pass
-          (1000. *. s.s_seconds) s.s_ops_after delta)
-      stats
-  in
-  let vs = verify_seconds stats in
-  let lines =
-    if vs > 0. then
-      lines
-      @ [ Printf.sprintf "  %-45s %8.3f ms" "(verifier)" (1000. *. vs) ]
-    else lines
-  in
-  String.concat "\n"
-    (lines
-    @ [ Printf.sprintf "  %-45s %8.3f ms" "total"
-          (1000. *. total_seconds stats) ])

@@ -27,9 +27,6 @@ type stats = {
     pass. The original backtrace is preserved. *)
 exception Pipeline_error of string * exn * stats list
 
-(** Number of ops nested in (and including) a module op. *)
-val count_ops : Op.op -> int
-
 (** Run the passes in order over module [m]. With [verify_each] (default
     true) the IR is verified after every pass — against [ctx]'s dialect
     registry when given, otherwise structurally only. Returns per-pass
@@ -37,12 +34,3 @@ val count_ops : Op.op -> int
 val run_pipeline :
   ?verify_each:bool -> ?ctx:Dialect.context -> t list -> Op.op -> stats list
 
-(** Wall time including verification. *)
-val total_seconds : stats list -> float
-
-(** Verification time alone, across all passes. *)
-val verify_seconds : stats list -> float
-
-(** Human-readable timing table: one line per pass with op-count delta,
-    then a verifier line (mirroring mlir-opt -mlir-timing) and a total. *)
-val report_stats : stats list -> string

@@ -114,5 +114,3 @@ let op_to_string (op : Op.op) =
   Buffer.contents env.buf
 
 let module_to_string = op_to_string
-
-let print_module oc m = output_string oc (module_to_string m)

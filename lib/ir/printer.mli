@@ -10,9 +10,6 @@
     passes modules between Flang, xDSL and mlir-opt as text. Output is
     deterministic (attributes sorted, values numbered in print order). *)
 
-val op_to_string : Op.op -> string
-
-(** Alias of {!op_to_string} for module ops. *)
+(** An op, normally a module, in the generic syntax above. *)
 val module_to_string : Op.op -> string
 
-val print_module : out_channel -> Op.op -> unit

@@ -45,10 +45,6 @@ let replace_op rw op values =
   Op.erase op;
   rw.changed <- true
 
-let erase_op rw op =
-  Op.erase op;
-  rw.changed <- true
-
 (* Create an op before [anchor], enqueue it for pattern processing. *)
 let create_before rw ~anchor ?operands ?results ?attrs ?regions name =
   let op = Op.create ?operands ?results ?attrs ?regions name in

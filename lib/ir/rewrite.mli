@@ -28,8 +28,6 @@ val enqueue : rewriter -> Op.op -> unit
     re-enqueued. *)
 val replace_op : rewriter -> Op.op -> Op.value list -> unit
 
-val erase_op : rewriter -> Op.op -> unit
-
 (** Create an op before [anchor] and enqueue it. *)
 val create_before :
   rewriter ->

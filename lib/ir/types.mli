@@ -65,9 +65,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {2 Bounds arithmetic (used by shape inference)} *)
 
-(** Cells per dimension of an inclusive bounds list. *)
-val bounds_extents : bounds -> int list
-
 val bounds_volume : bounds -> int
 
 (** Smallest box covering both.

@@ -12,10 +12,6 @@ type mode =
   | Cpu
   | Gpu
 
-(** The memref behind a field/temp value (follows
-    external_load/load/cast chains). *)
-val backing_memref : Op.value -> Op.value
-
 (** Lower every [stencil.apply] (plus its stores and plumbing) in every
     function of the module, in place. *)
 val run : mode:mode -> Op.op -> unit

@@ -19,11 +19,6 @@ type benchmark =
   | Gauss_seidel (* 6 flops/cell, sweep + copy-back *)
   | Pw_advection (* 63 flops/cell, 3 nests (fused by the stencil flow) *)
 
-let pipeline_name = function
-  | Cray -> "Cray"
-  | Flang_only -> "Flang only"
-  | Stencil_opt -> "Stencil"
-
 let benchmark_name = function
   | Gauss_seidel -> "Gauss-Seidel"
   | Pw_advection -> "PW advection"

@@ -21,7 +21,6 @@ type benchmark =
   | Gauss_seidel  (** 7-point, 6 flops/cell, sweep + copy-back *)
   | Pw_advection  (** 63 flops/cell, 3 nests (fused by the stencil flow) *)
 
-val pipeline_name : pipeline -> string
 val benchmark_name : benchmark -> string
 val flops_per_cell : benchmark -> float
 
@@ -33,9 +32,6 @@ val bytes_per_cell : benchmark -> pipeline -> float
 
 (** Aggregate bandwidth at [t] threads (spread placement). *)
 val bandwidth : Machine.cpu_node -> int -> float
-
-(** Fork/join + barrier overhead factor. *)
-val parallel_overhead : pipeline -> int -> float
 
 (** Cells/s. *)
 val throughput :

@@ -15,11 +15,6 @@ type strategy =
   | Stencil_initial
   | Stencil_optimised
 
-let strategy_name = function
-  | Openacc_nvidia -> "OpenACC with Nvidia"
-  | Stencil_initial -> "Stencil (initial data approach)"
-  | Stencil_optimised -> "Stencil (optimised data approach)"
-
 (* effective device bandwidth under managed memory stalls *)
 let unified_effective_bw (spec : Fsc_rt.Gpu_sim.spec) ~arrays =
   (* stalls scale with the number of distinct managed arrays the kernel

@@ -11,12 +11,6 @@ type strategy =
   | Stencil_optimised  (** the bespoke data-placement pass: one transfer
                            each way, device-resident in between *)
 
-val strategy_name : strategy -> string
-
-(** Effective bandwidth under managed-memory stalls, as a function of how
-    many distinct managed arrays the kernel streams. *)
-val unified_effective_bw : Fsc_rt.Gpu_sim.spec -> arrays:int -> float
-
 (** Seconds for one kernel launch. *)
 val iteration_time :
   ?spec:Fsc_rt.Gpu_sim.spec ->
@@ -26,20 +20,6 @@ val iteration_time :
   bytes_per_cell:float ->
   arrays:int ->
   array_bytes:float ->
-  unit ->
-  float
-
-(** Total run time over [iters] timesteps, including the one-time edge
-    transfers of the resident strategies. *)
-val total_time :
-  ?spec:Fsc_rt.Gpu_sim.spec ->
-  strategy:strategy ->
-  cells:float ->
-  flops_per_cell:float ->
-  bytes_per_cell:float ->
-  arrays:int ->
-  array_bytes:float ->
-  iters:int ->
   unit ->
   float
 

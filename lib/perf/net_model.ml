@@ -13,10 +13,6 @@ type variant =
   | Hand_cray
   | Auto_dmp
 
-let variant_name = function
-  | Hand_cray -> "Hand parallelised"
-  | Auto_dmp -> "Stencil automatic parallelisation"
-
 (* effective network share per rank: ranks on a node share injection
    bandwidth *)
 let rank_bandwidth (net : Machine.network) ~ranks_per_node =

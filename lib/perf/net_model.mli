@@ -13,10 +13,6 @@ type variant =
   | Hand_cray
   | Auto_dmp
 
-val variant_name : variant -> string
-
-val rank_bandwidth : Machine.network -> ranks_per_node:int -> float
-
 (** {2 Future work (paper §6, fifth item): multinode GPU}
 
     Combines the DMP decomposition with per-node GPU kernels: one rank
@@ -30,15 +26,6 @@ type gpu_cluster = {
 }
 
 val default_gpu_cluster : gpu_cluster
-
-val multinode_gpu_iteration_time :
-  ?cluster:gpu_cluster ->
-  global:int * int * int ->
-  gpus:int ->
-  bytes_per_cell:float ->
-  flops_per_cell:float ->
-  unit ->
-  float
 
 val multinode_gpu_mcells :
   ?cluster:gpu_cluster ->

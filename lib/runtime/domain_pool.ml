@@ -325,21 +325,10 @@ let team pool ~members body =
     | None -> ()
   end
 
-(* A lazily created default pool sized to the machine. *)
-let default_pool : t option ref = ref None
-
 let recommended_size () =
   match Domain.recommended_domain_count () with
   | n when n >= 1 -> n
   | _ -> 1
-
-let get_default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-    let p = create (recommended_size ()) in
-    default_pool := Some p;
-    p
 
 let with_pool size f =
   let pool = create size in

@@ -56,8 +56,5 @@ val team :
 (** The machine's recommended worker count. *)
 val recommended_size : unit -> int
 
-(** A lazily created process-wide pool of {!recommended_size}. *)
-val get_default : unit -> t
-
 (** Run [f] with a fresh pool, shutting it down afterwards. *)
 val with_pool : int -> (t -> 'a) -> 'a

@@ -69,8 +69,6 @@ let create ?(spec = v100) () =
   { spec; buffers = Hashtbl.create 16; clock = 0.0; kernels_launched = 0;
     bytes_h2d = 0; bytes_d2h = 0; bytes_paged = 0; allocated_bytes = 0 }
 
-let reset_clock t = t.clock <- 0.0
-
 let charge t seconds = t.clock <- t.clock +. seconds
 
 let copy_time t bytes =

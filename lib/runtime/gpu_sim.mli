@@ -51,19 +51,13 @@ type t = {
 }
 
 val create : ?spec:spec -> unit -> t
-val reset_clock : t -> unit
 
 (** Advance the simulated clock. *)
 val charge : t -> float -> unit
 
 val copy_time : t -> int -> float
-val page_time : t -> int -> float
 
 (** {2 Memory management} *)
-
-(** Lazily create (or fetch) the device twin of a host buffer.
-    @raise Launch_failure on device OOM. *)
-val device_buffer : t -> Memref_rt.t -> dev_buffer
 
 (** [gpu.host_register]: visible to the device, pages on demand. *)
 val host_register : t -> Memref_rt.t -> unit

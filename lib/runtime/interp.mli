@@ -27,7 +27,6 @@ and cell = { mutable contents : rvalue }
 val as_int : rvalue -> int
 
 val as_float : rvalue -> float
-val as_buf : rvalue -> Memref_rt.t
 
 (** A linked execution context: registered functions, external (native)
     implementations, the OpenMP pool, the GPU simulator and its active

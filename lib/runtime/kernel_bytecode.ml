@@ -4,44 +4,50 @@
 
    The closure JIT pays one OCaml closure call per expression node per
    grid cell. This engine compiles each nest's statements once and
-   executes a whole innermost row per step. The two dominant statement
-   shapes run as fused single loops — weighted sums
-   [a*x[d1] + b*x[d2] + ... (/ c)] and plain copies. Every other
-   statement becomes a three-address row program: each instruction
-   [dst := a op b] is one tight [for] loop over the row, and each
-   operand is a row register, a buffer row read in place inside the
-   op's own loop (a buffer and a precomputed flat-offset delta), or an
-   invariant slot. Subtrees that read no buffer and no innermost
-   induction value (constants, scalar arguments, outer-loop ivs and
-   arithmetic over them) are evaluated once per row into slots;
-   subtrees over the innermost iv alone are the same in every row and
-   are evaluated once per run into fixed rows. The root op writes
-   the destination row directly, and a statement whose whole value is
+   executes a whole innermost row per step. Each statement's loop is
+   chosen once, at compile time. When the innermost loop walks
+   dimension 0 (unit stride), two shapes run as fused single loops:
+   plain copies, and left-leaning sums of exactly 4 or 6 added loads
+   with an optional whole-sum scale [(x1 + ... + x6) / c] — the Laplace
+   and Gauss-Seidel sweeps. Every other statement, and every statement
+   of a nest whose innermost loop walks another dimension, is a
+   three-address row program: each instruction [dst := a op b] is one
+   tight [for] loop over the row, and each operand is a row register, a
+   buffer row read in place inside the op's own loop (a buffer and a
+   precomputed flat-offset delta), or an invariant slot. Subtrees that
+   read no buffer and no innermost induction value (constants, scalar
+   arguments, outer-loop ivs and arithmetic over them) are evaluated
+   once per row into slots; subtrees over the innermost iv alone are
+   the same in every row and are evaluated once per run into fixed
+   rows. At unit stride the root op writes the destination row
+   directly; at any other stride loads are gathered into scratch rows
+   and the result is scattered. A statement whose whole value is
    invariant is a row fill.
 
    Correctness contract: results are bitwise identical to the closure
    engine (and hence the interpreter). That is achieved by (a) never
-   reassociating float arithmetic — only syntactically left-leaning
-   add/sub chains are flattened, terms accumulate in the original
-   evaluation order, and hoisted subtrees run the same operations in the
-   same order (division stays division); (b) vectorising a nest only
-   when no statement reads a buffer the nest writes, so batching
-   statements row-wise — and reading loads in place — cannot change any
-   read-after-write interleaving the per-cell engine would honour;
-   (c) falling back per nest to the closure engine (compile time:
-   unsupported shape; run time: the bounds proof fails) rather than
-   approximating.
+   reassociating float arithmetic — a fused sum adds its loads in the
+   order the tree does, a row program evaluates the tree itself, and
+   hoisted subtrees run the same operations in the same order (division
+   stays division); (b) vectorising a nest only when no statement reads
+   a buffer the nest writes, so batching statements row-wise — and
+   reading loads in place — cannot change any read-after-write
+   interleaving the per-cell engine would honour; (c) falling back per
+   nest to the closure engine (compile time: unsupported shape; run
+   time: the bounds proof fails, or a fused row is bound at a stride
+   other than 1) rather than approximating.
 
    On top of the row engine sit cache blocking and parallelism: the
    sequential outer dimensions are processed in tiles of consecutive
    rows (sized by the ["cpu_tile"] annotation from
-   Loop_tiling.annotate_cpu, or a built-in L2 heuristic), iterating the
-   parallel dimensions innermost within a tile so planes stay hot in
-   cache; the leading parallel loop levels are flattened into one index
-   space and distributed over the Domain_pool. Memory safety without
-   per-access bounds checks comes from Kernel_compile.check_nest_bounds,
-   which proves every access of the whole iteration space in range
-   before the row loops run on unchecked accesses. *)
+   Loop_tiling.annotate_cpu; a nest without one is a single tile),
+   iterating the parallel dimensions innermost within a tile so planes
+   stay hot in cache; the leading parallel loop levels are flattened
+   into one index space and distributed over the Domain_pool. Memory
+   safety without per-access bounds checks comes from
+   Kernel_compile.check_nest_bounds, which proves every access of the
+   whole iteration space in range before the row loops run on
+   unchecked accesses. *)
 
 module Kc = Kernel_compile
 module Obs = Fsc_obs.Obs
@@ -54,13 +60,6 @@ let c_fallbacks = Obs.counter "rt.vector.fallbacks"
 (* ------------------------------------------------------------------ *)
 (* Statement programs                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type term =
-  | T_load of int * Kc.index_form list          (* x[d] *)
-  | T_cload of float * int * Kc.index_form list (* c * x[d] *)
-  | T_sload of int * int * Kc.index_form list   (* scalar * x[d] *)
-  | T_const of float
-  | T_scalar of int
 
 type scale =
   | Sc_none
@@ -90,7 +89,7 @@ type copy_stmt = {
 type wsum_stmt = {
   w_dst : int;
   w_dst_idx : Kc.index_form list;
-  w_terms : (bool * term) array; (* true = add, false = subtract *)
+  w_loads : (int * Kc.index_form list) array; (* 4 or 6, added in order *)
   w_scale : scale;
 }
 
@@ -157,35 +156,14 @@ let supported_binary = function
     true
   | _ -> false
 
-(* Weighted-sum recognition. Only syntactically left-leaning add/sub
-   chains are flattened — terms execute in the exact order the closure
-   engine would evaluate them, so no float reassociation happens. *)
-let term_of = function
-  | Kc.F_load (b, idx) -> Some (T_load (b, idx))
-  | Kc.F_const c -> Some (T_const c)
-  | Kc.F_scalar s -> Some (T_scalar s)
-  | Kc.F_binary ("arith.mulf", Kc.F_const c, Kc.F_load (b, idx))
-  | Kc.F_binary ("arith.mulf", Kc.F_load (b, idx), Kc.F_const c) ->
-    Some (T_cload (c, b, idx))
-  | Kc.F_binary ("arith.mulf", Kc.F_scalar s, Kc.F_load (b, idx))
-  | Kc.F_binary ("arith.mulf", Kc.F_load (b, idx), Kc.F_scalar s) ->
-    Some (T_sload (s, b, idx))
+(* Sum recognition: a left-leaning chain of added loads, in the order
+   the closure engine evaluates them, so no float reassociation
+   happens. *)
+let rec added_loads acc = function
+  | Kc.F_binary ("arith.addf", l, Kc.F_load (b, idx)) ->
+    added_loads ((b, idx) :: acc) l
+  | Kc.F_load (b, idx) -> Some ((b, idx) :: acc)
   | _ -> None
-
-let rec flatten_sum acc e =
-  match e with
-  | Kc.F_binary ("arith.addf", l, r) -> (
-    match term_of r with
-    | Some t -> flatten_sum ((true, t) :: acc) l
-    | None -> None)
-  | Kc.F_binary ("arith.subf", l, r) -> (
-    match term_of r with
-    | Some t -> flatten_sum ((false, t) :: acc) l
-    | None -> None)
-  | e -> (
-    match term_of e with
-    | Some t -> Some ((true, t) :: acc)
-    | None -> None)
 
 (* Peel a whole-expression scale: [(e) * c], [c * (e)], [(e) / c] (and
    the scalar-argument variants). Multiplication commutes bitwise for
@@ -299,24 +277,30 @@ let rec load_indices acc = function
   | Kc.F_binary (_, a, b) -> load_indices (load_indices acc a) b
   | Kc.F_const _ | Kc.F_scalar _ | Kc.F_ivf _ -> acc
 
-let compile_stmt ~inner (st : Kc.store_stmt) =
+(* [unit]: the innermost loop walks dimension 0, the unit-stride one.
+   Only there do copies and 4-/6-point sums run as fused loops; every
+   other statement is a row program. *)
+let compile_stmt ~inner ~unit (st : Kc.store_stmt) =
+  let expr e =
+    let code, nregs, out, slots, fixed = compile_expr_code ~inner e in
+    V_expr
+      { e_dst = st.Kc.st_buf; e_dst_idx = st.Kc.st_index; e_slots = slots;
+        e_fixed = fixed; e_code = code; e_nregs = nregs; e_out = out }
+  in
   match st.Kc.st_expr with
+  | e when not unit -> expr e
   | Kc.F_load (b, idx) ->
     V_copy
       { c_dst = st.Kc.st_buf; c_dst_idx = st.Kc.st_index; c_src = b;
         c_src_idx = idx }
   | e -> (
     let body, scale = peel_scale e in
-    match flatten_sum [] body with
-    | Some terms when List.length terms >= 2 || scale <> Sc_none ->
+    match added_loads [] body with
+    | Some loads when List.length loads = 4 || List.length loads = 6 ->
       V_wsum
         { w_dst = st.Kc.st_buf; w_dst_idx = st.Kc.st_index;
-          w_terms = Array.of_list terms; w_scale = scale }
-    | _ ->
-      let code, nregs, out, slots, fixed = compile_expr_code ~inner e in
-      V_expr
-        { e_dst = st.Kc.st_buf; e_dst_idx = st.Kc.st_index; e_slots = slots;
-          e_fixed = fixed; e_code = code; e_nregs = nregs; e_out = out })
+          w_loads = Array.of_list loads; w_scale = scale }
+    | _ -> expr e)
 
 let compile_nest (nest : Kc.nest) : (vnest, string) result =
   try
@@ -356,11 +340,13 @@ let compile_nest (nest : Kc.nest) : (vnest, string) result =
               unvec "nest reads buffer %d that it also writes" b)
           (loaded_buffers [] st.Kc.st_expr))
       nest.Kc.n_stores;
-    let inner = loops.(Array.length loops - 1).Kc.l_level in
+    let inner = loops.(Array.length loops - 1) in
+    let compile =
+      compile_stmt ~inner:inner.Kc.l_level ~unit:(inner.Kc.l_dim = 0)
+    in
     Ok
       { v_nest = nest;
-        v_stmts =
-          Array.of_list (List.map (compile_stmt ~inner) nest.Kc.n_stores) }
+        v_stmts = Array.of_list (List.map compile nest.Kc.n_stores) }
   with Unvectorisable reason -> Error reason
 
 let compile_spec (spec : Kc.spec) : plan =
@@ -452,14 +438,6 @@ exception Bind_fallback of string
 
 let bind_fail fmt = Printf.ksprintf (fun m -> raise (Bind_fallback m)) fmt
 
-(* Fallback default for untiled nests: half of a typical per-core L2,
-   divided across the distinct arrays a row touches. The lowering
-   normally supplies the real figure via the cpu_tile annotation. *)
-let default_l2_bytes = 512 * 1024
-
-let default_tile_rows ~row_bytes ~arrays =
-  max 1 (default_l2_bytes / 2 / max 1 (row_bytes * max 1 arrays))
-
 (* One statement over one row, given the row's base offset; built per
    executor from the executor's induction-value array. *)
 type row_fn = int -> unit
@@ -492,322 +470,140 @@ let binary_fn name =
 
 (* -------- copy rows -------- *)
 
+(* Copies and sums are compiled only for rows that walk dimension 0,
+   which every buffer lays out at stride 1; any other layout runs on
+   the closure engine rather than misreading memory. *)
+let require_unit_stride si =
+  if si <> 1 then bind_fail "fused row at stride %d" si
+
 let bind_copy ~bufs ~strides ~w ~si c : int array -> row_fn =
+  require_unit_stride si;
   let dd = bufs.(c.c_dst).Memref_rt.data in
   let sd = bufs.(c.c_src).Memref_rt.data in
   let od = Kc.delta_of strides c.c_dst_idx in
   let sod = Kc.delta_of strides c.c_src_idx in
   let fn : row_fn =
-    if si = 1 then (fun base ->
-      let ob = base + od and ib = base + sod in
-      let i = ref 0 in
-      while !i + 3 < w do
-        let k = !i in
-        A1.unsafe_set dd (ob + k) (A1.unsafe_get sd (ib + k));
-        A1.unsafe_set dd (ob + k + 1) (A1.unsafe_get sd (ib + k + 1));
-        A1.unsafe_set dd (ob + k + 2) (A1.unsafe_get sd (ib + k + 2));
-        A1.unsafe_set dd (ob + k + 3) (A1.unsafe_get sd (ib + k + 3));
-        i := k + 4
-      done;
-      for k = !i to w - 1 do
-        A1.unsafe_set dd (ob + k) (A1.unsafe_get sd (ib + k))
-      done)
-    else fun base ->
-      let ob = base + od and ib = base + sod in
-      for i = 0 to w - 1 do
-        let o = i * si in
-        A1.unsafe_set dd (ob + o) (A1.unsafe_get sd (ib + o))
-      done
+   fun base ->
+    let ob = base + od and ib = base + sod in
+    let i = ref 0 in
+    while !i + 3 < w do
+      let k = !i in
+      A1.unsafe_set dd (ob + k) (A1.unsafe_get sd (ib + k));
+      A1.unsafe_set dd (ob + k + 1) (A1.unsafe_get sd (ib + k + 1));
+      A1.unsafe_set dd (ob + k + 2) (A1.unsafe_get sd (ib + k + 2));
+      A1.unsafe_set dd (ob + k + 3) (A1.unsafe_get sd (ib + k + 3));
+      i := k + 4
+    done;
+    for k = !i to w - 1 do
+      A1.unsafe_set dd (ob + k) (A1.unsafe_get sd (ib + k))
+    done
   in
   fun _ -> fn
 
-(* -------- weighted-sum rows -------- *)
+(* -------- 4- and 6-point sum rows -------- *)
 
-(* Unit-stride 4- and 6-term plain sums (the 2-D Laplace 4-point sum,
-   the 3-D Gauss-Seidel 6-point average), one loop per scale kind *)
-let sum4 ~w ~(dd : buf) ~od (d : buf array) e sk sv : row_fn =
+(* Store a step's sums with the peeled scale: [div] divides by [sv],
+   otherwise they are multiplied by it (by 1.0 when the sum is
+   unscaled, which is exact). Closed, so ocamlopt inlines them and the
+   sums stay unboxed. The scale is tested once per step: a test per
+   element ran Laplace 512² about 1.14x slower, while computing both
+   sums of a step before either store ran it faster than one loop per
+   scale kind did. *)
+let[@inline] store2 (dd : buf) o div sv s0 s1 =
+  if div then begin
+    A1.unsafe_set dd o (s0 /. sv);
+    A1.unsafe_set dd (o + 1) (s1 /. sv)
+  end
+  else begin
+    A1.unsafe_set dd o (s0 *. sv);
+    A1.unsafe_set dd (o + 1) (s1 *. sv)
+  end
+
+let[@inline] store1 (dd : buf) o div sv s =
+  A1.unsafe_set dd o (if div then s /. sv else s *. sv)
+
+(* The 2-D Laplace 4-point sum and the 3-D Gauss-Seidel 6-point
+   average, two elements per step *)
+let sum4 ~w ~(dd : buf) ~od (d : buf array) e div sv : row_fn =
   let d0 = d.(0) and d1 = d.(1) and d2 = d.(2) and d3 = d.(3) in
   let e0 = e.(0) and e1 = e.(1) and e2 = e.(2) and e3 = e.(3) in
-  match sk with
-  | 0 ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          (A1.unsafe_get d0 (c + e0)
-           +. A1.unsafe_get d1 (c + e1)
-           +. A1.unsafe_get d2 (c + e2)
-           +. A1.unsafe_get d3 (c + e3));
-        A1.unsafe_set dd (ob + !i + 1)
-          (A1.unsafe_get d0 (c + 1 + e0)
-           +. A1.unsafe_get d1 (c + 1 + e1)
-           +. A1.unsafe_get d2 (c + 1 + e2)
-           +. A1.unsafe_get d3 (c + 1 + e3));
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          (A1.unsafe_get d0 (c + e0)
-           +. A1.unsafe_get d1 (c + e1)
-           +. A1.unsafe_get d2 (c + e2)
-           +. A1.unsafe_get d3 (c + e3))
-      end
-  | 1 ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3))
-           *. sv);
-        A1.unsafe_set dd (ob + !i + 1)
-          ((A1.unsafe_get d0 (c + 1 + e0)
-            +. A1.unsafe_get d1 (c + 1 + e1)
-            +. A1.unsafe_get d2 (c + 1 + e2)
-            +. A1.unsafe_get d3 (c + 1 + e3))
-           *. sv);
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3))
-           *. sv)
-      end
-  | _ ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3))
-           /. sv);
-        A1.unsafe_set dd (ob + !i + 1)
-          ((A1.unsafe_get d0 (c + 1 + e0)
-            +. A1.unsafe_get d1 (c + 1 + e1)
-            +. A1.unsafe_get d2 (c + 1 + e2)
-            +. A1.unsafe_get d3 (c + 1 + e3))
-           /. sv);
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3))
-           /. sv)
-      end
+  fun base ->
+    let ob = base + od in
+    let i = ref 0 in
+    while !i + 1 < w do
+      let c = base + !i in
+      store2 dd (ob + !i) div sv
+        (A1.unsafe_get d0 (c + e0)
+         +. A1.unsafe_get d1 (c + e1)
+         +. A1.unsafe_get d2 (c + e2)
+         +. A1.unsafe_get d3 (c + e3))
+        (A1.unsafe_get d0 (c + 1 + e0)
+         +. A1.unsafe_get d1 (c + 1 + e1)
+         +. A1.unsafe_get d2 (c + 1 + e2)
+         +. A1.unsafe_get d3 (c + 1 + e3));
+      i := !i + 2
+    done;
+    if !i < w then begin
+      let c = base + !i in
+      store1 dd (ob + !i) div sv
+        (A1.unsafe_get d0 (c + e0)
+         +. A1.unsafe_get d1 (c + e1)
+         +. A1.unsafe_get d2 (c + e2)
+         +. A1.unsafe_get d3 (c + e3))
+    end
 
-let sum6 ~w ~(dd : buf) ~od (d : buf array) e sk sv : row_fn =
+let sum6 ~w ~(dd : buf) ~od (d : buf array) e div sv : row_fn =
   let d0 = d.(0) and d1 = d.(1) and d2 = d.(2) in
   let d3 = d.(3) and d4 = d.(4) and d5 = d.(5) in
   let e0 = e.(0) and e1 = e.(1) and e2 = e.(2) in
   let e3 = e.(3) and e4 = e.(4) and e5 = e.(5) in
-  match sk with
-  | 0 ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          (A1.unsafe_get d0 (c + e0)
-           +. A1.unsafe_get d1 (c + e1)
-           +. A1.unsafe_get d2 (c + e2)
-           +. A1.unsafe_get d3 (c + e3)
-           +. A1.unsafe_get d4 (c + e4)
-           +. A1.unsafe_get d5 (c + e5));
-        A1.unsafe_set dd (ob + !i + 1)
-          (A1.unsafe_get d0 (c + 1 + e0)
-           +. A1.unsafe_get d1 (c + 1 + e1)
-           +. A1.unsafe_get d2 (c + 1 + e2)
-           +. A1.unsafe_get d3 (c + 1 + e3)
-           +. A1.unsafe_get d4 (c + 1 + e4)
-           +. A1.unsafe_get d5 (c + 1 + e5));
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          (A1.unsafe_get d0 (c + e0)
-           +. A1.unsafe_get d1 (c + e1)
-           +. A1.unsafe_get d2 (c + e2)
-           +. A1.unsafe_get d3 (c + e3)
-           +. A1.unsafe_get d4 (c + e4)
-           +. A1.unsafe_get d5 (c + e5))
-      end
-  | 1 ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3)
-            +. A1.unsafe_get d4 (c + e4)
-            +. A1.unsafe_get d5 (c + e5))
-           *. sv);
-        A1.unsafe_set dd (ob + !i + 1)
-          ((A1.unsafe_get d0 (c + 1 + e0)
-            +. A1.unsafe_get d1 (c + 1 + e1)
-            +. A1.unsafe_get d2 (c + 1 + e2)
-            +. A1.unsafe_get d3 (c + 1 + e3)
-            +. A1.unsafe_get d4 (c + 1 + e4)
-            +. A1.unsafe_get d5 (c + 1 + e5))
-           *. sv);
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3)
-            +. A1.unsafe_get d4 (c + e4)
-            +. A1.unsafe_get d5 (c + e5))
-           *. sv)
-      end
-  | _ ->
-    fun base ->
-      let ob = base + od in
-      let i = ref 0 in
-      while !i + 1 < w do
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3)
-            +. A1.unsafe_get d4 (c + e4)
-            +. A1.unsafe_get d5 (c + e5))
-           /. sv);
-        A1.unsafe_set dd (ob + !i + 1)
-          ((A1.unsafe_get d0 (c + 1 + e0)
-            +. A1.unsafe_get d1 (c + 1 + e1)
-            +. A1.unsafe_get d2 (c + 1 + e2)
-            +. A1.unsafe_get d3 (c + 1 + e3)
-            +. A1.unsafe_get d4 (c + 1 + e4)
-            +. A1.unsafe_get d5 (c + 1 + e5))
-           /. sv);
-        i := !i + 2
-      done;
-      if !i < w then begin
-        let c = base + !i in
-        A1.unsafe_set dd (ob + !i)
-          ((A1.unsafe_get d0 (c + e0)
-            +. A1.unsafe_get d1 (c + e1)
-            +. A1.unsafe_get d2 (c + e2)
-            +. A1.unsafe_get d3 (c + e3)
-            +. A1.unsafe_get d4 (c + e4)
-            +. A1.unsafe_get d5 (c + e5))
-           /. sv)
-      end
+  fun base ->
+    let ob = base + od in
+    let i = ref 0 in
+    while !i + 1 < w do
+      let c = base + !i in
+      store2 dd (ob + !i) div sv
+        (A1.unsafe_get d0 (c + e0)
+         +. A1.unsafe_get d1 (c + e1)
+         +. A1.unsafe_get d2 (c + e2)
+         +. A1.unsafe_get d3 (c + e3)
+         +. A1.unsafe_get d4 (c + e4)
+         +. A1.unsafe_get d5 (c + e5))
+        (A1.unsafe_get d0 (c + 1 + e0)
+         +. A1.unsafe_get d1 (c + 1 + e1)
+         +. A1.unsafe_get d2 (c + 1 + e2)
+         +. A1.unsafe_get d3 (c + 1 + e3)
+         +. A1.unsafe_get d4 (c + 1 + e4)
+         +. A1.unsafe_get d5 (c + 1 + e5));
+      i := !i + 2
+    done;
+    if !i < w then begin
+      let c = base + !i in
+      store1 dd (ob + !i) div sv
+        (A1.unsafe_get d0 (c + e0)
+         +. A1.unsafe_get d1 (c + e1)
+         +. A1.unsafe_get d2 (c + e2)
+         +. A1.unsafe_get d3 (c + e3)
+         +. A1.unsafe_get d4 (c + e4)
+         +. A1.unsafe_get d5 (c + e5))
+    end
 
-(* term kinds after binding: 0 = plain load, 1 = coefficient * load,
-   2 = constant (coefficient only) *)
 let bind_wsum ~bufs ~scalars ~strides ~w ~si ws : int array -> row_fn =
+  require_unit_stride si;
   let dd = bufs.(ws.w_dst).Memref_rt.data in
   let od = Kc.delta_of strides ws.w_dst_idx in
-  let k = Array.length ws.w_terms in
-  let adds = Array.map fst ws.w_terms in
-  let kinds = Array.make k 0 in
-  let coefs = Array.make k 0.0 in
-  let datas = Array.make k dd in
-  let deltas = Array.make k 0 in
-  Array.iteri
-    (fun t (_, term) ->
-      match term with
-      | T_load (b, idx) ->
-        kinds.(t) <- 0;
-        datas.(t) <- bufs.(b).Memref_rt.data;
-        deltas.(t) <- Kc.delta_of strides idx
-      | T_cload (c, b, idx) ->
-        kinds.(t) <- 1;
-        coefs.(t) <- c;
-        datas.(t) <- bufs.(b).Memref_rt.data;
-        deltas.(t) <- Kc.delta_of strides idx
-      | T_sload (s, b, idx) ->
-        kinds.(t) <- 1;
-        coefs.(t) <- scalars.(s);
-        datas.(t) <- bufs.(b).Memref_rt.data;
-        deltas.(t) <- Kc.delta_of strides idx
-      | T_const c ->
-        kinds.(t) <- 2;
-        coefs.(t) <- c
-      | T_scalar s ->
-        kinds.(t) <- 2;
-        coefs.(t) <- scalars.(s))
-    ws.w_terms;
-  let sk, sv =
+  let datas = Array.map (fun (b, _) -> bufs.(b).Memref_rt.data) ws.w_loads in
+  let deltas = Array.map (fun (_, idx) -> Kc.delta_of strides idx) ws.w_loads in
+  let div, sv =
     match ws.w_scale with
-    | Sc_none -> (0, 0.0)
-    | Sc_mul_const c -> (1, c)
-    | Sc_mul_scalar s -> (1, scalars.(s))
-    | Sc_div_const c -> (2, c)
-    | Sc_div_scalar s -> (2, scalars.(s))
+    | Sc_none -> (false, 1.0)
+    | Sc_mul_const c -> (false, c)
+    | Sc_mul_scalar s -> (false, scalars.(s))
+    | Sc_div_const c -> (true, c)
+    | Sc_div_scalar s -> (true, scalars.(s))
   in
-  let all_plain_add =
-    Array.for_all Fun.id adds && Array.for_all (fun x -> x = 0) kinds
-  in
-  let fn : row_fn =
-    match k with
-    | 4 when all_plain_add && si = 1 -> sum4 ~w ~dd ~od datas deltas sk sv
-    | 6 when all_plain_add && si = 1 -> sum6 ~w ~dd ~od datas deltas sk sv
-    | _ ->
-      fun base ->
-        let ob = base + od in
-        for i = 0 to w - 1 do
-          let c = base + (i * si) in
-          let acc =
-            ref
-              (match Array.unsafe_get kinds 0 with
-              | 0 -> A1.unsafe_get (Array.unsafe_get datas 0)
-                       (c + Array.unsafe_get deltas 0)
-              | 1 ->
-                Array.unsafe_get coefs 0
-                *. A1.unsafe_get (Array.unsafe_get datas 0)
-                     (c + Array.unsafe_get deltas 0)
-              | _ -> Array.unsafe_get coefs 0)
-          in
-          for t = 1 to k - 1 do
-            let v =
-              match Array.unsafe_get kinds t with
-              | 0 ->
-                A1.unsafe_get (Array.unsafe_get datas t)
-                  (c + Array.unsafe_get deltas t)
-              | 1 ->
-                Array.unsafe_get coefs t
-                *. A1.unsafe_get (Array.unsafe_get datas t)
-                     (c + Array.unsafe_get deltas t)
-              | _ -> Array.unsafe_get coefs t
-            in
-            acc := (if Array.unsafe_get adds t then !acc +. v else !acc -. v)
-          done;
-          let s = !acc in
-          let s = if sk = 0 then s else if sk = 1 then s *. sv else s /. sv in
-          A1.unsafe_set dd (ob + (i * si)) s
-        done
-  in
+  let sum = if Array.length datas = 4 then sum4 else sum6 in
+  let fn = sum ~w ~dd ~od datas deltas div sv in
   fun _ -> fn
 
 (* -------- three-address row programs -------- *)
@@ -1233,13 +1029,10 @@ let run_vnest vn ?pool ~(bufs : Memref_rt.t array) ~scalars () =
     in
     let npar = Array.fold_left (fun a l -> a * extent l) 1 par in
     let nseq = Array.fold_left (fun a l -> a * extent l) 1 seq in
+    (* a nest without a cpu_tile hint runs as one tile *)
     let tile =
-      match nest.Kc.n_tile with
-      | t :: _ when t > 0 -> t
-      | _ ->
-        default_tile_rows ~row_bytes:(8 * w) ~arrays:(Array.length bufs)
+      match nest.Kc.n_tile with t :: _ when t > 0 -> min t nseq | _ -> nseq
     in
-    let tile = max 1 (min tile nseq) in
     let makes =
       Array.map
         (bind_stmt ~bufs ~scalars ~strides ~w ~si

@@ -2,8 +2,9 @@
     kernels — the default CPU tier, with {!Kernel_compile}'s closure JIT
     as its per-nest fallback.
 
-    Each nest's statements compile once into either a fused fast path
-    (weighted-sum rows, copy rows) or a three-address row program: each
+    Each nest's statements compile once into either a fused loop (at
+    unit stride only: copy rows, and plain 4- or 6-point sums with an
+    optional whole-sum scale) or a three-address row program: each
     instruction [dst := a op b] runs as one tight loop over the
     innermost row, and its operands are row registers, buffer rows read
     in place inside the op's loop, or invariant slots. Subtrees without
@@ -11,14 +12,14 @@
     they read no innermost induction value (constants, scalars, outer
     ivs), once per run into a fixed row when the innermost iv is all
     they read. Outer sequential dimensions execute in cache tiles of
-    consecutive rows (sized by the ["cpu_tile"] annotation, falling back
-    to an L2 heuristic), and the leading parallel loop levels are
-    flattened and work-shared over the {!Domain_pool}.
+    consecutive rows (sized by the ["cpu_tile"] annotation; a nest
+    without one runs as a single tile), and the leading parallel loop
+    levels are flattened and work-shared over the {!Domain_pool}.
 
     Results are bitwise identical to the closure engine: no float
-    reassociation (only syntactically left-leaning add/sub chains are
-    flattened, accumulated in source order; hoisted subtrees run the
-    same operations in the same order), and nests whose statements read
+    reassociation (a fused sum adds its loads in the tree's
+    left-leaning order; row programs and hoisted subtrees run the same
+    operations in the same order), and nests whose statements read
     a buffer the nest writes — where row batching could change the
     read/write interleaving — fall back to the closure engine, as do
     unsupported shapes (compile time) and nests the bounds proof
@@ -34,9 +35,10 @@ type plan
 
 (** How one statement runs: [s_kind] is ["copy"], ["wsum"] or ["expr"];
     [s_row_ops] is its passes over the row per execution (1 for a copy
-    or a sum; one per instruction of a row program, plus a store pass
-    when its root is hoisted); [s_invariants] counts the subtrees it
-    evaluates outside the row passes (per row, or once per run). *)
+    or a 4-/6-point sum; one per instruction of a row program, plus a
+    store pass when its root is hoisted); [s_invariants] counts the
+    subtrees it evaluates outside the row passes (per row, or once per
+    run). *)
 type stmt_shape = {
   s_kind : string;
   s_row_ops : int;

@@ -13,8 +13,6 @@ type t = {
   buf_id : int;  (** unique id; the GPU/MPI simulators key residency on it *)
 }
 
-val column_major_strides : int array -> int array
-
 (** Total element count / byte size. *)
 val size : t -> int
 

@@ -73,6 +73,8 @@ type client = {
   mutable cl_completed : int;
   mutable cl_rejected : int;
   mutable cl_shed : int; (* expired-at-dequeue + cancelled *)
+  mutable cl_configured : bool; (* weight or quota set: never released *)
+  mutable cl_released : bool; (* drop the record once nothing is in flight *)
 }
 
 type t = {
@@ -133,14 +135,30 @@ let get_client t id =
       { cl_id = id; cl_weight = 1; cl_quota = t.default_quota;
         cl_inflight = 0; cl_queue = Queue.create (); cl_credit = 1;
         cl_in_rotation = false; cl_submitted = 0; cl_completed = 0;
-        cl_rejected = 0; cl_shed = 0 }
+        cl_rejected = 0; cl_shed = 0; cl_configured = false;
+        cl_released = false }
     in
     Hashtbl.add t.clients id c;
     c
 
+(* t.mutex held. A released record leaves the table with its last
+   in-flight job; a job the awaiter timed out may still sit in the
+   queue, but the rotation holds the record, not the table. *)
+let drop_if_released t c =
+  if c.cl_released && c.cl_inflight = 0 then Hashtbl.remove t.clients c.cl_id
+
+let release_client t id =
+  locked t.mutex (fun () ->
+      match Hashtbl.find_opt t.clients id with
+      | Some c when not c.cl_configured ->
+        c.cl_released <- true;
+        drop_if_released t c
+      | _ -> ())
+
 let configure_client t ~id ?weight ?quota () =
   locked t.mutex (fun () ->
       let c = get_client t id in
+      c.cl_configured <- true;
       Option.iter (fun w -> c.cl_weight <- max 1 w) weight;
       Option.iter (fun q -> c.cl_quota <- if q <= 0 then None else Some q) quota)
 
@@ -171,6 +189,7 @@ let account t ticket outcome ~shed =
   let c = ticket.tk_client in
   locked t.mutex (fun () ->
       c.cl_inflight <- c.cl_inflight - 1;
+      drop_if_released t c;
       if shed then begin
         t.s_shed <- t.s_shed + 1;
         c.cl_shed <- c.cl_shed + 1

@@ -57,6 +57,13 @@ val create : ?queue_capacity:int -> ?default_quota:int -> workers:int -> unit ->
 val configure_client :
   t -> id:string -> ?weight:int -> ?quota:int -> unit -> unit
 
+(** Forget a client once it has no queued or in-flight job: at once if
+    it is idle, else when its last job resolves. Its jobs stay in the
+    aggregate counters. Configured clients (see {!configure_client})
+    are kept; an unknown id is ignored. [sfc serve] releases each
+    connection's default client when the connection ends. *)
+val release_client : t -> string -> unit
+
 (** Enqueue a job. [client] names the submitting identity (default: a
     shared anonymous client); [deadline_s] is relative to submission
     time; [cancelled] is polled at dequeue — and may be polled by the

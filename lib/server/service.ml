@@ -386,9 +386,13 @@ let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
    stops being readable/writable (reset, stalled past the idle timeout,
    or gone when we try to reply); queued jobs are then shed at dequeue
    and running jobs stop at their next phase boundary, so a vanished
-   client's work is dropped instead of riding a worker to completion. *)
+   client's work is dropped instead of riding a worker to completion.
+   The connection's default client is released when the connection
+   ends, so a long-running server keeps no record per connection. *)
 let handle_connection ?cache ?deadline_s ?idle_timeout_s ~client_id sched
     client =
+  Fun.protect ~finally:(fun () -> Scheduler.release_client sched client_id)
+  @@ fun () ->
   Option.iter
     (fun s -> if s > 0. then Unix.setsockopt_float client Unix.SO_RCVTIMEO s)
     idle_timeout_s;

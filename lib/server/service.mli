@@ -100,13 +100,6 @@ val execute :
   job ->
   result_rec
 
-(** One result line (no trailing newline). *)
-val result_to_line : result_rec -> string
-
-(** The metrics dump [serve] answers a [metrics] line with. *)
-val metrics_json :
-  ?cache:Fsc_cache.Cache.t -> Scheduler.t -> Fsc_obs.Obs.Json.t
-
 (** Run a list of job lines through a worker pool. Results come back in
     input order regardless of completion order. [workers] defaults to
     the machine's recommended size; [deadline_s] applies per job.
@@ -129,7 +122,9 @@ val run_batch :
     accept loop survives transient failures ([EINTR], fd exhaustion).
     Jobs from all connections share one scheduler with weighted
     round-robin fairness; [default_quota] bounds each client's
-    in-flight jobs and [client_weights] pins per-client weights.
+    in-flight jobs and [client_weights] pins per-client weights. A
+    job line without a ["client"] field runs as its connection's
+    client, which is released when the connection ends.
     [idle_timeout_s] disconnects (and cancels) a client that sends no
     complete line for that long. Returns after a client sends a
     shutdown line (the scheduler is drained and the socket file

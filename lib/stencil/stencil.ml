@@ -81,10 +81,6 @@ let external_load b memref_v ~bounds =
   Builder.op1 b "stencil.external_load" ~operands:[ memref_v ]
     ~results:[ field_type bounds elem ]
 
-let external_store b temp_v memref_v =
-  ignore
-    (Builder.op b "stencil.external_store" ~operands:[ temp_v; memref_v ])
-
 let load b field_v =
   let t = Op.value_type field_v in
   Builder.op1 b "stencil.load" ~operands:[ field_v ]

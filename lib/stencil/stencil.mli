@@ -35,8 +35,6 @@ val type_elem : Types.t -> Types.t
 (** [external_load b memref ~bounds] wraps backing storage as a field. *)
 val external_load : Builder.t -> Op.value -> bounds:Types.bounds -> Op.value
 
-val external_store : Builder.t -> Op.value -> Op.value -> unit
-
 (** [load b field] snapshots a field into a temp. *)
 val load : Builder.t -> Op.value -> Op.value
 
@@ -67,7 +65,6 @@ val index : Builder.t -> dim:int -> Op.value
 (** {2 Queries} *)
 
 val is_apply : Op.op -> bool
-val is_access : Op.op -> bool
 val is_store : Op.op -> bool
 val is_load : Op.op -> bool
 

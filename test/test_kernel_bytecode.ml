@@ -277,8 +277,27 @@ let scaled sum =
 let test_wsum_scales () =
   let rhss = scaled sum4 @ scaled sum6 @ scaled sum3 in
   let _, sh = check_program "wsum_scales" rhss in
-  Alcotest.(check int) "every sum is a wsum row" (List.length rhss)
-    (List.length (List.filter (fun s -> s.Kb.s_kind = "wsum") sh))
+  (* plain 4- and 6-point sums are fused sum rows; the 3-term sum, with
+     its subtraction and coefficients, is a row program *)
+  let sums = List.length (scaled sum4 @ scaled sum6) in
+  Alcotest.(check (list string)) "sum kinds"
+    (List.init sums (fun _ -> "wsum")
+     @ List.map (fun _ -> "expr") (scaled sum3))
+    (List.map (fun s -> s.Kb.s_kind) sh
+     |> List.rev |> List.filteri (fun k _ -> k < List.length rhss)
+     |> List.rev)
+
+(* smooth's blend of two scaled loads is a row program: two products
+   over hoisted constants and their sum, which writes the output row *)
+let test_blend_row_program () =
+  let a, sh = check_program "blend" [ "0.25d0 * a(i, j) + 0.75d0 * b(i, j)" ] in
+  Alcotest.(check string) "blend kind" "expr"
+    (List.nth sh (List.length sh - 1)).Kb.s_kind;
+  Alcotest.(check bool) "describe names the row program" true
+    (List.exists
+       (fun (_, plan) ->
+         contains ~sub:"; expr 3 row ops, 2 invariants)" (Kb.describe plan))
+       (plans a))
 
 (* x / 3.0d0 stays a division: on these inputs multiplying by the
    rounded reciprocal differs in some cell, so bitwise agreement with
@@ -378,9 +397,58 @@ let test_strided_rows () =
   let plan = Kb.compile_spec spec in
   Alcotest.(check int) "vectorised" 1 (Kb.vectorised_nests plan);
   Alcotest.(check (list string)) "shapes"
-    (List.map (fun _ -> "expr") exprs @ List.init 10 (fun _ -> "wsum"))
+    (List.map (fun _ -> "expr") all)
     (List.map (fun s -> s.Kb.s_kind) (shapes plan));
   Kb.run plan ~bufs:v ~scalars ();
+  Array.iteri
+    (fun k cb ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "buffer %d bitwise identical" k)
+        0.0 (Rt.max_abs_diff cb v.(k)))
+    c
+
+(* Fused rows assume dimension 0 is contiguous, which is how
+   Memref_rt lays every buffer out. Buffers with another layout (here
+   row-major strides) must make a copy or a 4-point sum nest fall back
+   to the closure engine when it binds, and still compute the closure
+   engine's result. *)
+let test_fused_rows_need_unit_stride () =
+  let n = 10 in
+  let ld buf c0 c1 = Kc.F_load (buf, [ Kc.Iv (1, c0); Kc.Iv (0, c1) ]) in
+  let plus = List.fold_left (fun a b -> Kc.F_binary ("arith.addf", a, b)) in
+  let sum4 = plus (ld 0 (-1) 0) [ ld 0 1 0; ld 0 0 (-1); ld 0 0 1 ] in
+  let nest =
+    { Kc.n_loops =
+        [ loop ~lb:1 ~ub:(n - 1) 0 1; loop ~parallel:false ~lb:1 ~ub:(n - 1) 1 0 ];
+      n_stores =
+        List.mapi
+          (fun k e ->
+            { Kc.st_buf = k + 1; st_index = [ Kc.Iv (1, 0); Kc.Iv (0, 0) ];
+              st_expr = e })
+          [ ld 0 0 0; Kc.F_binary ("arith.divf", sum4, Kc.F_const 4.0) ];
+      n_uses_iv = true; n_flops_per_cell = 1; n_loads_per_cell = 1;
+      n_tile = [] }
+  in
+  let spec = { Kc.k_nests = [ nest ]; k_num_bufs = 3; k_num_scalars = 0 } in
+  let mk () =
+    Array.init 3 (fun k ->
+        let b = Rt.create [ n; n ] in
+        Rt.init b (fun i -> 0.3 +. (0.01 *. float_of_int ((i * (k + 5)) mod 89)));
+        { b with Rt.strides = [| n; 1 |] })
+  in
+  let c = mk () and v = mk () in
+  Kc.run spec ~bufs:c ~scalars:[||] ();
+  let plan = Kb.compile_spec spec in
+  Alcotest.(check (list string)) "fused shapes" [ "copy"; "wsum" ]
+    (List.map (fun s -> s.Kb.s_kind) (shapes plan));
+  let fallbacks = Fsc_obs.Obs.counter "rt.vector.fallbacks" in
+  Fsc_obs.Obs.set_counters_only true;
+  let before = Fsc_obs.Obs.counter_value fallbacks in
+  Fun.protect
+    ~finally:(fun () -> Fsc_obs.Obs.set_counters_only false)
+    (fun () -> Kb.run plan ~bufs:v ~scalars:[||] ());
+  Alcotest.(check int) "bind-time fallback" 1
+    (Fsc_obs.Obs.counter_value fallbacks - before);
   Array.iteri
     (fun k cb ->
       Alcotest.(check (float 0.))
@@ -544,6 +612,8 @@ let () =
            test_outer_iv_invariants;
          Alcotest.test_case "wsum scale kinds" `Quick
            test_wsum_scales;
+         Alcotest.test_case "smooth blend is a row program" `Quick
+           test_blend_row_program;
          Alcotest.test_case "division is not a reciprocal multiply" `Quick
            test_division_not_reciprocal ]);
       ("fallbacks",
@@ -555,6 +625,8 @@ let () =
            test_unknown_unary_falls_back ]);
       ("execution",
        [ Alcotest.test_case "non-unit stride rows" `Quick test_strided_rows;
+         Alcotest.test_case "fused rows need unit stride" `Quick
+           test_fused_rows_need_unit_stride;
          Alcotest.test_case "tile override" `Quick
            test_tile_override_bitwise;
          Alcotest.test_case "pooled" `Quick test_pooled_bitwise ]) ]

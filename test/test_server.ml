@@ -240,6 +240,48 @@ let test_sched_cancellation () =
   Alcotest.(check int) "cancellation counted" 1 st.S.cancelled;
   Alcotest.(check bool) "counted as shed work" true (st.S.shed >= 1)
 
+let conn_clients st =
+  List.filter
+    (fun c -> String.length c.S.c_id > 5 && String.sub c.S.c_id 0 5 = "conn-")
+    st.S.clients
+
+(* A released client leaves the table once idle, or with its last job
+   if one is in flight; configured clients and the totals stay. A job
+   is accounted just after its awaiter wakes, so the table is checked
+   once the workers are joined. *)
+let test_sched_release_client () =
+  let s = S.create ~workers:1 () in
+  S.configure_client s ~id:"kept" ~weight:2 ();
+  for i = 0 to 59 do
+    let id = Printf.sprintf "conn-%d" i in
+    (match S.await (Result.get_ok (S.submit s ~client:id (fun () -> i))) with
+    | S.Done v -> Alcotest.(check int) "job result" i v
+    | _ -> Alcotest.fail "job did not complete");
+    S.release_client s id
+  done;
+  let release = Atomic.make false in
+  let busy =
+    Result.get_ok
+      (S.submit s ~client:"conn-busy" (fun () ->
+           while not (Atomic.get release) do
+             Unix.sleepf 0.001
+           done))
+  in
+  S.release_client s "conn-busy";
+  S.release_client s "kept";
+  Alcotest.(check bool) "busy client kept while in flight" true
+    (List.exists (fun c -> c.S.c_id = "conn-busy") (S.stats s).S.clients);
+  Atomic.set release true;
+  ignore (S.await busy);
+  S.shutdown s;
+  let st = S.stats s in
+  Alcotest.(check int) "no connection records" 0
+    (List.length (conn_clients st));
+  Alcotest.(check bool) "configured client kept" true
+    (List.exists (fun c -> c.S.c_id = "kept") st.S.clients);
+  Alcotest.(check int) "submitted" 61 st.S.submitted;
+  Alcotest.(check int) "completed" 61 st.S.completed
+
 (* ---- protocol parsing ---- *)
 
 let parse_err line =
@@ -513,6 +555,49 @@ let test_serve_metrics () =
     (J.member "counters" metrics <> None);
   stop_server socket server
 
+(* Each connection's default client goes with the connection: after 50
+   sequential connections of one job each, metrics lists no conn-
+   client but counts every job. *)
+let test_serve_releases_connection_clients () =
+  let socket, server = start_server ~workers:1 () in
+  for i = 0 to 49 do
+    match Svc.request ~socket [ job_line ~id:i ~target:"serial" gs ] with
+    | [ reply ] ->
+      Alcotest.(check string) "served" "ok" (str_of (field "status" reply))
+    | _ -> Alcotest.fail "expected one reply"
+  done;
+  (* the last job is accounted just after its reply is sent: poll *)
+  let conn_ids metrics =
+    match J.member "clients" metrics with
+    | Some (J.Obj clients) ->
+      List.filter
+        (fun id -> String.length id > 5 && String.sub id 0 5 = "conn-")
+        (List.map fst clients)
+    | _ -> Alcotest.fail "clients missing"
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec settled () =
+    let metrics =
+      J.of_string
+        (List.hd (Svc.request ~socket [ {|{"action": "metrics"}|} ]))
+    in
+    if conn_ids metrics = [] || Unix.gettimeofday () > deadline then metrics
+    else (
+      Unix.sleepf 0.01;
+      settled ())
+  in
+  let metrics = settled () in
+  Alcotest.(check (list string)) "no connection records" []
+    (conn_ids metrics);
+  let sched = Option.get (J.member "scheduler" metrics) in
+  List.iter
+    (fun key ->
+      match J.member key sched with
+      | Some (J.Num n) -> Alcotest.(check (float 0.)) key 50. n
+      | _ -> Alcotest.fail (key ^ " missing"))
+    [ "submitted"; "completed" ];
+  stop_server socket server
+
 let test_serve_overload_shed () =
   let socket, server =
     start_server ~workers:1 ~handlers:2 ~queue_capacity:1 ()
@@ -633,7 +718,9 @@ let () =
           Alcotest.test_case "client weights" `Quick test_sched_client_weights;
           Alcotest.test_case "in-flight quota" `Quick test_sched_quota;
           Alcotest.test_case "cancellation sheds queued work" `Quick
-            test_sched_cancellation ] );
+            test_sched_cancellation;
+          Alcotest.test_case "released clients leave the table" `Quick
+            test_sched_release_client ] );
       ("protocol", [ Alcotest.test_case "parse_job" `Quick test_parse_job ]);
       ( "batch",
         [ Alcotest.test_case "concurrent equals serial" `Quick
@@ -649,6 +736,8 @@ let () =
           Alcotest.test_case "stalled client does not block" `Quick
             test_serve_stalled_client_not_blocking;
           Alcotest.test_case "metrics request" `Quick test_serve_metrics;
+          Alcotest.test_case "connection clients released" `Quick
+            test_serve_releases_connection_clients;
           Alcotest.test_case "overload shed" `Quick test_serve_overload_shed;
           Alcotest.test_case "quota exceeded" `Quick
             test_serve_quota_exceeded;
