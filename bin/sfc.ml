@@ -734,10 +734,11 @@ let handlers_arg =
     & opt (some int) None
     & info [ "handlers" ] ~docv:"N"
         ~doc:
-          "Connection-handler domains: how many clients the server \
+          "Connection-handler threads: how many clients the server \
            accepts and reads concurrently (default 4). A stalled or \
            slow-writing client occupies one handler, never the whole \
-           server.")
+           server. Handlers are threads of the server's domain; only \
+           the $(b,--workers) are domains.")
 
 let quota_arg =
   Arg.(

@@ -365,12 +365,17 @@ echo "dist bench smoke: BENCH_dmp.json well-formed and self-validated"
 rm -rf "$DISTDIR"
 
 # Serve smoke: a live `sfc serve` instance must answer three concurrent
-# clients with checksums identical to a serial in-process batch, report
-# every client identity in its metrics JSON, and shut down cleanly on
-# request.
+# clients with checksums identical to a serial in-process batch, answer
+# the same job list again identically once its runs have handed their
+# grids back to the arena, report every client identity and a nonzero
+# arena release count in its metrics JSON, and shut down cleanly on
+# request. The examples' grids sit below the arena's 4096-element
+# threshold, so a 16^3 Laplace joins them.
 SRVDIR=$(mktemp -d)
 SOCK="$SRVDIR/sfc.sock"
-for f in examples/*.f90; do
+sed 's/nx = 12, ny = 12, nz = 12/nx = 16, ny = 16, nz = 16/' \
+  examples/laplace.f90 >"$SRVDIR/laplace16.f90"
+for f in examples/*.f90 "$SRVDIR/laplace16.f90"; do
   for target in serial openmp; do
     printf '{"src": "%s", "target": "%s", "action": "run"}\n' "$f" "$target"
   done
@@ -412,8 +417,25 @@ for cl in a b c; do
   fi
 done
 
+"$SFC" batch "$SRVDIR/jobs.jsonl" --socket "$SOCK" --client a \
+  >"$SRVDIR/out.again"
+sums=$(grep -o '"checksums":{[^}]*}' "$SRVDIR/out.again" | sort)
+if [ "$sums" != "$serial_sums" ]; then
+  echo "ci: repeated job list checksums differ from serial batch"
+  kill "$SRVPID" 2>/dev/null || true
+  exit 1
+fi
+
 printf '{"action": "metrics"}\n' >"$SRVDIR/metrics.jsonl"
 metrics=$("$SFC" batch "$SRVDIR/metrics.jsonl" --socket "$SOCK")
+releases=$(printf '%s\n' "$metrics" \
+  | grep -o '"rt.arena_releases":[0-9]*' | cut -d: -f2)
+if [ "${releases:-0}" -eq 0 ]; then
+  echo "ci: served runs released no grid to the arena"
+  printf '%s\n' "$metrics"
+  kill "$SRVPID" 2>/dev/null || true
+  exit 1
+fi
 for key in '"scheduler"' '"queue_depth"' '"cache"' '"counters"' \
     '"a":{"weight"' '"b":{"weight"' '"c":{"weight"'; do
   if ! printf '%s\n' "$metrics" | grep -q "$key"; then
@@ -427,7 +449,7 @@ done
 printf '{"action": "shutdown"}\n' >"$SRVDIR/shutdown.jsonl"
 "$SFC" batch "$SRVDIR/shutdown.jsonl" --socket "$SOCK" >/dev/null
 wait "$SRVPID"
-echo "serve smoke: 3 concurrent clients x $srv_njobs jobs match serial, metrics well-formed, clean shutdown"
+echo "serve smoke: 3 concurrent clients x $srv_njobs jobs and a repeat match serial, $releases grids released, metrics well-formed, clean shutdown"
 rm -rf "$SRVDIR"
 
 echo "ci: OK"

@@ -12,6 +12,8 @@ type t = {
   strides : int array;
   (* unique id used by the GPU/MPI simulators to track residency *)
   buf_id : int;
+  (* set once by [release]; the finaliser then leaves the storage alone *)
+  released : bool Atomic.t;
 }
 
 (* Buffers are created on every domain (pool workers, server
@@ -47,6 +49,14 @@ let bytes t = 8 * size t
    a scatter, or a kernel whose spec overwrites the buffer
    ([Fsc_analysis.Footprint.overwrites]).
 
+   [release] hands a buffer's storage back before the collector finds
+   the record: a served request releases its grids once its reply is
+   built, so the next request's creates hit the arena instead of
+   allocating fresh storage that counts against the major-GC budget.
+   The record's [released] flag is set exactly once, by whichever
+   release wins it, and the finaliser skips released records, so no
+   storage is ever retired twice.
+
    Why this matters: re-running a linked artifact re-allocates every
    program grid, and grids above glibc's mmap threshold each cost an
    mmap + munmap + first-touch fault storm per run. Under sustained
@@ -69,19 +79,27 @@ let arena_max_bytes = 64 * 1024 * 1024
 let arena_bytes = ref 0
 let arena_hit_count = ref 0
 let arena_retire_count = ref 0
+let c_releases = Fsc_obs.Obs.counter "rt.arena_releases"
 
-let arena_retire (data : data) =
+(* [lock] is [Mutex.try_lock] inside finalisers (see above) and a
+   blocking lock for [release], which runs outside any critical
+   section. *)
+let arena_retire ~lock (data : data) =
   let n = Bigarray.Array1.dim data in
-  if n >= arena_min_elems && Mutex.try_lock arena_lock then begin
+  n >= arena_min_elems && lock arena_lock
+  && begin
     let free = Option.value (Hashtbl.find_opt arena n) ~default:[] in
-    if List.length free < arena_class_max
-       && !arena_bytes + (8 * n) <= arena_max_bytes
-    then begin
+    let kept =
+      List.length free < arena_class_max
+      && !arena_bytes + (8 * n) <= arena_max_bytes
+    in
+    if kept then begin
       Hashtbl.replace arena n (data :: free);
       arena_bytes := !arena_bytes + (8 * n);
       incr arena_retire_count
     end;
-    Mutex.unlock arena_lock
+    Mutex.unlock arena_lock;
+    kept
   end
 
 let arena_take n =
@@ -112,10 +130,19 @@ let create_uninit dims =
       Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total
   in
   let t = { data; dims; strides = column_major_strides dims;
-            buf_id = next_id () } in
+            buf_id = next_id (); released = Atomic.make false } in
   if total >= arena_min_elems then
-    Gc.finalise (fun t -> arena_retire t.data) t;
+    Gc.finalise
+      (fun t ->
+        if not (Atomic.get t.released) then
+          ignore (arena_retire ~lock:Mutex.try_lock t.data))
+      t;
   t
+
+let release t =
+  if Atomic.compare_and_set t.released false true
+     && arena_retire ~lock:(fun m -> Mutex.lock m; true) t.data
+  then Fsc_obs.Obs.incr c_releases
 
 let create dims =
   let t = create_uninit dims in
@@ -176,9 +203,14 @@ let max_abs_diff a b =
   done;
   !m
 
+(* Element i weighs [(i mod 97) + 1]; the weight is carried as a float
+   counter that wraps at 97 instead of a division per element. Same
+   terms, same summation order: bitwise the per-element formula. *)
 let checksum t =
-  let acc = ref 0.0 in
+  let d = t.data in
+  let acc = ref 0.0 and w = ref 1.0 in
   for i = 0 to size t - 1 do
-    acc := !acc +. (get_flat t i *. float_of_int ((i mod 97) + 1))
+    acc := !acc +. (Bigarray.Array1.get d i *. !w);
+    w := if !w = 97.0 then 1.0 else !w +. 1.0
   done;
   !acc

@@ -11,6 +11,7 @@ type t = {
   dims : int array;
   strides : int array;  (** column-major: [strides.(0) = 1] *)
   buf_id : int;  (** unique id; the GPU/MPI simulators key residency on it *)
+  released : bool Atomic.t;  (** set by {!release}; never read the buffer then *)
 }
 
 (** Total element count / byte size. *)
@@ -34,9 +35,20 @@ val create : int list -> t
     ([Fsc_analysis.Footprint.overwrites]). *)
 val create_uninit : int list -> t
 
+(** Hand a grid-sized buffer's storage back to the arena now, instead
+    of when the collector finalises the buffer, so the next {!create} of
+    the same size reuses it. The caller guarantees that nothing reads or
+    writes the buffer, or any view sharing its data, afterwards: the
+    storage may already back another buffer. Idempotent — a second
+    release, and the buffer's finaliser after a release, do nothing —
+    and a no-op on buffers under 4096 elements. Each release that puts
+    storage in the arena bumps the [rt.arena_releases] counter. *)
+val release : t -> unit
+
 (** Cumulative [(hits, retires)] of the storage arena: how many creates
-    were served from recycled storage, and how many collected buffers
-    donated theirs. Monotone process-wide counters (tests diff them). *)
+    were served from recycled storage, and how many buffers donated
+    theirs (collected, or released by {!release}). Monotone process-wide
+    counters (tests diff them). *)
 val arena_stats : unit -> int * int
 
 (** A 1-element buffer. *)

@@ -11,8 +11,10 @@
    Locking discipline: [t.mutex] guards the client table, rotation,
    intake flag and aggregate counters; each ticket carries its own
    mutex/condvar for its resolution state. The two are never held at
-   once (resolve first, then bump counters), so there is no lock
-   ordering to get wrong.
+   once (claim the ticket, bump counters, then publish the outcome), so
+   there is no lock ordering to get wrong. Because the awaiter wakes
+   only at publication, stats read after [await] returns already count
+   the job.
 
    Timeouts and cancellation are cooperative by necessity — a running
    domain cannot be interrupted — so they are enforced at the points
@@ -100,6 +102,7 @@ type t = {
 
 type 'a state =
   | Waiting
+  | Claimed (* a resolver won the ticket and is accounting it *)
   | Resolved of 'a outcome
 
 type 'a ticket = {
@@ -162,19 +165,11 @@ let configure_client t ~id ?weight ?quota () =
       Option.iter (fun w -> c.cl_weight <- max 1 w) weight;
       Option.iter (fun q -> c.cl_quota <- if q <= 0 then None else Some q) quota)
 
-(* First resolution wins; returns whether this call was it. *)
-let resolve ticket outcome =
-  locked ticket.tk_mutex (fun () ->
-      match ticket.tk_state with
-      | Resolved _ -> false
-      | Waiting ->
-        ticket.tk_state <- Resolved outcome;
-        Condition.broadcast ticket.tk_cond;
-        true)
-
 let already_resolved ticket =
   locked ticket.tk_mutex (fun () ->
-      match ticket.tk_state with Resolved _ -> true | Waiting -> false)
+      match ticket.tk_state with
+      | Claimed | Resolved _ -> true
+      | Waiting -> false)
 
 let expired ticket now =
   match ticket.tk_deadline with Some d -> now >= d | None -> false
@@ -208,23 +203,38 @@ let account t ticket outcome ~shed =
   | Timed_out -> Obs.incr c_timed_out
   | Cancelled -> Obs.incr c_cancelled
 
+(* First resolution wins: the winner claims the ticket, accounts the
+   outcome, and only then publishes it and wakes the awaiter. A later
+   resolution (a worker finishing a job the awaiter timed out) is
+   dropped. *)
+let resolve t ticket outcome ~shed =
+  let won =
+    locked ticket.tk_mutex (fun () ->
+        match ticket.tk_state with
+        | Claimed | Resolved _ -> false
+        | Waiting ->
+          ticket.tk_state <- Claimed;
+          true)
+  in
+  if won then begin
+    account t ticket outcome ~shed;
+    locked ticket.tk_mutex (fun () ->
+        ticket.tk_state <- Resolved outcome;
+        Condition.broadcast ticket.tk_cond)
+  end
+
 (* Runs on a worker domain, outside any lock. *)
 let run_job t ticket f =
   if already_resolved ticket then ()
     (* the awaiter timed it out while queued; already accounted *)
-  else if is_cancelled ticket then begin
-    if resolve ticket Cancelled then account t ticket Cancelled ~shed:true
-  end
-  else if expired ticket (Unix.gettimeofday ()) then begin
-    if resolve ticket Timed_out then account t ticket Timed_out ~shed:true
-  end
+  else if is_cancelled ticket then resolve t ticket Cancelled ~shed:true
+  else if expired ticket (Unix.gettimeofday ()) then
+    resolve t ticket Timed_out ~shed:true
   else begin
     match Obs.with_span ~cat:"server" "job.exec" f with
-    | v ->
-      if resolve ticket (Done v) then account t ticket (Done v) ~shed:false
+    | v -> resolve t ticket (Done v) ~shed:false
     | exception e ->
-      let o = Failed (Printexc.to_string e) in
-      if resolve ticket o then account t ticket o ~shed:false
+      resolve t ticket (Failed (Printexc.to_string e)) ~shed:false
   end
 
 (* t.mutex held; t.total_queued > 0. Weighted round-robin: the client
@@ -327,6 +337,10 @@ let await ticket =
         let rec wait () =
           match ticket.tk_state with
           | Resolved o -> o
+          | Claimed ->
+            (* won by a resolver: published as soon as it is accounted *)
+            Condition.wait ticket.tk_cond ticket.tk_mutex;
+            wait ()
           | Waiting -> (
             match ticket.tk_deadline with
             | None ->

@@ -77,7 +77,9 @@ val submit :
   ('a ticket, reject) result
 
 (** Block until the job resolves (or its deadline passes). Safe to call
-    from any domain, and repeatedly — the outcome is sticky. *)
+    from any domain or thread, and repeatedly — the outcome is sticky.
+    The job is already accounted when [await] returns: {!stats} read
+    then no longer counts it in flight. *)
 val await : 'a ticket -> 'a outcome
 
 (** Jobs currently queued (not yet picked up), across all clients. *)

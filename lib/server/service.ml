@@ -3,7 +3,7 @@
    result_to_line, with results emitted in input order so identical
    inputs give identical outputs whatever the completion order.
 
-   [serve] multiplexes connections over a pool of handler domains that
+   [serve] multiplexes connections over a pool of handler threads that
    all accept on the same listening socket; the accept loop is guarded
    (EINTR and fd-exhaustion are survived, not fatal), and each
    connection carries a cancellation flag that sheds its remaining work
@@ -195,6 +195,11 @@ let execute ?cache ?(should_cancel = fun () -> false) job =
                 |> List.map (fun (name, buf) -> (name, Rt.checksum buf))
                 |> List.sort (fun (a, _) (b, _) -> String.compare a b))
           in
+          (* the artifact is this request's alone, and the run and its
+             builds are over: nothing can reach its grids any more, so
+             their storage serves the next request's creates *)
+          List.iter (fun (_, buf) -> Rt.release buf)
+            a.P.a_ctx.Interp.named_buffers;
           { base with r_run_ms = 1e3 *. (Unix.gettimeofday () -. t1);
             r_kernels = List.length a.P.a_kernels; r_checksums = checksums }
         end
@@ -532,8 +537,11 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
               accept_loop ()
             end
       in
-      let pool = List.init handlers (fun _ -> Domain.spawn accept_loop) in
-      List.iter Domain.join pool)
+      (* handlers block in accept and socket reads, or wait on a
+         ticket, so threads of this domain serve them: only the
+         scheduler's workers are domains *)
+      let pool = List.init handlers (fun _ -> Thread.create accept_loop ()) in
+      List.iter Thread.join pool)
 
 let request ~socket lines =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

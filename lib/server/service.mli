@@ -93,7 +93,9 @@ val is_metrics : string -> bool
 (** Compile (and for [Run], link + execute) one job. Never raises:
     failures become [Error_]. [should_cancel] is polled before the
     compile and again between the compile and run phases; once true the
-    result is [Cancelled_] and the remaining phases are skipped. *)
+    result is [Cancelled_] and the remaining phases are skipped. A
+    completed run releases its grids to the storage arena
+    ({!Fsc_rt.Memref_rt.release}) once their checksums are taken. *)
 val execute :
   ?cache:Fsc_cache.Cache.t ->
   ?should_cancel:(unit -> bool) ->
@@ -117,9 +119,11 @@ val run_batch :
   string list
 
 (** Serve the same protocol over a Unix domain socket. [handlers]
-    connection-handler domains (default 4) accept concurrently, so a
-    slow or stalled client occupies one handler, not the server; the
-    accept loop survives transient failures ([EINTR], fd exhaustion).
+    connection-handler threads (default 4) of the calling domain accept
+    concurrently, so a slow or stalled client occupies one handler, not
+    the server; the accept loop survives transient failures ([EINTR],
+    fd exhaustion). The scheduler's [workers] are the only domains
+    spawned.
     Jobs from all connections share one scheduler with weighted
     round-robin fairness; [default_quota] bounds each client's
     in-flight jobs and [client_weights] pins per-client weights. A

@@ -380,6 +380,78 @@ let test_device_oom () =
     | exception G.Launch_failure _ -> true
     | () -> false)
 
+(* The weight counter of [checksum] wraps at 97 instead of dividing:
+   bitwise the per-element [(i mod 97) + 1] formula, summed in the same
+   order, including sizes that end mid-period. *)
+let test_checksum_bitwise () =
+  let reference b =
+    let acc = ref 0.0 in
+    for i = 0 to Rt.size b - 1 do
+      acc := !acc +. (Rt.get_flat b i *. float_of_int ((i mod 97) + 1))
+    done;
+    !acc
+  in
+  List.iter
+    (fun n ->
+      let b = Rt.create [ n ] in
+      Rt.init b (fun i -> sin (float_of_int (i * 7919)) *. 1e3);
+      Alcotest.(check int64)
+        (Printf.sprintf "checksum of %d elements" n)
+        (Int64.bits_of_float (reference b))
+        (Int64.bits_of_float (Rt.checksum b)))
+    [ 1; 96; 98; 196; 200; 97 * 45 + 13; 34 * 34 * 34 ]
+
+(* Sizes used by no other test, so their arena classes start empty. *)
+let release_dims = [ 71; 73 ]
+
+(* Create, release and drop a grid; its storage is returned so the
+   caller can recognise it. *)
+let[@inline never] release_fresh dims =
+  let b = Rt.create dims in
+  Rt.fill b 5.0;
+  Rt.release b;
+  Rt.release b;
+  b.Rt.data
+
+let test_release_serves_next_create () =
+  let data = release_fresh release_dims in
+  let hits0, _ = Rt.arena_stats () in
+  let b = Rt.create release_dims in
+  let hits1, _ = Rt.arena_stats () in
+  Alcotest.(check int) "create hit the arena" (hits0 + 1) hits1;
+  Alcotest.(check bool) "released storage reused" true (b.Rt.data == data);
+  Alcotest.(check (float 0.)) "reused storage is zero-filled" 0.0
+    (Rt.get_flat b 17)
+
+(* The finaliser of a released buffer must not retire its storage a
+   second time: two live buffers would then share it. *)
+let test_release_never_retires_twice () =
+  let dims = [ 67; 79 ] in
+  let data = release_fresh dims in
+  Gc.full_major ();
+  Gc.full_major ();
+  let a = Rt.create dims in
+  let h0, _ = Rt.arena_stats () in
+  let b = Rt.create dims in
+  let h1, _ = Rt.arena_stats () in
+  Alcotest.(check bool) "first create got the released storage" true
+    (a.Rt.data == data);
+  Alcotest.(check int) "the class held it once" h0 h1;
+  Alcotest.(check bool) "two creates, distinct storage" false
+    (a.Rt.data == b.Rt.data)
+
+let test_release_small_is_noop () =
+  let b = Rt.create [ 4095 ] in
+  Rt.fill b 3.0;
+  let stats0 = Rt.arena_stats () in
+  Rt.release b;
+  Alcotest.(check (pair int int)) "arena untouched" stats0
+    (Rt.arena_stats ());
+  let c = Rt.create [ 4095 ] in
+  Alcotest.(check bool) "storage not handed out again" false
+    (c.Rt.data == b.Rt.data);
+  Alcotest.(check (float 0.)) "buffer intact" 3.0 (Rt.get_flat b 4094)
+
 let () =
   Alcotest.run "runtime"
     [ ("memref",
@@ -387,7 +459,14 @@ let () =
            test_column_major_strides;
          Alcotest.test_case "get/set" `Quick test_get_set;
          Alcotest.test_case "clone/copy/diff" `Quick test_clone_copy_diff;
-         Alcotest.test_case "diff sees NaN" `Quick test_diff_sees_nan ]);
+         Alcotest.test_case "diff sees NaN" `Quick test_diff_sees_nan;
+         Alcotest.test_case "checksum bitwise" `Quick test_checksum_bitwise;
+         Alcotest.test_case "release serves next create" `Quick
+           test_release_serves_next_create;
+         Alcotest.test_case "release never retires twice" `Quick
+           test_release_never_retires_twice;
+         Alcotest.test_case "release of small buffer is no-op" `Quick
+           test_release_small_is_noop ]);
       ("domain-pool",
        [ Alcotest.test_case "covers range" `Quick
            test_parallel_for_covers_range;

@@ -247,8 +247,8 @@ let conn_clients st =
 
 (* A released client leaves the table once idle, or with its last job
    if one is in flight; configured clients and the totals stay. A job
-   is accounted just after its awaiter wakes, so the table is checked
-   once the workers are joined. *)
+   is accounted before its awaiter wakes, so the table is exact right
+   after each [await]. *)
 let test_sched_release_client () =
   let s = S.create ~workers:1 () in
   S.configure_client s ~id:"kept" ~weight:2 ();
@@ -257,7 +257,9 @@ let test_sched_release_client () =
     (match S.await (Result.get_ok (S.submit s ~client:id (fun () -> i))) with
     | S.Done v -> Alcotest.(check int) "job result" i v
     | _ -> Alcotest.fail "job did not complete");
-    S.release_client s id
+    S.release_client s id;
+    Alcotest.(check int) "released at once" 0
+      (List.length (conn_clients (S.stats s)))
   done;
   let release = Atomic.make false in
   let busy =
@@ -273,14 +275,14 @@ let test_sched_release_client () =
     (List.exists (fun c -> c.S.c_id = "conn-busy") (S.stats s).S.clients);
   Atomic.set release true;
   ignore (S.await busy);
-  S.shutdown s;
   let st = S.stats s in
   Alcotest.(check int) "no connection records" 0
     (List.length (conn_clients st));
   Alcotest.(check bool) "configured client kept" true
     (List.exists (fun c -> c.S.c_id = "kept") st.S.clients);
   Alcotest.(check int) "submitted" 61 st.S.submitted;
-  Alcotest.(check int) "completed" 61 st.S.completed
+  Alcotest.(check int) "completed" 61 st.S.completed;
+  S.shutdown s
 
 (* ---- protocol parsing ---- *)
 
@@ -566,7 +568,8 @@ let test_serve_releases_connection_clients () =
       Alcotest.(check string) "served" "ok" (str_of (field "status" reply))
     | _ -> Alcotest.fail "expected one reply"
   done;
-  (* the last job is accounted just after its reply is sent: poll *)
+  (* every job is accounted before its reply is built, and each
+     connection's client is released before the connection closes *)
   let conn_ids metrics =
     match J.member "clients" metrics with
     | Some (J.Obj clients) ->
@@ -575,18 +578,9 @@ let test_serve_releases_connection_clients () =
         (List.map fst clients)
     | _ -> Alcotest.fail "clients missing"
   in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec settled () =
-    let metrics =
-      J.of_string
-        (List.hd (Svc.request ~socket [ {|{"action": "metrics"}|} ]))
-    in
-    if conn_ids metrics = [] || Unix.gettimeofday () > deadline then metrics
-    else (
-      Unix.sleepf 0.01;
-      settled ())
+  let metrics =
+    J.of_string (List.hd (Svc.request ~socket [ {|{"action": "metrics"}|} ]))
   in
-  let metrics = settled () in
   Alcotest.(check (list string)) "no connection records" []
     (conn_ids metrics);
   let sched = Option.get (J.member "scheduler" metrics) in
@@ -596,6 +590,47 @@ let test_serve_releases_connection_clients () =
       | Some (J.Num n) -> Alcotest.(check (float 0.)) key 50. n
       | _ -> Alcotest.fail (key ^ " missing"))
     [ "submitted"; "completed" ];
+  stop_server socket server
+
+(* A served run hands its grids back to the arena once its reply is
+   built, so a repeat of the same jobs runs on recycled storage: the
+   replies must be byte-identical, and the release counter must move. *)
+let test_serve_repeat_identical () =
+  let gs16 = B.gauss_seidel ~nx:16 ~ny:16 ~nz:16 ~niter:2 () in
+  let pw16 = B.pw_advection ~nx:16 ~ny:16 ~nz:16 ~niter:2 () in
+  let jobs =
+    List.concat_map
+      (fun src ->
+        [ job_line ~target:"serial" src;
+          job_line ~target:"openmp" ~threads:2 src;
+          job_line ~target:"dist" src ])
+      [ gs16; pw16 ]
+  in
+  let socket, server = start_server ~workers:1 () in
+  let releases () =
+    let metrics =
+      J.of_string
+        (List.hd (Svc.request ~socket [ {|{"action": "metrics"}|} ]))
+    in
+    match J.member "counters" metrics with
+    | Some counters -> (
+      match J.member "rt.arena_releases" counters with
+      | Some (J.Num n) -> n
+      | _ -> 0.)
+    | None -> Alcotest.fail "counters missing"
+  in
+  let released0 = releases () in
+  let first = Svc.request ~socket jobs in
+  let second = Svc.request ~socket jobs in
+  List.iter
+    (fun l ->
+      Alcotest.(check string) "served" "ok" (str_of (field "status" l)))
+    (first @ second);
+  Alcotest.(check (list string)) "repeat replies byte-identical"
+    (List.map (fun l -> J.to_string (field "checksums" l)) first)
+    (List.map (fun l -> J.to_string (field "checksums" l)) second);
+  Alcotest.(check bool) "grids released to the arena" true
+    (releases () > released0);
   stop_server socket server
 
 let test_serve_overload_shed () =
@@ -738,6 +773,8 @@ let () =
           Alcotest.test_case "metrics request" `Quick test_serve_metrics;
           Alcotest.test_case "connection clients released" `Quick
             test_serve_releases_connection_clients;
+          Alcotest.test_case "repeat replies identical" `Quick
+            test_serve_repeat_identical;
           Alcotest.test_case "overload shed" `Quick test_serve_overload_shed;
           Alcotest.test_case "quota exceeded" `Quick
             test_serve_quota_exceeded;
