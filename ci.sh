@@ -369,14 +369,17 @@ rm -rf "$DISTDIR"
 # the same job list again identically once its runs have handed their
 # grids back to the arena, report every client identity and a nonzero
 # arena release count in its metrics JSON, and shut down cleanly on
-# request. The examples' grids sit below the arena's 4096-element
-# threshold, so a 16^3 Laplace joins them.
+# request. The job list runs every program serial, openmp and dist, so
+# the openmp and dist jobs are served twice on the shared pool; the
+# metrics must show at most pool_size - 1 pool worker domains spawned.
+# The examples' grids sit below the arena's 4096-element threshold, so
+# a 16^3 Laplace joins them.
 SRVDIR=$(mktemp -d)
 SOCK="$SRVDIR/sfc.sock"
 sed 's/nx = 12, ny = 12, nz = 12/nx = 16, ny = 16, nz = 16/' \
   examples/laplace.f90 >"$SRVDIR/laplace16.f90"
 for f in examples/*.f90 "$SRVDIR/laplace16.f90"; do
-  for target in serial openmp; do
+  for target in serial openmp dist; do
     printf '{"src": "%s", "target": "%s", "action": "run"}\n' "$f" "$target"
   done
 done >"$SRVDIR/jobs.jsonl"
@@ -436,6 +439,16 @@ if [ "${releases:-0}" -eq 0 ]; then
   kill "$SRVPID" 2>/dev/null || true
   exit 1
 fi
+pool_size=$(printf '%s\n' "$metrics" | grep -o '"pool_size":[0-9]*' \
+  | cut -d: -f2)
+spawned=$(printf '%s\n' "$metrics" \
+  | grep -o '"pool.domains_spawned":[0-9]*' | cut -d: -f2)
+if [ -z "$pool_size" ] || [ "${spawned:-0}" -gt $((pool_size - 1)) ]; then
+  echo "ci: served jobs spawned ${spawned:-0} pool domains, pool size ${pool_size:-missing}"
+  printf '%s\n' "$metrics"
+  kill "$SRVPID" 2>/dev/null || true
+  exit 1
+fi
 for key in '"scheduler"' '"queue_depth"' '"cache"' '"counters"' \
     '"a":{"weight"' '"b":{"weight"' '"c":{"weight"'; do
   if ! printf '%s\n' "$metrics" | grep -q "$key"; then
@@ -449,7 +462,7 @@ done
 printf '{"action": "shutdown"}\n' >"$SRVDIR/shutdown.jsonl"
 "$SFC" batch "$SRVDIR/shutdown.jsonl" --socket "$SOCK" >/dev/null
 wait "$SRVPID"
-echo "serve smoke: 3 concurrent clients x $srv_njobs jobs and a repeat match serial, $releases grids released, metrics well-formed, clean shutdown"
+echo "serve smoke: 3 concurrent clients x $srv_njobs jobs and a repeat match serial, $releases grids released, ${spawned:-0} pool domains spawned (pool size $pool_size), metrics well-formed, clean shutdown"
 rm -rf "$SRVDIR"
 
 echo "ci: OK"

@@ -507,27 +507,31 @@ let generate cand =
 (* Cleanup: dead ops and empty loops (Listing 3 lines 25-27)           *)
 (* ------------------------------------------------------------------ *)
 
+(* One backward pass: a value is used only later in its block or inside
+   the regions of later ops, so visiting the block last to first (each
+   op's regions before the op) settles every user before its
+   definition, and erases every transitively dead op in a single pass
+   instead of one pass per link of the dead chain. *)
 let rec erase_dead_ops_in block =
-  let changed = ref false in
-  Op.iter_block_ops
-    (fun op ->
-      Array.iter (fun r -> List.iter (fun b -> erase_dead_ops_in b)
-                     r.Op.g_blocks)
+  let rec go = function
+    | None -> ()
+    | Some op ->
+      let prev = op.Op.o_prev in
+      Array.iter
+        (fun r -> List.iter erase_dead_ops_in r.Op.g_blocks)
         op.Op.o_regions;
       let dead =
         Op.num_results op > 0
-        && (not (List.exists Op.has_uses (Op.results op)))
+        && (not (Array.exists Op.has_uses op.Op.o_results))
         && (Dialect.op_is_pure op
            || List.mem op.Op.o_name
                 [ "fir.load"; "arith.constant"; "fir.convert";
                   "fir.no_reassoc" ])
       in
-      if dead then begin
-        Op.erase op;
-        changed := true
-      end)
-    block;
-  if !changed then erase_dead_ops_in block
+      if dead then Op.erase op;
+      go prev
+  in
+  go (Op.last_op block)
 
 let remove_empty_loops func =
   let rec sweep () =
@@ -553,9 +557,6 @@ let remove_empty_loops func =
   in
   sweep ();
   (* finally clear now-dead index computations at function level *)
-  Op.walk_inner
-    (fun o -> ignore o)
-    func;
   List.iter erase_dead_ops_in
     (match (Op.region func).Op.g_blocks with bs -> bs)
 

@@ -37,6 +37,9 @@ type rank_state = {
   rs_rank : int;
   mutable rs_fields : (string * Rt.t) list;
   rs_range : (int * int) * (int * int) * (int * int); (* global 1-based *)
+  (* halo payloads this rank posts, one per (direction, length), reused
+     by every superstep: only the rank's own team member touches them *)
+  mutable rs_payloads : (Decomp.direction * float array) list;
 }
 
 type t = {
@@ -151,13 +154,20 @@ let create ?pool ?(field_rank = 3) decomp ~fields ~init =
   let ranks =
     Array.init (Decomp.nranks decomp) (fun rank ->
         { rs_rank = rank; rs_fields = [];
-          rs_range = Decomp.local_range decomp rank })
+          rs_range = Decomp.local_range decomp rank; rs_payloads = [] })
   in
   let t = { decomp; mpi; ranks; pool; field_rank } in
   List.iter (fun name -> set_field t name (init name)) fields;
   t
 
 let field st name = List.assoc name st.rs_fields
+
+let release_fields t =
+  Array.iter
+    (fun st ->
+      List.iter (fun (_, b) -> Rt.release b) st.rs_fields;
+      st.rs_fields <- [])
+    t.ranks
 
 (* ------------------------------------------------------------------ *)
 (* Halo packing                                                        *)
@@ -269,7 +279,24 @@ let unpack_from buf (axis, idx) payload ~off =
 
    The header makes the payload self-describing, so a sender/receiver
    schedule mismatch (different swap sets after a fusion bug) surfaces
-   as a typed [Invalid_argument] instead of silent corruption. *)
+   as a typed [Invalid_argument] instead of silent corruption.
+
+   The payload is the rank's own array for (direction, length), packed
+   over again by every superstep: the receiver consumes it in the phase
+   after the post, and the barrier ending that phase comes before the
+   rank's next post, so no payload is overwritten while in flight. *)
+let payload st dir total =
+  match
+    List.find_opt
+      (fun (d, p) -> d = dir && Array.length p = total)
+      st.rs_payloads
+  with
+  | Some (_, p) -> p
+  | None ->
+    let p = Array.make total 0.0 in
+    st.rs_payloads <- (dir, p) :: st.rs_payloads;
+    p
+
 let pack_coalesced t ~names ~rank ~dir =
   let st = t.ranks.(rank) in
   let bufs = List.map (field st) names in
@@ -278,7 +305,7 @@ let pack_coalesced t ~names ~rank ~dir =
   let total =
     List.fold_left (fun acc b -> acc + plane_len b dir) header bufs
   in
-  let out = Array.make total 0.0 in
+  let out = payload st dir total in
   out.(0) <- float_of_int nf;
   let off = ref header in
   List.iteri

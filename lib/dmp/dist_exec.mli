@@ -21,6 +21,9 @@ type rank_state = {
       (** (lx+2)(ly+2)[(lz+2)] local grids *)
   rs_range : (int * int) * (int * int) * (int * int);
       (** global 1-based interior ranges owned by the rank *)
+  mutable rs_payloads : (Decomp.direction * float array) list;
+      (** the halo payloads the rank posts, one per (direction,
+          length), reused across supersteps (see {!pack_coalesced}) *)
 }
 
 type t = {
@@ -58,10 +61,16 @@ val alloc_field : t -> string -> unit
 
 val field : rank_state -> string -> Rt.t
 
+(** Drop every rank's fields and hand their blocks' storage back to the
+    arena ({!Rt.release}). Nothing may read those blocks afterwards. *)
+val release_fields : t -> unit
+
 (** Pack the swap set [names] for the neighbour in [dir] into one
     self-describing payload: header = field count + per-field absolute
-    offsets, then the halo planes in swap-set order. Exposed for
-    round-trip testing. *)
+    offsets, then the halo planes in swap-set order. The payload is
+    [rank]'s own array for [dir] and its length: the next pack for the
+    same rank, direction and length writes into the same array, so a
+    payload is valid until then. Exposed for round-trip testing. *)
 val pack_coalesced :
   t -> names:string list -> rank:int -> dir:Decomp.direction -> float array
 

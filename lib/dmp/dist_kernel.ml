@@ -492,7 +492,11 @@ let gather_group g =
 (* Execution protocol                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The previous run's rank blocks were gathered into its host grids at
+   [sync_back]; nothing reads them again, so their storage serves this
+   run's blocks. *)
 let begin_run st =
+  List.iter (fun g -> Dist_exec.release_fields g.g_dx) st.dk_groups;
   st.dk_groups <- [];
   st.dk_ids <- [];
   st.dk_next_id <- 0

@@ -53,7 +53,9 @@ val write_stales :
 
 (** Reset per-run coherence state. Call at the start of every program
     run: buffers are allocated fresh each run, so stale groups must not
-    accumulate. *)
+    accumulate. The previous run's rank blocks go back to the arena
+    ({!Fsc_rt.Memref_rt.release}), so this run's blocks reuse their
+    storage. *)
 val begin_run : state -> unit
 
 (** Gather every valid group back into the host's global buffers. Call

@@ -205,7 +205,7 @@ let compile ?cache options src =
   | Some c -> (
     let key = key c options src in
     match
-      Obs.with_span ~cat:"pipeline" "cache lookup" (fun () ->
+      Obs.with_span ~cat:"pipeline" ~alloc:true "cache lookup" (fun () ->
           Cache.find c ~key ~validate:(decode options))
     with
     | Some ca -> (ca, `Hit)

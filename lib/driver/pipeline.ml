@@ -43,9 +43,11 @@ let nontermination_diag pass =
 
 (* every pipeline stage is a span under this category, so a --trace of a
    compile shows frontend / discovery / merge / extraction / lowering /
-   linking as one nested timeline *)
+   linking as one nested timeline; each span records the minor-heap
+   words its stage allocated, the share of a compile that decides how
+   many minor collections land inside it *)
 let stage name f =
-  Obs.with_span ~cat:"pipeline" name (fun () ->
+  Obs.with_span ~cat:"pipeline" ~alloc:true name (fun () ->
       try f () with
       | Rewrite.Nontermination -> raise (nontermination_diag name)
       | Pass.Pipeline_error (pass, Rewrite.Nontermination, _) ->
@@ -546,14 +548,15 @@ let link ?(engine = Engine_vector) ?native ca =
   let ctx = Interp.create_context () in
   Interp.add_module ctx ca.ca_host;
   Interp.add_module ctx ca.ca_stencil;
+  (* every artifact borrows the process-wide pool's workers, never
+     more of them than the host has cores: extra threads or ranks
+     time-share through work stealing and rank slices *)
   let pool =
     match target with
-    | Openmp n -> Some (Fsc_rt.Domain_pool.create n)
+    | Openmp n -> Some (Fsc_rt.Domain_pool.shared n)
     | Dist r ->
-      (* run ranks concurrently, but never spawn more domains than the
-         host has cores for — extra ranks time-share via work stealing *)
-      let n = min r (Fsc_rt.Domain_pool.recommended_size ()) in
-      if n >= 2 then Some (Fsc_rt.Domain_pool.create n) else None
+      let p = Fsc_rt.Domain_pool.shared r in
+      if Fsc_rt.Domain_pool.size p >= 2 then Some p else None
     | _ -> None
   in
   ctx.Interp.pool <- pool;
@@ -600,10 +603,25 @@ let stencil ?target ?merge ?engine ?native src =
 
 (* -------------------- execution -------------------- *)
 
+(* Hand the previous run's grids back to the arena: this run's
+   allocations then reuse their storage instead of fresh Bigarrays
+   whose finalisers wait for a major collection. A device-resident
+   twin goes with its host grid, so no end-of-run sync writes into
+   storage that now backs another grid. *)
+let release_grids ctx =
+  List.iter
+    (fun (_, buf) ->
+      Option.iter (fun g -> Fsc_rt.Gpu_sim.dealloc g buf) ctx.Interp.gpu;
+      Fsc_rt.Memref_rt.release buf)
+    ctx.Interp.named_buffers;
+  ctx.Interp.named_buffers <- []
+
 let run artifact =
   (* distributed: buffers are allocated per run, so reset the scatter
-     groups before main and gather everything back after *)
+     groups (releasing their rank blocks) before main and gather
+     everything back after *)
   Option.iter Fsc_dmp.Dist_kernel.begin_run artifact.a_dist;
+  release_grids artifact.a_ctx;
   Interp.run_main artifact.a_ctx;
   Option.iter Fsc_dmp.Dist_kernel.sync_back artifact.a_dist;
   (* GPU: make host mirrors consistent at program end *)
@@ -613,19 +631,15 @@ let run artifact =
   | _ -> ())
 
 let shutdown artifact =
-  (* drain in-flight native builds first: even a short run must leave
-     its compiled plugins published in the cache for the next process *)
+  (* drain in-flight native builds: even a short run must leave its
+     compiled plugins published in the cache for the next process. The
+     workers belong to the shared pool, so there is nothing to join. *)
   List.iter
     (fun (_, impl) ->
       match impl with
       | Native_jit (_, nk) -> Fsc_codegen.Native.drain nk
       | _ -> ())
-    artifact.a_kernels;
-  match artifact.a_ctx.Interp.pool with
-  | Some p ->
-    Fsc_rt.Domain_pool.shutdown p;
-    artifact.a_ctx.Interp.pool <- None
-  | None -> ()
+    artifact.a_kernels
 
 (* Grid named [name] allocated during execution. *)
 let buffer artifact name =

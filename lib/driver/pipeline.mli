@@ -27,7 +27,8 @@ val target_name : target -> string
 (** Target without link-time parameters (["openmp"], no thread count):
     the spelling that identifies {e compiled code}, and therefore the one
     that belongs in cache keys — an OpenMP artifact is reusable across
-    pool sizes because the pool is only created at {!link} time. *)
+    thread counts because the pool view is only taken at {!link}
+    time. *)
 val target_kind : target -> string
 
 (** Which execution tier runs compiled kernels on CPU targets. The
@@ -141,16 +142,22 @@ val flang_only : string -> artifact
 val compile : options -> string -> compiled_artifact
 
 (** Impure back half: create the interpreter context, register the host
-    and stencil modules, allocate the OpenMP pool / GPU simulator for
-    the artifact's target, and compile each kernel for [engine]
+    and stencil modules, take a view of the shared pool / create the GPU
+    simulator for the artifact's target, and compile each kernel for
+    [engine]
     (default {!Engine_vector}; falls back to the interpreter outside
     the analysable shape, and per nest to the closure JIT of
     {!Fsc_rt.Kernel_compile} outside the vectorisable shape or the
     bounds proof). Safe to call several times on one
     artifact; each call yields an independent runnable.
 
-    For [Dist] targets ranks execute concurrently on a domain pool sized
-    [min ranks (recommended_size ())], under the one superstep schedule
+    Link spawns no domain: an [Openmp n] or [Dist r] artifact runs on a
+    view of [min n (recommended_size ())] (or [min r ...]) participants
+    of the process-wide {!Fsc_rt.Domain_pool.shared} pool, created on
+    first use, and launches of artifacts run from concurrent callers
+    take turns on its workers. For [Dist] targets ranks execute
+    concurrently on that view (a one-participant view runs them in
+    turn), under the one superstep schedule
     of {!Fsc_dmp.Dist_kernel}: overlapped where the blocks allow it,
     exchanges fused away while halos stay fresh, one coalesced message
     per neighbour, and footprint-aware staling. Under {!Engine_interp}
@@ -188,16 +195,25 @@ val stencil :
 (** Execute the program's [_QQmain]; for GPU targets, synchronise device
     mirrors back to the host afterwards; for [Dist] targets, gather the
     scattered rank-local buffers back into the host globals.
+
+    Before [_QQmain] allocates, the previous run's named grids (and
+    their GPU twins) and [Dist] rank blocks go back to the storage
+    arena ({!Fsc_rt.Memref_rt.release}), so a re-run reuses their
+    storage: a grid from {!buffer} is valid until this artifact's next
+    [run]. Clone it to keep it longer.
     @raise Fsc_dmp.Decomp.Invalid_decomp when a distributed kernel's
     grid cannot host the requested rank count. *)
 val run : artifact -> unit
 
-(** Release the artifact's worker pool (OpenMP targets) after draining
-    any in-flight native builds, so short runs still publish their
-    compiled plugins to the artifact cache. *)
+(** Drain any in-flight native builds, so short runs still publish their
+    compiled plugins to the artifact cache. Joins no domain: the
+    artifact's workers belong to the shared pool and serve the next
+    artifact. The artifact stays runnable. *)
 val shutdown : artifact -> unit
 
-(** Look up a named Fortran array allocated during execution. *)
+(** Look up a named Fortran array allocated during the last run. Valid
+    until the artifact's next {!run}, which hands its storage back to
+    the arena. *)
 val buffer : artifact -> string -> Fsc_rt.Memref_rt.t option
 
 val buffer_exn : artifact -> string -> Fsc_rt.Memref_rt.t

@@ -42,24 +42,29 @@ let define_dialect name =
     Hashtbl.replace all_dialects name d;
     d
 
+(* Every defined op by full name, so [lookup_op] — run on every op by
+   the verifier and by every dead-code sweep — needs no substring of
+   the name to find its dialect first. No dialect name contains a
+   '.', so the full name determines the dialect. *)
+let all_ops : (string, op_info) Hashtbl.t = Hashtbl.create 256
+
 let define_op ?(num_operands = -1) ?(num_results = -1) ?(num_regions = 0)
     ?verify ?(pure = false) ?(terminator = false) dialect name =
   let full = dialect.d_name ^ "." ^ name in
-  Hashtbl.replace dialect.d_ops full
+  let info =
     { oi_name = full; oi_num_operands = num_operands;
       oi_num_results = num_results; oi_num_regions = num_regions;
       oi_verify = verify; oi_pure = pure; oi_terminator = terminator }
+  in
+  Hashtbl.replace dialect.d_ops full info;
+  Hashtbl.replace all_ops full info
 
 let dialect_of_op_name name =
   match String.index_opt name '.' with
   | Some i -> String.sub name 0 i
   | None -> name
 
-let lookup_op name =
-  let d = dialect_of_op_name name in
-  match Hashtbl.find_opt all_dialects d with
-  | None -> None
-  | Some dialect -> Hashtbl.find_opt dialect.d_ops name
+let lookup_op name = Hashtbl.find_opt all_ops name
 
 let op_is_pure op =
   match lookup_op op.Op.o_name with Some i -> i.oi_pure | None -> false

@@ -313,16 +313,26 @@ let span_end ?(args = []) sp =
 
 (* Run [f] under a span. The span is recorded even when [f] raises —
    tagged with the exception — and the exception propagates with its
-   original backtrace. *)
-let with_span ?cat ?(args = []) name f =
+   original backtrace. With [~alloc:true] a recorded span also carries
+   a [minor_words] argument: the words [f] allocated on the minor heap
+   of the calling domain. *)
+let with_span ?cat ?(args = []) ?(alloc = false) name f =
   let sp = span_begin ?cat name in
+  let alloc = alloc && sp.sp_live in
+  let w0 = if alloc then Gc.minor_words () else 0. in
+  let args extra =
+    let args = extra @ args in
+    if alloc then
+      ("minor_words", A_int (int_of_float (Gc.minor_words () -. w0))) :: args
+    else args
+  in
   match f () with
   | v ->
-    span_end ~args sp;
+    span_end ~args:(args []) sp;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    span_end ~args:(("error", A_str (Printexc.to_string e)) :: args) sp;
+    span_end ~args:(args [ ("error", A_str (Printexc.to_string e)) ]) sp;
     Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)

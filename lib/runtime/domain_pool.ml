@@ -1,6 +1,9 @@
 (* Work-sharing pool over OCaml domains: the OpenMP runtime of this
    substrate. A pool of [size] persistent worker domains executes
-   parallel-for loops; the calling domain acts as worker 0.
+   parallel-for loops; the calling domain acts as worker 0. Like the
+   OpenMP runtime's one persistent thread team, linked artifacts share
+   one process-wide pool ([shared]) through views of the width they
+   ask for; private pools ([create]) serve tests and examples.
 
    Scheduling is guided work-stealing rather than a single shared index:
    the range is pre-split into one contiguous segment per worker, each
@@ -125,18 +128,33 @@ type work =
       tm_run : int -> unit; (* run member [m]; never raises *)
     }
 
-type t = {
+(* One set of worker domains and its launch state. A [t] is a view of
+   [width] participants over a core: a private pool's view spans its
+   whole core, the shared core serves views of any width up to its
+   size. [finish.(k)] is the completion barrier of a launch with [k]
+   active participants (the caller and workers [1 .. k-1]); workers at
+   or beyond the launch's participant count sit it out. [launch] is
+   the guard under which callers take turns: one launch at a time per
+   core, from whichever domain or thread issues it. *)
+type core = {
   size : int;
   mutable workers : unit Domain.t array;
   work : work option ref;
   work_mutex : Mutex.t;
   work_cond : Condition.t;
-  barrier : Barrier.t;
+  finish : Barrier.t array;
+  launch : Mutex.t;
   mutable generation : int;
   mutable shutdown : bool;
+  shared : bool;
 }
 
-let size pool = pool.size
+type t = {
+  core : core;
+  width : int;
+}
+
+let size pool = pool.width
 
 (* Claim the next chunk from segment [seg]: a quarter of what remains,
    never below the task's minimum chunk. fetch_and_add may over-claim
@@ -196,51 +214,79 @@ let run_task ~self task =
     done
   end
 
-let worker_loop pool self () =
+(* Participants of a launch: the parallel-for's segment count or the
+   team's member count. *)
+let participants = function
+  | W_for task -> Array.length task.t_pos
+  | W_team tm -> tm.tm_members
+
+let worker_loop core self () =
   let seen = ref 0 in
   let rec loop () =
-    Mutex.lock pool.work_mutex;
-    while (not pool.shutdown) && pool.generation = !seen do
-      Condition.wait pool.work_cond pool.work_mutex
+    Mutex.lock core.work_mutex;
+    while (not core.shutdown) && core.generation = !seen do
+      Condition.wait core.work_cond core.work_mutex
     done;
-    if pool.shutdown then Mutex.unlock pool.work_mutex
+    if core.shutdown then Mutex.unlock core.work_mutex
     else begin
-      seen := pool.generation;
-      let work = !(pool.work) in
-      Mutex.unlock pool.work_mutex;
+      seen := core.generation;
+      let work = !(core.work) in
+      Mutex.unlock core.work_mutex;
       (match work with
-      | Some (W_for task) ->
-        run_task ~self task;
-        Barrier.await pool.barrier
-      | Some (W_team tm) ->
-        (* workers beyond the team size sit this launch out but still
-           join the pool-wide completion barrier *)
-        if self < tm.tm_members then tm.tm_run self;
-        Barrier.await pool.barrier
-      | None -> ());
+      | Some w when self < participants w ->
+        (match w with
+        | W_for task -> run_task ~self task
+        | W_team tm -> tm.tm_run self);
+        Barrier.await core.finish.(participants w)
+      | _ -> ());
       loop ()
     end
   in
   loop ()
 
-let create size =
+let c_spawned = Obs.counter "pool.domains_spawned"
+
+let make_core ~shared size =
   let size = max 1 size in
-  let pool =
+  let core =
     { size; workers = [||]; work = ref None; work_mutex = Mutex.create ();
-      work_cond = Condition.create (); barrier = Barrier.create size;
-      generation = 0; shutdown = false }
+      work_cond = Condition.create ();
+      finish = Array.init (size + 1) (fun k -> Barrier.create (max 1 k));
+      launch = Mutex.create (); generation = 0; shutdown = false; shared }
   in
-  pool.workers <-
-    Array.init (size - 1) (fun i -> Domain.spawn (worker_loop pool (i + 1)));
-  pool
+  Obs.add c_spawned (size - 1);
+  core.workers <-
+    Array.init (size - 1) (fun i -> Domain.spawn (worker_loop core (i + 1)));
+  core
+
+let create size =
+  let core = make_core ~shared:false size in
+  { core; width = core.size }
 
 let shutdown pool =
-  Mutex.lock pool.work_mutex;
-  pool.shutdown <- true;
-  Condition.broadcast pool.work_cond;
-  Mutex.unlock pool.work_mutex;
-  Array.iter Domain.join pool.workers;
-  pool.workers <- [||]
+  let core = pool.core in
+  if core.shared then
+    invalid_arg "Domain_pool.shutdown: the shared pool lives for the process";
+  Mutex.lock core.work_mutex;
+  core.shutdown <- true;
+  Condition.broadcast core.work_cond;
+  Mutex.unlock core.work_mutex;
+  Array.iter Domain.join core.workers;
+  core.workers <- [||]
+
+(* Publish [work] to the core's workers, run the caller's share, and
+   wait for the launch's participants; under the launch guard, so
+   concurrent callers take turns instead of overwriting each other's
+   published work or mixing arrivals at a completion barrier. *)
+let launch core work ~caller =
+  Mutex.protect core.launch (fun () ->
+      Mutex.lock core.work_mutex;
+      core.work := Some work;
+      core.generation <- core.generation + 1;
+      Condition.broadcast core.work_cond;
+      Mutex.unlock core.work_mutex;
+      caller ();
+      Barrier.await core.finish.(participants work))
 
 (* Parallel for over [lo, hi): [body lo' hi'] must handle any subrange.
    [chunk] is the minimum chunk granularity (clamped to >= 1); workers
@@ -248,7 +294,7 @@ let shutdown pool =
    small to give every participant at least two indices run inline. *)
 let parallel_for ?chunk pool ~lo ~hi body =
   if hi <= lo then ()
-  else if pool.size = 1 || hi - lo < pool.size * 2 then begin
+  else if pool.width = 1 || hi - lo < pool.width * 2 then begin
     Obs.incr c_serial_for;
     body lo hi
   end
@@ -256,7 +302,7 @@ let parallel_for ?chunk pool ~lo ~hi body =
     Obs.incr c_parallel_for;
     let range = hi - lo in
     let min_chunk = match chunk with Some c -> max 1 c | None -> 1 in
-    let n = pool.size in
+    let n = pool.width in
     let seg_start i = lo + (i * range / n) in
     let task =
       { t_body = body;
@@ -264,14 +310,8 @@ let parallel_for ?chunk pool ~lo ~hi body =
         t_end = Array.init n (fun i -> seg_start (i + 1));
         t_min_chunk = min_chunk; t_error = Atomic.make None }
     in
-    Mutex.lock pool.work_mutex;
-    pool.work := Some (W_for task);
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_cond;
-    Mutex.unlock pool.work_mutex;
     (* the caller participates as worker 0 *)
-    run_task ~self:0 task;
-    Barrier.await pool.barrier;
+    launch pool.core (W_for task) ~caller:(fun () -> run_task ~self:0 task);
     match Atomic.get task.t_error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
@@ -288,10 +328,10 @@ let parallel_for ?chunk pool ~lo ~hi body =
    workers that are pinned to this team). *)
 let team pool ~members body =
   if members < 1 then invalid_arg "Domain_pool.team: members must be >= 1";
-  if members > pool.size then
+  if members > pool.width then
     invalid_arg
       (Printf.sprintf "Domain_pool.team: %d members exceed pool size %d"
-         members pool.size);
+         members pool.width);
   if members = 1 then body ~member:0 ~barrier:(fun () -> ())
   else begin
     Obs.incr c_teams;
@@ -313,13 +353,9 @@ let team pool ~members body =
         ignore (Atomic.compare_and_set error None (Some (e, bt)));
         Barrier.poison phase
     in
-    Mutex.lock pool.work_mutex;
-    pool.work := Some (W_team { tm_members = members; tm_run = run });
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_cond;
-    Mutex.unlock pool.work_mutex;
-    run 0;
-    Barrier.await pool.barrier;
+    launch pool.core
+      (W_team { tm_members = members; tm_run = run })
+      ~caller:(fun () -> run 0);
     match Atomic.get error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
@@ -329,6 +365,31 @@ let recommended_size () =
   match Domain.recommended_domain_count () with
   | n when n >= 1 -> n
   | _ -> 1
+
+(* The process-wide core, spawned by the first view wider than one
+   participant. It is never joined: its workers block in [worker_loop]
+   between launches and end with the process. *)
+let shared_mutex = Mutex.create ()
+let shared_core : core option ref = ref None
+
+(* Views of one participant never launch (every range runs inline), so
+   they share a worker-less core and spawn nothing. *)
+let solo = make_core ~shared:true 1
+
+let shared n =
+  let width = max 1 (min n (recommended_size ())) in
+  if width = 1 then { core = solo; width }
+  else
+    let core =
+      Mutex.protect shared_mutex (fun () ->
+          match !shared_core with
+          | Some c -> c
+          | None ->
+            let c = make_core ~shared:true (recommended_size ()) in
+            shared_core := Some c;
+            c)
+    in
+    { core; width }
 
 let with_pool size f =
   let pool = create size in

@@ -5,18 +5,36 @@
     segments when a worker's own segment is drained); the calling domain
     participates as worker 0. Scheduling activity is visible through the
     [pool.*] Obs counters ([pool.chunks.caller], [pool.chunks.worker],
-    [pool.steals]). *)
+    [pool.steals], and [pool.domains_spawned] for every worker domain
+    ever spawned).
+
+    Concurrent callers: any number of domains and threads may launch
+    [parallel_for] and [team] on one pool, or on several views of the
+    shared pool, at once. Launches on the same workers take turns
+    under a launch guard, each one running to completion before the
+    next is published; a caller waits for the guard, not for a worker
+    of its own. *)
 
 type t
 
-(** Spawn a pool with [size] participants ([size - 1] worker domains
-    plus the caller). *)
+(** Spawn a private pool with [size] participants ([size - 1] worker
+    domains plus the caller). *)
 val create : int -> t
 
-(** Number of participants (worker domains + caller). *)
+(** [shared n] is a view of [min n (recommended_size ())] participants
+    (at least one) over the process-wide pool, which has
+    [recommended_size ()] participants and is spawned by the first
+    view wider than one. Every view shares its workers and takes turns
+    with the others; the process never holds more than
+    [recommended_size () - 1] shared worker domains, whatever [n]
+    callers ask for. The shared pool is never shut down. *)
+val shared : int -> t
+
+(** Number of participants (worker domains + caller) a launch uses. *)
 val size : t -> int
 
-(** Join all worker domains. The pool must be idle. *)
+(** Join all worker domains of a pool made by {!create}. The pool must
+    be idle. @raise Invalid_argument on a view of the shared pool. *)
 val shutdown : t -> unit
 
 (** [parallel_for pool ~lo ~hi body] work-shares [lo, hi): [body lo' hi']

@@ -107,10 +107,13 @@ let alloc t host =
   db.db_residency <- Device_resident;
   charge t 1e-6
 
+(* gpu.dealloc: forget the host buffer's twin and hand the twin's
+   storage back to the arena — only this table ever held it. *)
 let dealloc t host =
   match Hashtbl.find_opt t.buffers host.Memref_rt.buf_id with
-  | Some _ ->
+  | Some db ->
     Hashtbl.remove t.buffers host.Memref_rt.buf_id;
+    Memref_rt.release db.db_device;
     t.allocated_bytes <- t.allocated_bytes - Memref_rt.bytes host
   | None -> ()
 

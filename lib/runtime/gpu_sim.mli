@@ -65,7 +65,10 @@ val host_register : t -> Memref_rt.t -> unit
 (** [gpu.alloc]: explicit device residency. *)
 val alloc : t -> Memref_rt.t -> unit
 
+(** Drop the device twin of a host buffer, if any, and release the
+    twin's storage to the arena ({!Memref_rt.release}). *)
 val dealloc : t -> Memref_rt.t -> unit
+
 val memcpy_h2d : t -> Memref_rt.t -> unit
 val memcpy_d2h : t -> Memref_rt.t -> unit
 

@@ -64,10 +64,19 @@ let bytes t = 8 * size t
    stable arena instead. Only grids are pooled (>= 4096 elements) —
    scalar temporaries are cheap and would bloat the size-class table.
 
+   A linked artifact's [Pipeline.run] releases the previous run's
+   grids the same way before its program allocates, and a dist run
+   releases the previous run's rank blocks: re-runs then draw every
+   grid from the arena, and a create that finds no storage there
+   bumps [rt.arena_misses].
+
    Finalisers may fire at any allocation point, including inside the
-   arena's own critical sections, so both paths take the lock with
-   [try_lock] and fall back to the plain allocator/free path when it
-   is unavailable — dropping a recyclable array is always correct. *)
+   arena's own critical sections, so they take the lock with
+   [try_lock] and drop the array when it is unavailable — dropping a
+   recyclable array is always correct. Takes and releases never run
+   inside a finaliser and block on the lock: grids created on several
+   domains at once (server workers, concurrent callers of the shared
+   pool) must not miss the arena because another domain holds it. *)
 
 type data = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -80,6 +89,7 @@ let arena_bytes = ref 0
 let arena_hit_count = ref 0
 let arena_retire_count = ref 0
 let c_releases = Fsc_obs.Obs.counter "rt.arena_releases"
+let c_misses = Fsc_obs.Obs.counter "rt.arena_misses"
 
 (* [lock] is [Mutex.try_lock] inside finalisers (see above) and a
    blocking lock for [release], which runs outside any critical
@@ -103,8 +113,9 @@ let arena_retire ~lock (data : data) =
   end
 
 let arena_take n =
-  if n < arena_min_elems || not (Mutex.try_lock arena_lock) then None
+  if n < arena_min_elems then None
   else begin
+    Mutex.lock arena_lock;
     let r =
       match Hashtbl.find_opt arena n with
       | Some (d :: rest) ->
@@ -127,6 +138,7 @@ let create_uninit dims =
     match arena_take total with
     | Some d -> d
     | None ->
+      if total >= arena_min_elems then Fsc_obs.Obs.incr c_misses;
       Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total
   in
   let t = { data; dims; strides = column_major_strides dims;

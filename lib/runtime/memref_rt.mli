@@ -24,7 +24,9 @@ val bytes : t -> int
     same-sized buffer has been collected — re-running a linked artifact
     then reuses a stable set of pages instead of paying an
     mmap/munmap/fault cycle per run. Pooled or fresh, the buffer is
-    zero-filled and carries a fresh [buf_id]. *)
+    zero-filled and carries a fresh [buf_id]. A grid-sized create that
+    finds no storage in the arena bumps the [rt.arena_misses]
+    counter. *)
 val create : int list -> t
 
 (** Like {!create}, from the same arena, but without the zero-fill: the
@@ -37,7 +39,11 @@ val create_uninit : int list -> t
 
 (** Hand a grid-sized buffer's storage back to the arena now, instead
     of when the collector finalises the buffer, so the next {!create} of
-    the same size reuses it. The caller guarantees that nothing reads or
+    the same size reuses it. Storage comes back by three routes: the
+    finaliser of a collected buffer; a served request releasing its
+    grids once its reply is built; and a re-run of a linked artifact,
+    which releases the previous run's grids ([Pipeline.run]) and dist
+    rank blocks ([Dist_kernel.begin_run]) before anything allocates. The caller guarantees that nothing reads or
     writes the buffer, or any view sharing its data, afterwards: the
     storage may already back another buffer. Idempotent — a second
     release, and the buffer's finaliser after a release, do nothing —

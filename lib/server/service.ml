@@ -295,6 +295,9 @@ let metrics_json ?cache sched =
            ("total_wait_ms", J.Num (1e3 *. s.Scheduler.total_wait_s)) ]);
       ("clients", J.Obj (List.map client s.Scheduler.clients));
       ("cache", cache_json);
+      (* the shared pool's participant count: served openmp and dist
+         jobs never hold more than this minus one worker domains *)
+      ("pool_size", num (Fsc_rt.Domain_pool.recommended_size ()));
       ("counters",
        J.Obj
          (List.map (fun (n, v) -> (n, num v)) (Obs.counter_totals ()))) ]

@@ -32,8 +32,12 @@
 
     A [{"action": "metrics"}] line is answered (in order, like a job)
     with one JSON object carrying the scheduler totals, per-client
-    stats, queue depth, cache stats (including disk byte usage) and the
-    process-wide Obs counters. *)
+    stats, queue depth, cache stats (including disk byte usage), the
+    shared pool's participant count ([pool_size]) and the process-wide
+    Obs counters — among them [pool.domains_spawned] (at most
+    [pool_size - 1]: served openmp and dist jobs borrow the shared
+    pool's workers) and [rt.arena_misses] (grid creates that found no
+    recycled storage). A counter that never moved is absent. *)
 
 type action =
   | Compile

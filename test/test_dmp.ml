@@ -649,6 +649,86 @@ end program residual_probe
       | None -> Alcotest.fail (label ^ ": no dist state"))
     [ (1, 0, 0); (2, 2, 6); (4, 8, 24); (8, 20, 60) ]
 
+(* Halo payloads are packed into arrays kept per (rank, direction,
+   length): a rank posts the physically same payload in consecutive
+   supersteps instead of allocating one per message. The exchange of
+   three Gauss-Seidel-sized supersteps is intercepted on a shared-pool
+   team: every payload a rank receives from its neighbour is the first
+   one's array. *)
+let test_payload_reuse () =
+  let d = D.create ~global:(24, 24, 24) ~ranks:2 in
+  let init _ (i, j, k) = float_of_int (i + (10 * j) + (100 * k)) in
+  let t =
+    DX.create ~pool:(Fsc_rt.Domain_pool.shared 2) d ~fields:[ "u"; "unew" ]
+      ~init
+  in
+  let names = [ "u"; "unew" ] in
+  let received = Array.make (D.nranks d) [] in
+  let post =
+    List.hd (DX.superstep_phases t ~swap_fields:names ~sweep:(fun ~rank:_ -> ()))
+  in
+  let consume ~rank =
+    List.iter
+      (fun dir ->
+        match D.neighbor d rank dir with
+        | Some nbr ->
+          let p =
+            Fsc_rt.Mpi_sim.recv t.DX.mpi ~src:nbr ~dst:rank
+              ~tag:(D.tag_of_direction (D.opposite dir))
+          in
+          DX.unpack_coalesced t ~names ~rank ~dir p;
+          received.(rank) <- (dir, p, p.(0)) :: received.(rank)
+        | None -> ())
+      D.directions
+  in
+  DX.run_phases t [ post; consume; post; consume; post; consume ];
+  Array.iteri
+    (fun rank got ->
+      Alcotest.(check int)
+        (Printf.sprintf "rank %d: one payload per superstep" rank)
+        3 (List.length got);
+      match List.rev got with
+      | (dir, first, _) :: rest ->
+        List.iter
+          (fun (dir', p, nf) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "rank %d: same direction" rank)
+              true (dir = dir');
+            Alcotest.(check bool)
+              (Printf.sprintf "rank %d: the neighbour reused its payload"
+                 rank)
+              true (p == first);
+            Alcotest.(check (float 0.)) "header: two fields" 2.0 nf)
+          rest
+      | [] -> ())
+    received;
+  Alcotest.(check int) "messages" 6 (fst (DX.stats t))
+
+(* Re-running one dist artifact releases the previous run's rank blocks
+   and reuses payloads within the run; the halo traffic of every run is
+   the first run's, and the answer stays serial's. *)
+let test_rerun_message_counts () =
+  let gs = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 () in
+  let serial =
+    run_pipeline ~engine:P.Engine_vector ~target:P.Serial ~grid:"u" gs
+  in
+  List.iter
+    (fun (ranks, msgs) ->
+      let a, _ =
+        P.stencil ~target:(P.Dist ranks) ~engine:P.Engine_vector gs
+      in
+      for run = 1 to 3 do
+        P.run a;
+        let label = Printf.sprintf "gs ranks=%d run %d" ranks run in
+        Alcotest.(check int) (label ^ ": messages") msgs
+          (group_msgs (Option.map Fsc_dmp.Dist_kernel.stats a.P.a_dist));
+        let b = P.buffer_exn a "u" in
+        check_bitwise ~msg:label serial
+          (Array.init (Rt.size b) (Rt.get_flat b))
+      done;
+      P.shutdown a)
+    [ (1, 0); (2, 6); (4, 24); (8, 60) ]
+
 (* Mirror planes on an asymmetric decomposition: global (8,7,5) over 6
    ranks splits y 4+3 and z 2+2+1, so the block-boundary planes are
    exactly y in {4,5} and z in {2,3,4,5}. *)
@@ -869,6 +949,10 @@ let () =
            test_pipeline_dist_fusion;
          Alcotest.test_case "mirror planes (asymmetric decomp)" `Quick
            test_mirror_planes_asymmetric;
+         Alcotest.test_case "halo payloads reused across supersteps" `Quick
+           test_payload_reuse;
+         Alcotest.test_case "re-runs keep message counts (bitwise)" `Quick
+           test_rerun_message_counts;
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick
            test_pipeline_footprint_staling;
          Alcotest.test_case "degenerate decomposition diagnosed" `Quick

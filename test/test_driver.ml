@@ -631,6 +631,148 @@ let test_concurrent_compiles () =
   Alcotest.(check (list string)) "every concurrent compile matches serial" []
     (List.sort_uniq compare all)
 
+(* ---- the shared pool under concurrent callers ----
+
+   Every openmp and dist artifact borrows the one process-wide pool, so
+   launches from several domains must take turns. Each case links its
+   artifacts up front, runs each on its own domain [reps] times, and
+   compares every run's checksums with the serial run's. A watchdog
+   turns a hang (a lost launch, a completion barrier mixing two
+   launches' arrivals) into a failure that names the case; the stuck
+   domains can never be joined, so it ends the process. *)
+let pool_src = B.gauss_seidel ~nx:24 ~ny:24 ~nz:24 ~niter:3 ()
+
+let grid_checksums a =
+  List.sort compare
+    (List.map
+       (fun (name, b) -> (name, Rt.checksum b))
+       a.P.a_ctx.Fsc_rt.Interp.named_buffers)
+
+let link_target target =
+  P.link (P.compile (P.default_options ~target ()) pool_src)
+
+let serial_checksums =
+  lazy
+    (let a = link_target P.Serial in
+     P.run a;
+     grid_checksums a)
+
+(* Alcotest sends a test's output to its log file, which nobody reads
+   once the watchdog has ended the process: it reports on the stderr
+   the suite started with. *)
+let suite_stderr = Unix.dup Unix.stderr
+
+let run_concurrently ~case ~seconds jobs =
+  let left = Atomic.make (List.length jobs) in
+  let domains =
+    List.map
+      (fun job ->
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.decr left) job))
+      jobs
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while Atomic.get left > 0 do
+    if Unix.gettimeofday () > deadline then begin
+      let msg =
+        Printf.sprintf
+          "watchdog: shared-pool case '%s' hung: %d of %d callers still \
+           running after %.0f s\n"
+          case (Atomic.get left) (List.length jobs) seconds
+      in
+      ignore (Unix.write_substring suite_stderr msg 0 (String.length msg));
+      exit 124
+    end;
+    Unix.sleepf 0.01
+  done;
+  List.map Domain.join domains
+
+let test_shared_pool_concurrent () =
+  let want = Lazy.force serial_checksums in
+  let reps = 200 in
+  List.iter
+    (fun (case, targets) ->
+      let callers =
+        List.map
+          (fun target ->
+            let a = link_target target in
+            fun () ->
+              let wrong = ref 0 in
+              for _ = 1 to reps do
+                P.run a;
+                if grid_checksums a <> want then incr wrong
+              done;
+              P.shutdown a;
+              (P.target_name target, !wrong))
+          targets
+      in
+      List.iter
+        (fun (target, wrong) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s runs with checksums other than serial"
+               case target)
+            0 wrong)
+        (run_concurrently ~case ~seconds:120. callers))
+    [ ("two openmp(2) callers", [ P.Openmp 2; P.Openmp 2 ]);
+      ("dist(2) beside openmp(2)", [ P.Dist 2; P.Openmp 2 ]) ]
+
+(* A re-run draws every grid and rank block from the arena: the run
+   hands the previous run's grids back before [_QQmain] allocates, and
+   a dist run its rank blocks. After one warm-up run, ten re-runs of
+   each target create no grid-sized storage at all. *)
+let test_reruns_miss_no_arena () =
+  let module Obs = Fsc_obs.Obs in
+  let misses = Obs.counter "rt.arena_misses" in
+  Obs.set_counters_only true;
+  Fun.protect ~finally:(fun () -> Obs.set_counters_only false) @@ fun () ->
+  List.iter
+    (fun target ->
+      let a = link_target target in
+      P.run a;
+      let m0 = Obs.counter_value misses in
+      for _ = 1 to 10 do
+        P.run a
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: arena misses over 10 re-runs"
+           (P.target_name target))
+        0
+        (Obs.counter_value misses - m0);
+      Alcotest.(check bool)
+        (P.target_name target ^ ": checksums still serial")
+        true
+        (grid_checksums a = Lazy.force serial_checksums);
+      P.shutdown a)
+    [ P.Serial; P.Openmp 2; P.Dist 2 ]
+
+(* Every pipeline stage span records the minor-heap words it
+   allocated. *)
+let test_stage_minor_words () =
+  let module Obs = Fsc_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  ignore (P.compile (P.default_options ()) gs_src);
+  let stages = Obs.events_with_cat "pipeline" in
+  Alcotest.(check bool) "stage spans recorded" true (stages <> []);
+  List.iter
+    (fun e ->
+      match List.assoc_opt "minor_words" e.Obs.e_args with
+      | Some (Obs.A_int w) ->
+        Alcotest.(check bool) (e.Obs.e_name ^ ": minor words >= 0") true
+          (w >= 0)
+      | _ -> Alcotest.failf "stage %s records no minor words" e.Obs.e_name)
+    stages;
+  let words name =
+    List.fold_left
+      (fun acc e ->
+        match List.assoc_opt "minor_words" e.Obs.e_args with
+        | Some (Obs.A_int w) when e.Obs.e_name = name -> acc + w
+        | _ -> acc)
+      0 stages
+  in
+  Alcotest.(check bool) "the frontend allocates" true (words "frontend" > 0)
+
 let () =
   Alcotest.run "driver"
     [ ("gauss-seidel",
@@ -671,4 +813,11 @@ let () =
                              flang-only" `Quick test_poisoned_arena ]);
       ("concurrency",
        [ Alcotest.test_case "concurrent compiles match serial" `Quick
-           test_concurrent_compiles ]) ]
+           test_concurrent_compiles;
+         Alcotest.test_case "shared pool: concurrent callers match serial"
+           `Quick test_shared_pool_concurrent ]);
+      ("storage",
+       [ Alcotest.test_case "re-runs miss no arena storage" `Quick
+           test_reruns_miss_no_arena;
+         Alcotest.test_case "stage spans record minor words" `Quick
+           test_stage_minor_words ]) ]

@@ -737,9 +737,41 @@ let test_serve_out_of_bounds_job () =
   Alcotest.(check string) "next job still served" "ok" (status "1");
   stop_server socket server
 
+(* Linked artifacts and served jobs borrow the one process-wide pool:
+   whatever thread counts they ask for, the process spawns at most
+   [recommended_size () - 1] pool worker domains. Runs first in the
+   suite, so the shared pool is spawned under its eyes. *)
+let test_shared_pool_domains () =
+  let module Obs = Fsc_obs.Obs in
+  let spawned = Obs.counter "pool.domains_spawned" in
+  Obs.set_counters_only true;
+  Fun.protect ~finally:(fun () -> Obs.set_counters_only false) @@ fun () ->
+  let s0 = Obs.counter_value spawned in
+  let compiled target = P.compile (P.default_options ~target ()) gs in
+  let omp = compiled (P.Openmp 2) and dist = compiled (P.Dist 2) in
+  let artifacts =
+    List.init 20 (fun i -> P.link (if i mod 2 = 0 then omp else dist))
+  in
+  List.iter P.run artifacts;
+  List.iter P.shutdown artifacts;
+  let jobs = List.init 10 (fun id -> job_line ~id ~target:"openmp" gs) in
+  List.iter
+    (fun line ->
+      Alcotest.(check string) "served openmp job ok" "ok"
+        (str_of (field "status" line)))
+    (Svc.run_batch ~workers:2 jobs);
+  let limit = Fsc_rt.Domain_pool.recommended_size () - 1 in
+  let n = Obs.counter_value spawned - s0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pool domains spawned, at most %d" n limit)
+    true (n <= limit)
+
 let () =
   Alcotest.run "server"
-    [ ( "scheduler",
+    [ ( "shared pool",
+        [ Alcotest.test_case "20 links and 10 served jobs spawn one pool"
+            `Quick test_shared_pool_domains ] );
+      ( "scheduler",
         [ Alcotest.test_case "jobs complete" `Quick test_sched_completes;
           Alcotest.test_case "failure isolated" `Quick
             test_sched_failure_isolated;
