@@ -223,11 +223,12 @@ let trace_arg =
            it in chrome://tracing or https://ui.perfetto.dev.")
 
 (* Minor-heap words each pipeline stage allocated, summed per stage in
-   completion order: "stage minor words: frontend 26.1k, discovery
-   43.0k, ...". The compile's share of minor collections follows these
-   numbers, not the stages' time. *)
+   completion order, then the cache store's (encode + put) when a miss
+   wrote an entry: "stage minor words: frontend 26.1k, discovery 43.0k,
+   ...; cache store 4.2k". The compile's share of minor collections
+   follows these numbers, not the stages' time. *)
 let print_stage_alloc () =
-  let totals =
+  let totals cat =
     List.fold_left
       (fun acc e ->
         match List.assoc_opt "minor_words" e.Obs.e_args with
@@ -235,15 +236,20 @@ let print_stage_alloc () =
           let prev = Option.value (List.assoc_opt e.Obs.e_name acc) ~default:0 in
           (e.Obs.e_name, prev + w) :: List.remove_assoc e.Obs.e_name acc
         | _ -> acc)
-      [] (Obs.events_with_cat "pipeline")
+      [] (Obs.events_with_cat cat)
   in
-  if totals <> [] then
-    Printf.eprintf "stage minor words: %s\n"
-      (String.concat ", "
-         (List.rev_map
-            (fun (name, w) ->
-              Printf.sprintf "%s %.1fk" name (float_of_int w /. 1000.))
-            totals))
+  let show totals =
+    String.concat ", "
+      (List.rev_map
+         (fun (name, w) ->
+           Printf.sprintf "%s %.1fk" name (float_of_int w /. 1000.))
+         totals)
+  in
+  match (totals "pipeline", totals "cache") with
+  | [], [] -> ()
+  | stages, [] -> Printf.eprintf "stage minor words: %s\n" (show stages)
+  | stages, store ->
+    Printf.eprintf "stage minor words: %s; %s\n" (show stages) (show store)
 
 let setup_obs ~trace ~stats =
   if trace <> None || stats then begin

@@ -251,19 +251,29 @@ let rec enforce_budget t ~keep =
         enforce_budget t ~keep
     end
 
-let note_file_written t ~key fname =
+(* [bytes]: the size just written, when the writer knows it (saves a
+   stat). *)
+let note_file_written ?bytes t ~key fname =
   match t.cache_dir with
   | None -> ()
   | Some d ->
     ensure_scanned t;
-    (match Unix.stat (Filename.concat d fname) with
-    | exception Unix.Unix_error _ -> ()
-    | st ->
+    let size =
+      match bytes with
+      | Some n -> Some n
+      | None -> (
+        match Unix.stat (Filename.concat d fname) with
+        | exception Unix.Unix_error _ -> None
+        | st -> Some st.Unix.st_size)
+    in
+    (match size with
+    | None -> ()
+    | Some size ->
       let prev =
         Option.value (Hashtbl.find_opt t.d_files fname) ~default:0
       in
-      Hashtbl.replace t.d_files fname st.Unix.st_size;
-      t.d_bytes <- t.d_bytes + st.Unix.st_size - prev;
+      Hashtbl.replace t.d_files fname size;
+      t.d_bytes <- t.d_bytes + size - prev;
       Hashtbl.replace t.d_used key (Unix.gettimeofday ()));
     enforce_budget t ~keep:(Some key)
 
@@ -291,10 +301,9 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let encode_entry t ~key payload =
-  Printf.sprintf "%s %d %s %d\n%s" magic t.t_version key
+let entry_header t ~key payload =
+  Printf.sprintf "%s %d %s %d\n" magic t.t_version key
     (String.length payload)
-    payload
 
 (* [Ok payload] | [Error `Missing] | [Error `Invalid]: version skew,
    foreign key, truncation and malformed headers all map to `Invalid. *)
@@ -347,15 +356,18 @@ let disk_store t key payload =
           (Printf.sprintf ".tmp.%s.%d" key (Unix.getpid ()))
       in
       let oc = open_out_bin tmp in
+      let header = entry_header t ~key payload in
       (try
-         output_string oc (encode_entry t ~key payload);
+         output_string oc header;
+         output_string oc payload;
          close_out oc
        with e ->
          close_out_noerr oc;
          (try Sys.remove tmp with Sys_error _ -> ());
          raise e);
       Sys.rename tmp (Filename.concat d (key ^ ".art"));
-      note_file_written t ~key (key ^ ".art");
+      note_file_written t ~key (key ^ ".art")
+        ~bytes:(String.length header + String.length payload);
       true
     with Sys_error _ | Unix.Unix_error _ -> false)
 

@@ -11,8 +11,9 @@ module Cache = Fsc_cache.Cache
 module P = Pipeline
 
 (* v2: compiled artifacts carry per-kernel affine footprints; entries
-   written by v1 lack them and must recompile. *)
-let format_version = 2
+   written by v1 lack them and must recompile. v3: the printed modules
+   follow a JSON header line as raw text instead of JSON strings. *)
+let format_version = 3
 
 let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
   Cache.create ?mem_entries ?disk ?dir ?max_disk_bytes
@@ -31,37 +32,62 @@ let key cache (options : P.options) src =
       "l2:" ^ string_of_int P.cpu_l2_kb;
       src ]
 
-(* ---------------- serialization ---------------- *)
+(* ---------------- serialization ----------------
+
+   An entry is one JSON header line, then the printed [host], [stencil]
+   and (GPU targets only) [gpu_ir] modules back to back, unescaped:
+
+     {"format":3,"target":...,"sections":{"host":H,"stencil":S,"gpu_ir":G}}\n
+     <H bytes of host IR><S bytes of stencil IR><G bytes of GPU IR>
+
+   The modules are printed straight into the entry's buffer. *)
 
 let encode (ca : P.compiled_artifact) =
-  let module_str m = J.Str (Printer.module_to_string m) in
+  let body = Buffer.create 16384 in
+  let section m =
+    let start = Buffer.length body in
+    Printer.to_buffer body m;
+    J.Num (float_of_int (Buffer.length body - start))
+  in
+  let host = section ca.P.ca_host in
+  let stencil = section ca.P.ca_stencil in
+  let gpu_ir =
+    match ca.P.ca_gpu_ir with Some m -> section m | None -> J.Null
+  in
   let strings l = J.List (List.map (fun s -> J.Str s) l) in
-  J.to_string
-    (J.Obj
-       [ ("format", J.Num (float_of_int format_version));
-         ("target", J.Str (P.target_kind ca.P.ca_options.P.opt_target));
-         ("host", module_str ca.P.ca_host);
-         ("stencil", module_str ca.P.ca_stencil);
-         ("gpu_ir",
-          match ca.P.ca_gpu_ir with Some m -> module_str m | None -> J.Null);
-         ("kernels", strings ca.P.ca_kernels);
-         ("managed", strings ca.P.ca_managed);
-         ("footprints",
-          J.List
-            (List.map
-               (fun (name, fp) ->
-                 J.Obj
-                   [ ("kernel", J.Str name);
-                     ("regions", J.Str (Fsc_analysis.Footprint.to_string fp))
-                   ])
-               ca.P.ca_footprints));
-         ("stats",
-          J.Obj
-            [ ("discovered",
-               J.Num (float_of_int ca.P.ca_stats.P.st_discovered));
-              ("merged", J.Num (float_of_int ca.P.ca_stats.P.st_merged));
-              ("kernels", J.Num (float_of_int ca.P.ca_stats.P.st_kernels)) ])
-       ])
+  let header =
+    J.to_string
+      (J.Obj
+         [ ("format", J.Num (float_of_int format_version));
+           ("target", J.Str (P.target_kind ca.P.ca_options.P.opt_target));
+           ("kernels", strings ca.P.ca_kernels);
+           ("managed", strings ca.P.ca_managed);
+           ("footprints",
+            J.List
+              (List.map
+                 (fun (name, fp) ->
+                   J.Obj
+                     [ ("kernel", J.Str name);
+                       ("regions",
+                        J.Str (Fsc_analysis.Footprint.to_string fp)) ])
+                 ca.P.ca_footprints));
+           ("stats",
+            J.Obj
+              [ ("discovered",
+                 J.Num (float_of_int ca.P.ca_stats.P.st_discovered));
+                ("merged", J.Num (float_of_int ca.P.ca_stats.P.st_merged));
+                ("kernels", J.Num (float_of_int ca.P.ca_stats.P.st_kernels))
+              ]);
+           ("sections",
+            J.Obj [ ("host", host); ("stencil", stencil); ("gpu_ir", gpu_ir) ])
+         ])
+  in
+  let hl = String.length header in
+  let entry = Bytes.create (hl + 1 + Buffer.length body) in
+  Bytes.blit_string header 0 entry 0 hl;
+  Bytes.set entry hl '\n';
+  Buffer.blit body 0 entry (hl + 1) (Buffer.length body);
+  Bytes.unsafe_to_string entry
 
 let ( let* ) = Result.bind
 
@@ -93,16 +119,56 @@ let parse_ir name text =
   | Ok m -> Ok m
   | Error e -> Error (Printf.sprintf "%s module: %s" name e)
 
-(* Decoding IS the revalidation: JSON layer, format version, a full
-   parser round-trip per module and a host verification — any failure
-   means the entry is evicted by the cache layer above. *)
+let as_length name = function
+  | J.Num f when Float.is_integer f && f >= 0. -> Ok (int_of_float f)
+  | _ -> Error (Printf.sprintf "section %S has no valid length" name)
+
+(* The header line and the (offset, length) of each IR section; the
+   lengths must account for every byte after the header. *)
+let split_entry payload =
+  let* nl =
+    match String.index_opt payload '\n' with
+    | Some nl -> Ok nl
+    | None -> Error "payload: no header line"
+  in
+  let* json =
+    match J.of_string (String.sub payload 0 nl) with
+    | j -> Ok j
+    | exception J.Parse_error e -> Error ("header: " ^ e)
+  in
+  let* sections = member_exn "sections" json in
+  let* host = member_exn "host" sections in
+  let* host = as_length "host" host in
+  let* stencil = member_exn "stencil" sections in
+  let* stencil = as_length "stencil" stencil in
+  let* gpu_ir =
+    match J.member "gpu_ir" sections with
+    | None | Some J.Null -> Ok None
+    | Some v ->
+      let* n = as_length "gpu_ir" v in
+      Ok (Some n)
+  in
+  let start = nl + 1 in
+  let total = host + stencil + Option.value gpu_ir ~default:0 in
+  if start + total <> String.length payload then
+    Error
+      (Printf.sprintf "sections hold %d bytes, the payload %d" total
+         (String.length payload - start))
+  else
+    Ok
+      ( json,
+        (start, host),
+        (start + host, stencil),
+        Option.map (fun n -> (start + host + stencil, n)) gpu_ir )
+
+(* Decoding IS the revalidation: header, format version, section
+   lengths, a full parser round-trip per module, recomputed footprints
+   and a host verification — any failure means the entry is evicted by
+   the cache layer above. *)
 let decode (options : P.options) payload =
   Obs.with_span ~cat:"pipeline" "cache revalidate" @@ fun () ->
-  let* json =
-    match J.of_string payload with
-    | j -> Ok j
-    | exception J.Parse_error e -> Error ("payload: " ^ e)
-  in
+  let* json, host, stencil, gpu_ir = split_entry payload in
+  let section name (pos, len) = parse_ir name (String.sub payload pos len) in
   let* format = member_exn "format" json in
   let* format = as_int "format" format in
   if format <> format_version then
@@ -116,18 +182,13 @@ let decode (options : P.options) payload =
         (Printf.sprintf "target %s, expected %s" tk
            (P.target_kind options.P.opt_target))
     else
-      let* host = member_exn "host" json in
-      let* host = as_str "host" host in
-      let* host = parse_ir "host" host in
-      let* stencil = member_exn "stencil" json in
-      let* stencil = as_str "stencil" stencil in
-      let* stencil = parse_ir "stencil" stencil in
+      let* host = section "host" host in
+      let* stencil = section "stencil" stencil in
       let* gpu_ir =
-        match J.member "gpu_ir" json with
-        | None | Some J.Null -> Ok None
-        | Some v ->
-          let* s = as_str "gpu_ir" v in
-          let* m = parse_ir "gpu_ir" s in
+        match gpu_ir with
+        | None -> Ok None
+        | Some s ->
+          let* m = section "gpu_ir" s in
           Ok (Some m)
       in
       let* kernels = member_exn "kernels" json in
@@ -211,5 +272,8 @@ let compile ?cache options src =
     | Some ca -> (ca, `Hit)
     | None ->
       let ca = P.compile options src in
-      Cache.put c ~key (encode ca);
+      (* category "cache", not "pipeline": the store is not a compile
+         stage, and stage sums over "pipeline" spans must not count it *)
+      Obs.with_span ~cat:"cache" ~alloc:true "cache store" (fun () ->
+          Cache.put c ~key (encode ca));
       (ca, `Miss))

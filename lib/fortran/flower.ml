@@ -35,7 +35,10 @@ let unsupported loc fmt =
    set on the builder, every op it creates carries a loc(line:col)
    attribute (see Builder.set_loc). [no_loc] clears it. *)
 let set_builder_loc b (l : loc) =
-  if l.line = 0 then () else Builder.set_loc b (Some (l.line, l.col))
+  if l.line <> 0 then
+    match Builder.loc b with
+    | Some (line, col) when line = l.line && col = l.col -> ()
+    | _ -> Builder.set_loc b (Some (l.line, l.col))
 
 let fir_scalar_type = function
   | T_integer -> Types.I32

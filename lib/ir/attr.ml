@@ -14,29 +14,80 @@ type t =
   | Dict_a of (string * t) list
   | Loc_a of int * int  (* source location: line, column *)
 
-let rec to_string = function
-  | Unit_a -> "unit"
-  | Bool_a b -> if b then "true" else "false"
-  | Int_a i -> string_of_int i
-  | Float_a f ->
-    (* Keep floats round-trippable through the parser. *)
-    let s = Printf.sprintf "%.17g" f in
-    if String.contains s '.' || String.contains s 'e'
-       || String.contains s 'n' (* nan, inf(n) *)
-    then s
-    else s ^ ".0"
-  | Str_a s -> Printf.sprintf "%S" s
-  | Type_a t -> Types.to_string t
-  | Arr_a xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"
+(* A string in the OCaml-escaped quoted form the parser reads back
+   ([%S]); plain names skip the escaping. *)
+let rec plain_from s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c >= ' ' && c <= '~' && c <> '"' && c <> '\\' && plain_from s (i + 1)
+
+let add_quoted buf s =
+  if plain_from s 0 then begin
+    Buffer.add_char buf '"';
+    Buffer.add_string buf s;
+    Buffer.add_char buf '"'
+  end
+  else Buffer.add_string buf (Printf.sprintf "%S" s)
+
+(* Keep floats round-trippable through the parser. *)
+let float_string f =
+  let s = Printf.sprintf "%.17g" f in
+  if String.contains s '.' || String.contains s 'e'
+     || String.contains s 'n' (* nan, inf(n) *)
+  then s
+  else s ^ ".0"
+
+let add_int_list buf xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_string buf (string_of_int x))
+    xs
+
+let rec to_buffer ~add_type buf = function
+  | Unit_a -> Buffer.add_string buf "unit"
+  | Bool_a b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int_a i -> Buffer.add_string buf (string_of_int i)
+  | Float_a f -> Buffer.add_string buf (float_string f)
+  | Str_a s -> add_quoted buf s
+  | Type_a t -> add_type buf t
+  | Arr_a xs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf ", ";
+        to_buffer ~add_type buf x)
+      xs;
+    Buffer.add_char buf ']'
   | Index_a xs ->
-    "#stencil.index<" ^ String.concat ", " (List.map string_of_int xs) ^ ">"
-  | Sym_a s -> "@" ^ s
+    Buffer.add_string buf "#stencil.index<";
+    add_int_list buf xs;
+    Buffer.add_char buf '>'
+  | Sym_a s ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf s
   | Dict_a kvs ->
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%S = %s" k (to_string v)) kvs)
-    ^ "}"
-  | Loc_a (line, col) -> Printf.sprintf "loc(%d:%d)" line col
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_quoted buf k;
+        Buffer.add_string buf " = ";
+        to_buffer ~add_type buf v)
+      kvs;
+    Buffer.add_char buf '}'
+  | Loc_a (line, col) ->
+    Buffer.add_string buf "loc(";
+    Buffer.add_string buf (string_of_int line);
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int col);
+    Buffer.add_char buf ')'
+
+let to_string a =
+  let buf = Buffer.create 32 in
+  to_buffer ~add_type:Types.to_buffer buf a;
+  Buffer.contents buf
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 

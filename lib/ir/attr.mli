@@ -18,6 +18,16 @@ type t =
           frontend onto lowered operations *)
 
 val to_string : t -> string
+
+(** Append {!to_string}'s text to a buffer; [add_type] prints the
+    [Type_a] payloads ({!Types.to_buffer}, or a printer's cached
+    form). *)
+val to_buffer :
+  add_type:(Buffer.t -> Types.t -> unit) -> Buffer.t -> t -> unit
+
+(** [s] quoted with OCaml escapes, as [Printf "%S"] prints it (the form
+    {!Parser} reads back). *)
+val add_quoted : Buffer.t -> string -> unit
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 

@@ -6,15 +6,28 @@ type insertion =
   | Before of Op.op
   | After of Op.op
 
-type t = { mutable point : insertion; mutable loc : (int * int) option }
+type t = {
+  mutable point : insertion;
+  mutable loc : (int * int) option;
+  mutable loc_attrs : (string * Attr.t) list;
+}
 
-let create point = { point; loc = None }
+let create point = { point; loc = None; loc_attrs = [] }
 
 let at_end block = create (At_end block)
 let before op = create (Before op)
 let after op = create (After op)
 
-let set_loc b loc = b.loc <- loc
+(* [loc_attrs] holds the one "loc" attribute every op built under this
+   location shares. *)
+let set_loc b loc =
+  if loc <> b.loc then begin
+    b.loc <- loc;
+    b.loc_attrs <-
+      (match loc with
+      | Some (line, col) -> [ ("loc", Attr.Loc_a (line, col)) ]
+      | None -> [])
+  end
 let loc b = b.loc
 
 let insert b op =
@@ -34,10 +47,10 @@ let insert b op =
    attribute unless the caller supplied one explicitly. *)
 let op b ?operands ?results ?(attrs = []) ?regions name =
   let attrs =
-    match b.loc with
-    | Some (line, col) when not (List.mem_assoc "loc" attrs) ->
-      attrs @ [ ("loc", Attr.Loc_a (line, col)) ]
-    | _ -> attrs
+    match (b.loc_attrs, attrs) with
+    | [], _ -> attrs
+    | loc, [] -> loc
+    | loc, _ -> if List.mem_assoc "loc" attrs then attrs else attrs @ loc
   in
   insert b (Op.create ?operands ?results ~attrs ?regions name)
 

@@ -8,7 +8,13 @@ type insertion =
       (** after inserting, the point advances so consecutive inserts stay
           in source order *)
 
-type t = { mutable point : insertion; mutable loc : (int * int) option }
+type t = {
+  mutable point : insertion;
+  mutable loc : (int * int) option;
+  mutable loc_attrs : (string * Attr.t) list;
+      (** the ["loc"] attribute list for [loc], shared by every op built
+          under it; kept by {!set_loc} *)
+}
 
 val create : insertion -> t
 val at_end : Op.block -> t

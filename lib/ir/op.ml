@@ -38,6 +38,7 @@ and op = {
   mutable o_parent : block option;
   mutable o_prev : op option;
   mutable o_next : op option;
+  mutable o_self : op option; (* [Some] of this op, shared by every link to it *)
 }
 
 and block = {
@@ -46,12 +47,14 @@ and block = {
   mutable b_first : op option;
   mutable b_last : op option;
   mutable b_parent : region option;
+  mutable b_self : block option; (* [Some] of this block, for its ops' parent *)
 }
 
 and region = {
   g_id : int;
   mutable g_blocks : block list;
   mutable g_parent : op option;
+  mutable g_self : region option; (* [Some] of this region, for its blocks *)
 }
 
 (* Shared by every domain: concurrent compiles (server workers) create
@@ -72,7 +75,7 @@ let has_uses v = v.v_uses <> []
 let num_uses v = List.length v.v_uses
 
 let defining_op v =
-  match v.v_def with Op_result (op, _) -> Some op | Block_arg _ -> None
+  match v.v_def with Op_result (op, _) -> op.o_self | Block_arg _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Use-list maintenance                                                *)
@@ -104,24 +107,38 @@ let replace_all_uses_with old_v new_v =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create_region () = { g_id = next_id (); g_blocks = []; g_parent = None }
+let create_region () =
+  let r =
+    { g_id = next_id (); g_blocks = []; g_parent = None; g_self = None }
+  in
+  r.g_self <- Some r;
+  r
+
+(* The values [types] define, numbered from 0; no closure or list is
+   built, as every created op and block goes through here. *)
+let rec define_values def i = function
+  | [] -> []
+  | t :: rest ->
+    let v = { v_id = next_id (); v_type = t; v_def = def i; v_uses = [] } in
+    v :: define_values def (i + 1) rest
+
+let values_array def types =
+  match types with
+  | [] -> [||]
+  | [ t ] -> [| { v_id = next_id (); v_type = t; v_def = def 0; v_uses = [] } |]
+  | types -> Array.of_list (define_values def 0 types)
 
 let create_block ?(args = []) () =
   let b =
     { b_id = next_id (); b_args = [||]; b_first = None; b_last = None;
-      b_parent = None }
+      b_parent = None; b_self = None }
   in
-  b.b_args <-
-    Array.of_list
-      (List.mapi
-         (fun i t ->
-           { v_id = next_id (); v_type = t; v_def = Block_arg (b, i);
-             v_uses = [] })
-         args);
+  b.b_self <- Some b;
+  if args <> [] then b.b_args <- values_array (fun i -> Block_arg (b, i)) args;
   b
 
 let add_block region block =
-  block.b_parent <- Some region;
+  block.b_parent <- region.g_self;
   region.g_blocks <- region.g_blocks @ [ block ]
 
 let region_with_block ?(args = []) () =
@@ -134,19 +151,29 @@ let create ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = []) name
     =
   let op =
     { o_id = next_id (); o_name = name; o_operands = [||]; o_results = [||];
-      o_attrs = attrs; o_regions = Array.of_list regions; o_parent = None;
-      o_prev = None; o_next = None }
+      o_attrs = attrs; o_regions = [||]; o_parent = None; o_prev = None;
+      o_next = None; o_self = None }
   in
-  op.o_operands <- Array.of_list operands;
-  Array.iteri (fun i v -> add_use v ~op ~index:i) op.o_operands;
-  op.o_results <-
-    Array.of_list
-      (List.mapi
-         (fun i t ->
-           { v_id = next_id (); v_type = t; v_def = Op_result (op, i);
-             v_uses = [] })
-         results);
-  Array.iter (fun r -> r.g_parent <- Some op) op.o_regions;
+  op.o_self <- Some op;
+  if operands <> [] then begin
+    op.o_operands <- Array.of_list operands;
+    for i = 0 to Array.length op.o_operands - 1 do
+      add_use op.o_operands.(i) ~op ~index:i
+    done
+  end;
+  (match results with
+  | [] -> ()
+  | [ t ] ->
+    op.o_results <-
+      [| { v_id = next_id (); v_type = t; v_def = Op_result (op, 0);
+           v_uses = [] } |]
+  | _ -> op.o_results <- values_array (fun i -> Op_result (op, i)) results);
+  if regions <> [] then begin
+    op.o_regions <- Array.of_list regions;
+    for i = 0 to Array.length op.o_regions - 1 do
+      op.o_regions.(i).g_parent <- op.o_self
+    done
+  end;
   op
 
 let result ?(index = 0) op = op.o_results.(index)
@@ -214,57 +241,59 @@ let unlink op =
 
 let append_to block op =
   unlink op;
-  op.o_parent <- Some block;
+  op.o_parent <- block.b_self;
   match block.b_last with
   | None ->
-    block.b_first <- Some op;
-    block.b_last <- Some op
-  | Some last ->
-    last.o_next <- Some op;
-    op.o_prev <- Some last;
-    block.b_last <- Some op
+    block.b_first <- op.o_self;
+    block.b_last <- op.o_self
+  | Some last as prev ->
+    last.o_next <- op.o_self;
+    op.o_prev <- prev;
+    block.b_last <- op.o_self
 
 let prepend_to block op =
   unlink op;
-  op.o_parent <- Some block;
+  op.o_parent <- block.b_self;
   match block.b_first with
   | None ->
-    block.b_first <- Some op;
-    block.b_last <- Some op
-  | Some first ->
-    first.o_prev <- Some op;
-    op.o_next <- Some first;
-    block.b_first <- Some op
+    block.b_first <- op.o_self;
+    block.b_last <- op.o_self
+  | Some first as next ->
+    first.o_prev <- op.o_self;
+    op.o_next <- next;
+    block.b_first <- op.o_self
 
 let insert_before ~anchor op =
   unlink op;
   let block =
     match anchor.o_parent with
-    | Some b -> b
+    | Some _ as b -> b
     | None -> invalid_arg "Op.insert_before: anchor not in a block"
   in
-  op.o_parent <- Some block;
-  op.o_next <- Some anchor;
+  op.o_parent <- block;
+  op.o_next <- anchor.o_self;
   op.o_prev <- anchor.o_prev;
-  (match anchor.o_prev with
-  | Some p -> p.o_next <- Some op
-  | None -> block.b_first <- Some op);
-  anchor.o_prev <- Some op
+  (match (anchor.o_prev, block) with
+  | Some p, _ -> p.o_next <- op.o_self
+  | None, Some b -> b.b_first <- op.o_self
+  | None, None -> ());
+  anchor.o_prev <- op.o_self
 
 let insert_after ~anchor op =
   unlink op;
   let block =
     match anchor.o_parent with
-    | Some b -> b
+    | Some _ as b -> b
     | None -> invalid_arg "Op.insert_after: anchor not in a block"
   in
-  op.o_parent <- Some block;
-  op.o_prev <- Some anchor;
+  op.o_parent <- block;
+  op.o_prev <- anchor.o_self;
   op.o_next <- anchor.o_next;
-  (match anchor.o_next with
-  | Some n -> n.o_prev <- Some op
-  | None -> block.b_last <- Some op);
-  anchor.o_next <- Some op
+  (match (anchor.o_next, block) with
+  | Some n, _ -> n.o_prev <- op.o_self
+  | None, Some b -> b.b_last <- op.o_self
+  | None, None -> ());
+  anchor.o_next <- op.o_self
 
 (* Erase [op]: unlink it and drop its operand uses. The op must itself be
    unused (its results have no remaining uses). *)
@@ -307,20 +336,35 @@ let last_op block = block.b_last
 let block_arg ?(index = 0) block = block.b_args.(index)
 let block_args block = Array.to_list block.b_args
 
-(* Pre-order walk over [op] and everything nested inside its regions. *)
+(* Pre-order walk over [op] and everything nested inside its regions.
+   It follows each block's linked list and reads an op's successor
+   before visiting the op, so [f] may erase or move the op it is given
+   and rewrite anything nested inside it, without a per-block list being
+   built. *)
 let rec walk f op =
   f op;
-  Array.iter
-    (fun r ->
-      List.iter (fun b -> List.iter (walk f) (block_ops b)) r.g_blocks)
-    op.o_regions
+  walk_regions f op.o_regions
+
+and walk_regions f regions =
+  for i = 0 to Array.length regions - 1 do
+    walk_blocks f (Array.unsafe_get regions i).g_blocks
+  done
+
+and walk_blocks f = function
+  | [] -> ()
+  | b :: rest ->
+    walk_ops f b.b_first;
+    walk_blocks f rest
+
+and walk_ops f = function
+  | None -> ()
+  | Some op ->
+    let next = op.o_next in
+    walk f op;
+    walk_ops f next
 
 (* Walk only the ops nested inside [op]'s regions (not [op] itself). *)
-let walk_inner f op =
-  Array.iter
-    (fun r ->
-      List.iter (fun b -> List.iter (walk f) (block_ops b)) r.g_blocks)
-    op.o_regions
+let walk_inner f op = walk_regions f op.o_regions
 
 let collect_ops pred top =
   let acc = ref [] in

@@ -37,6 +37,9 @@ and op = {
   mutable o_parent : block option;
   mutable o_prev : op option;
   mutable o_next : op option;
+  mutable o_self : op option;
+      (** [Some] of this op, set once at creation and shared by every
+          link to it, so linking allocates nothing *)
 }
 
 and block = {
@@ -45,12 +48,14 @@ and block = {
   mutable b_first : op option;
   mutable b_last : op option;
   mutable b_parent : region option;
+  mutable b_self : block option;  (** [Some] of this block, for its ops *)
 }
 
 and region = {
   g_id : int;
   mutable g_blocks : block list;
   mutable g_parent : op option;
+  mutable g_self : region option;  (** [Some] of this region, for its blocks *)
 }
 
 (** {2 Values} *)
@@ -154,7 +159,11 @@ val last_op : block -> op option
 val block_arg : ?index:int -> block -> value
 val block_args : block -> value list
 
-(** Pre-order walk over [op] and everything nested in its regions. *)
+(** Pre-order walk over [op] and everything nested in its regions. It
+    follows each block's linked list, reading an op's successor before
+    visiting it: [f] may erase or move the op it is given and rewrite
+    anything nested inside that op, but must not insert or remove other
+    ops of the blocks being walked (take {!block_ops} for that). *)
 val walk : (op -> unit) -> op -> unit
 
 (** Like {!walk} but excluding [op] itself. *)

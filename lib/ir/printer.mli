@@ -10,6 +10,9 @@
     passes modules between Flang, xDSL and mlir-opt as text. Output is
     deterministic (attributes sorted, values numbered in print order). *)
 
-(** An op, normally a module, in the generic syntax above. *)
-val module_to_string : Op.op -> string
+(** Append an op, normally a module, in the generic syntax above. Values
+    and blocks are numbered from 0 on each call. *)
+val to_buffer : Buffer.t -> Op.op -> unit
 
+(** {!to_buffer} into a fresh string. *)
+val module_to_string : Op.op -> string

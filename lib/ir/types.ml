@@ -82,7 +82,101 @@ let dim_to_string = function
   | Static n -> string_of_int n
   | Dynamic -> "?"
 
-let rec to_string = function
+let add_dim buf = function
+  | Static n -> Buffer.add_string buf (string_of_int n)
+  | Dynamic -> Buffer.add_char buf '?'
+
+(* [prefix<d0xd1x...xelem>] for the shaped types. *)
+let rec add_shaped :
+    'd. Buffer.t -> string -> (Buffer.t -> 'd -> unit) -> 'd list -> t -> unit
+    =
+ fun buf prefix add_d ds t ->
+  Buffer.add_string buf prefix;
+  Buffer.add_char buf '<';
+  List.iter
+    (fun d ->
+      add_d buf d;
+      Buffer.add_char buf 'x')
+    ds;
+  to_buffer buf t;
+  Buffer.add_char buf '>'
+
+and add_list buf ts =
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_string buf ", ";
+      to_buffer buf t)
+    ts
+
+and add_wrapped buf prefix t =
+  Buffer.add_string buf prefix;
+  Buffer.add_char buf '<';
+  to_buffer buf t;
+  Buffer.add_char buf '>'
+
+and add_bounds buf prefix b t =
+  Buffer.add_string buf prefix;
+  Buffer.add_char buf '<';
+  List.iter
+    (fun (lo, hi) ->
+      Buffer.add_char buf '[';
+      Buffer.add_string buf (string_of_int lo);
+      Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int hi);
+      Buffer.add_string buf "]x")
+    b;
+  to_buffer buf t;
+  Buffer.add_char buf '>'
+
+and to_buffer buf = function
+  | I1 -> Buffer.add_string buf "i1"
+  | I8 -> Buffer.add_string buf "i8"
+  | I16 -> Buffer.add_string buf "i16"
+  | I32 -> Buffer.add_string buf "i32"
+  | I64 -> Buffer.add_string buf "i64"
+  | F32 -> Buffer.add_string buf "f32"
+  | F64 -> Buffer.add_string buf "f64"
+  | Index -> Buffer.add_string buf "index"
+  | None_t -> Buffer.add_string buf "none"
+  | Memref (dims, t) -> add_shaped buf "memref" add_dim dims t
+  | Vector (dims, t) ->
+    add_shaped buf "vector"
+      (fun buf n -> Buffer.add_string buf (string_of_int n))
+      dims t
+  | Func_t (args, rets) ->
+    Buffer.add_char buf '(';
+    add_list buf args;
+    Buffer.add_string buf ") -> (";
+    add_list buf rets;
+    Buffer.add_char buf ')'
+  | Llvm_ptr -> Buffer.add_string buf "!llvm.ptr"
+  | Llvm_typed_ptr t -> add_wrapped buf "!llvm.ptr" t
+  | Llvm_struct ts ->
+    Buffer.add_string buf "!llvm.struct<(";
+    add_list buf ts;
+    Buffer.add_string buf ")>"
+  | Llvm_array (n, t) ->
+    Buffer.add_string buf "!llvm.array<";
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_string buf " x ";
+    to_buffer buf t;
+    Buffer.add_char buf '>'
+  | Fir_ref t -> add_wrapped buf "!fir.ref" t
+  | Fir_heap t -> add_wrapped buf "!fir.heap" t
+  | Fir_box t -> add_wrapped buf "!fir.box" t
+  | Fir_array (dims, t) -> add_shaped buf "!fir.array" add_dim dims t
+  | Fir_char n ->
+    Buffer.add_string buf "!fir.char<";
+    Buffer.add_string buf (string_of_int n);
+    Buffer.add_char buf '>'
+  | Fir_llvm_ptr t -> add_wrapped buf "!fir.llvm_ptr" t
+  | Stencil_field (b, t) -> add_bounds buf "!stencil.field" b t
+  | Stencil_temp (b, t) -> add_bounds buf "!stencil.temp" b t
+  | Stencil_result t -> add_wrapped buf "!stencil.result" t
+
+(* Scalars print as shared literals; everything else goes through a
+   buffer. *)
+let to_string = function
   | I1 -> "i1"
   | I8 -> "i8"
   | I16 -> "i16"
@@ -92,39 +186,10 @@ let rec to_string = function
   | F64 -> "f64"
   | Index -> "index"
   | None_t -> "none"
-  | Memref (dims, t) ->
-    let ds = List.map dim_to_string dims in
-    Printf.sprintf "memref<%s>" (String.concat "x" (ds @ [ to_string t ]))
-  | Vector (dims, t) ->
-    let ds = List.map string_of_int dims in
-    Printf.sprintf "vector<%s>" (String.concat "x" (ds @ [ to_string t ]))
-  | Func_t (args, rets) ->
-    Printf.sprintf "(%s) -> (%s)"
-      (String.concat ", " (List.map to_string args))
-      (String.concat ", " (List.map to_string rets))
-  | Llvm_ptr -> "!llvm.ptr"
-  | Llvm_typed_ptr t -> Printf.sprintf "!llvm.ptr<%s>" (to_string t)
-  | Llvm_struct ts ->
-    Printf.sprintf "!llvm.struct<(%s)>"
-      (String.concat ", " (List.map to_string ts))
-  | Llvm_array (n, t) -> Printf.sprintf "!llvm.array<%d x %s>" n (to_string t)
-  | Fir_ref t -> Printf.sprintf "!fir.ref<%s>" (to_string t)
-  | Fir_heap t -> Printf.sprintf "!fir.heap<%s>" (to_string t)
-  | Fir_box t -> Printf.sprintf "!fir.box<%s>" (to_string t)
-  | Fir_array (dims, t) ->
-    let ds = List.map dim_to_string dims in
-    Printf.sprintf "!fir.array<%s>" (String.concat "x" (ds @ [ to_string t ]))
-  | Fir_char n -> Printf.sprintf "!fir.char<%d>" n
-  | Fir_llvm_ptr t -> Printf.sprintf "!fir.llvm_ptr<%s>" (to_string t)
-  | Stencil_field (b, t) ->
-    Printf.sprintf "!stencil.field<%s>" (bounds_elem_string b t)
-  | Stencil_temp (b, t) ->
-    Printf.sprintf "!stencil.temp<%s>" (bounds_elem_string b t)
-  | Stencil_result t -> Printf.sprintf "!stencil.result<%s>" (to_string t)
-
-and bounds_elem_string b t =
-  let bs = List.map (fun (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi) b in
-  String.concat "x" (bs @ [ to_string t ])
+  | t ->
+    let buf = Buffer.create 32 in
+    to_buffer buf t;
+    Buffer.contents buf
 
 let equal (a : t) (b : t) = a = b
 

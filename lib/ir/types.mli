@@ -60,6 +60,9 @@ val dim_to_string : dim -> string
 (** The MLIR textual syntax; round-trips through {!Parser.parse_type}. *)
 val to_string : t -> string
 
+(** Append {!to_string}'s text to a buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
