@@ -202,8 +202,8 @@ let rec walk_rhs ~cand_ivs ~store_offsets ~scope acc (v : Op.value) =
     | "fir.no_reassoc" | "fir.convert" ->
       walk_rhs ~cand_ivs ~store_offsets ~scope acc (Op.operand op)
     | name
-      when Dialect.dialect_of_op_name name = "arith"
-           || Dialect.dialect_of_op_name name = "math" ->
+      when Dialect.in_dialect name "arith"
+           || Dialect.in_dialect name "math" ->
       Array.fold_left
         (fun acc operand ->
           walk_rhs ~cand_ivs ~store_offsets ~scope acc operand)
@@ -544,8 +544,9 @@ let remove_empty_loops func =
         if Op.parent_block loop <> None && Op.num_results loop = 0 then begin
           let body = Fsc_fir.Fir.do_loop_body loop in
           erase_dead_ops_in body;
-          match Op.block_ops body with
-          | [ term ] when term.Op.o_name = "fir.result" ->
+          match body.Op.b_first with
+          | Some term
+            when term.Op.o_next = None && term.Op.o_name = "fir.result" ->
             Op.erase term;
             Op.erase loop;
             removed := true

@@ -34,7 +34,7 @@ type extracted = {
 }
 
 let is_stencil_op op =
-  Dialect.dialect_of_op_name op.Op.o_name = "stencil"
+  Dialect.in_dialect op.Op.o_name "stencil"
 
 (* A section: the maximal consecutive run of ops in one block starting at
    a stencil op, spanning to the last stencil op such that any interposed

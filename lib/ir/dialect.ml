@@ -75,10 +75,21 @@ type context = { ctx_name : string; mutable ctx_dialects : string list }
 let create_context ~name dialects =
   { ctx_name = name; ctx_dialects = dialects }
 
-let dialect_registered ctx name = List.mem name ctx.ctx_dialects
+let rec same_prefix name d i =
+  i >= String.length d || (name.[i] = d.[i] && same_prefix name d (i + 1))
 
-let op_registered ctx op =
-  dialect_registered ctx (dialect_of_op_name op.Op.o_name)
+(* [dialect_of_op_name name = d], without taking the substring. *)
+let in_dialect name d =
+  let n = String.length d in
+  String.length name >= n
+  && (String.length name = n || name.[n] = '.')
+  && same_prefix name d 0
+
+let rec in_any_dialect name = function
+  | [] -> false
+  | d :: rest -> in_dialect name d || in_any_dialect name rest
+
+let op_registered ctx op = in_any_dialect op.Op.o_name ctx.ctx_dialects
 
 (* The two tool contexts of the paper's pipeline. Flang registers FIR plus
    the arith/math/func/cf/openmp/llvm dialects it uses, but crucially not

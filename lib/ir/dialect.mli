@@ -46,6 +46,10 @@ val define_op :
 (** ["arith.addf"] -> ["arith"]. *)
 val dialect_of_op_name : string -> string
 
+(** [in_dialect name d] is [dialect_of_op_name name = d], without
+    building the substring. *)
+val in_dialect : string -> string -> bool
+
 val lookup_op : string -> op_info option
 val op_is_pure : Op.op -> bool
 

@@ -84,11 +84,16 @@ let defining_op v =
 let add_use value ~op ~index =
   value.v_uses <- { u_op = op; u_index = index } :: value.v_uses
 
+(* A use is recorded once per (op, operand slot); only the list before
+   it is copied. *)
+let rec drop_use op index = function
+  | [] -> []
+  | u :: rest ->
+    if u.u_op == op && u.u_index = index then rest
+    else u :: drop_use op index rest
+
 let remove_use value ~op ~index =
-  value.v_uses <-
-    List.filter
-      (fun u -> not (u.u_op == op && u.u_index = index))
-      value.v_uses
+  value.v_uses <- drop_use op index value.v_uses
 
 let set_operand op index value =
   let old = op.o_operands.(index) in
@@ -298,13 +303,12 @@ let insert_after ~anchor op =
 (* Erase [op]: unlink it and drop its operand uses. The op must itself be
    unused (its results have no remaining uses). *)
 let erase op =
-  Array.iter
-    (fun r ->
-      if has_uses r then
-        invalid_arg
-          (Printf.sprintf "Op.erase: result of %s still has uses" op.o_name))
-    op.o_results;
-  Array.iteri (fun i v -> remove_use v ~op ~index:i) op.o_operands;
+  if Array.exists has_uses op.o_results then
+    invalid_arg
+      (Printf.sprintf "Op.erase: result of %s still has uses" op.o_name);
+  for i = 0 to Array.length op.o_operands - 1 do
+    remove_use op.o_operands.(i) ~op ~index:i
+  done;
   op.o_operands <- [||];
   unlink op
 
@@ -428,31 +432,57 @@ let clone ?(mapping = Hashtbl.create 16) op =
   let map_value v =
     match Hashtbl.find_opt mapping v.v_id with Some v' -> v' | None -> v
   in
+  let record (v : value) v' = Hashtbl.replace mapping v.v_id v' in
   let rec clone_op op =
-    let regions =
-      Array.to_list op.o_regions |> List.map clone_region
-    in
-    let operands = List.map map_value (Array.to_list op.o_operands) in
-    let results = List.map (fun r -> r.v_type) (Array.to_list op.o_results) in
+    let regions = Array.map clone_region op.o_regions in
     let c =
-      create op.o_name ~operands ~results ~attrs:op.o_attrs ~regions
+      { o_id = next_id (); o_name = op.o_name;
+        o_operands = Array.map map_value op.o_operands; o_results = [||];
+        o_attrs = op.o_attrs; o_regions = regions; o_parent = None;
+        o_prev = None; o_next = None; o_self = None }
     in
-    Array.iteri
-      (fun i r -> Hashtbl.replace mapping r.v_id c.o_results.(i))
-      op.o_results;
+    c.o_self <- Some c;
+    for i = 0 to Array.length c.o_operands - 1 do
+      add_use c.o_operands.(i) ~op:c ~index:i
+    done;
+    c.o_results <-
+      Array.mapi
+        (fun i r ->
+          let v =
+            { v_id = next_id (); v_type = r.v_type; v_def = Op_result (c, i);
+              v_uses = [] }
+          in
+          record r v;
+          v)
+        op.o_results;
+    for i = 0 to Array.length regions - 1 do
+      regions.(i).g_parent <- c.o_self
+    done;
     c
   and clone_region r =
     let r' = create_region () in
     List.iter
       (fun b ->
-        let b' = create_block ~args:(List.map value_type (block_args b)) () in
-        Array.iteri
-          (fun i a -> Hashtbl.replace mapping a.v_id b'.b_args.(i))
-          b.b_args;
+        let b' = create_block () in
+        b'.b_args <-
+          Array.mapi
+            (fun i a ->
+              let v =
+                { v_id = next_id (); v_type = a.v_type; v_def = Block_arg (b', i);
+                  v_uses = [] }
+              in
+              record a v;
+              v)
+            b.b_args;
         add_block r' b';
-        List.iter (fun o -> append_to b' (clone_op o)) (block_ops b))
+        clone_ops b' b.b_first)
       r.g_blocks;
     r'
+  and clone_ops b' = function
+    | None -> ()
+    | Some o ->
+      append_to b' (clone_op o);
+      clone_ops b' o.o_next
   in
   clone_op op
 

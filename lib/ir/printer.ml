@@ -12,40 +12,9 @@
    numbers and scalar types without a temporary string, and every other
    type printed once per module and then copied from a table. *)
 
-(* Value id -> print number, by open addressing over two int arrays
-   (id 0 never occurs: ids start at 1), so naming a value allocates
-   nothing on the minor heap. *)
-type ids = {
-  mutable keys : int array;
-  mutable nums : int array;
-  mutable count : int;
-}
-
-let rec probe keys mask id i =
-  let k = Array.unsafe_get keys i in
-  if k = id || k = 0 then i else probe keys mask id ((i + 1) land mask)
-
-let slot keys id =
-  let mask = Array.length keys - 1 in
-  probe keys mask id (id land mask)
-
-let grow t =
-  let keys = t.keys and nums = t.nums in
-  let cap = 2 * Array.length keys in
-  t.keys <- Array.make cap 0;
-  t.nums <- Array.make cap 0;
-  Array.iteri
-    (fun i k ->
-      if k <> 0 then begin
-        let j = slot t.keys k in
-        t.keys.(j) <- k;
-        t.nums.(j) <- nums.(i)
-      end)
-    keys
-
 type env = {
   buf : Buffer.t;
-  ids : ids;
+  ids : Id_table.t; (* value id -> print number *)
   mutable next_value : int;
   mutable next_block : int;
   add_type : Buffer.t -> Types.t -> unit;
@@ -65,8 +34,8 @@ let create_env buf =
         Hashtbl.add types t s;
         Buffer.add_string buf s)
   in
-  { buf; ids = { keys = Array.make 1024 0; nums = Array.make 1024 0; count = 0 };
-    next_value = 0; next_block = 0; add_type }
+  { buf; ids = Id_table.create 512; next_value = 0; next_block = 0;
+    add_type }
 
 let rec add_int buf n =
   if n >= 10 then add_int buf (n / 10);
@@ -74,17 +43,13 @@ let rec add_int buf n =
 
 (* [%N], numbering [v] on first sight. *)
 let add_value env (v : Op.value) =
-  let t = env.ids in
-  let i = slot t.keys v.Op.v_id in
+  let n = Id_table.find env.ids v.Op.v_id in
   let n =
-    if t.keys.(i) <> 0 then t.nums.(i)
+    if n >= 0 then n
     else begin
       let n = env.next_value in
       env.next_value <- n + 1;
-      t.keys.(i) <- v.Op.v_id;
-      t.nums.(i) <- n;
-      t.count <- t.count + 1;
-      if 2 * t.count > Array.length t.keys then grow t;
+      Id_table.replace env.ids v.Op.v_id n;
       n
     end
   in

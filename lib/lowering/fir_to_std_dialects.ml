@@ -235,8 +235,8 @@ and translate_op env b (op : Op.op) =
     Func.return_ b (List.map (fun v -> direct env v) (Op.operands op))
   | "fir.exit" | "fir.cycle" | "fir.iterate_while" ->
     unsupported "%s has no scf lowering here" op.Op.o_name
-  | name when Dialect.dialect_of_op_name name = "arith"
-              || Dialect.dialect_of_op_name name = "math" ->
+  | name when Dialect.in_dialect name "arith"
+              || Dialect.in_dialect name "math" ->
     let operands = List.map (fun v -> direct env v) (Op.operands op) in
     let c =
       Builder.op b name ~operands

@@ -266,7 +266,7 @@ and exec_op ctx env op : block_result option =
     bind_result (R_float (as_float (operand 0)));
     None
   (* ---- math ---- *)
-  | name when Dialect.dialect_of_op_name name = "math" ->
+  | name when Dialect.in_dialect name "math" ->
     (match Op.num_operands op with
     | 1 -> bind_result (R_float (Math.eval_unary name (as_float (operand 0))))
     | 2 ->

@@ -246,7 +246,7 @@ let analyze_nest ~arg_class top_op =
           incr flops;
           F_unary ("arith.negf", expr_of (Op.operand op))
         | "arith.extf" | "arith.truncf" -> expr_of (Op.operand op)
-        | name when Dialect.dialect_of_op_name name = "math" -> (
+        | name when Dialect.in_dialect name "math" -> (
           incr flops;
           match Op.num_operands op with
           | 1 -> F_unary (name, expr_of (Op.operand op))
@@ -278,8 +278,8 @@ let analyze_nest ~arg_class top_op =
         | None -> fallback "store to non-argument buffer")
       | "memref.load" | "arith.constant" | "scf.yield" -> ()
       | name
-        when Dialect.dialect_of_op_name name = "arith"
-             || Dialect.dialect_of_op_name name = "math" ->
+        when Dialect.in_dialect name "arith"
+             || Dialect.in_dialect name "math" ->
         ()
       | name -> fallback "unsupported op %s in body" name)
     (Op.block_ops body_block);
