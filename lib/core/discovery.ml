@@ -507,11 +507,21 @@ let generate cand =
 (* Cleanup: dead ops and empty loops (Listing 3 lines 25-27)           *)
 (* ------------------------------------------------------------------ *)
 
+(* A result-less fir.do_loop whose body holds only its fir.result. *)
+let is_empty_loop op =
+  op.Op.o_name = "fir.do_loop"
+  && Op.num_results op = 0
+  &&
+  match (Fsc_fir.Fir.do_loop_body op).Op.b_first with
+  | Some term -> term.Op.o_next = None && term.Op.o_name = "fir.result"
+  | None -> false
+
 (* One backward pass: a value is used only later in its block or inside
    the regions of later ops, so visiting the block last to first (each
    op's regions before the op) settles every user before its
-   definition, and erases every transitively dead op in a single pass
-   instead of one pass per link of the dead chain. *)
+   definition. It erases every transitively dead op, and every loop the
+   pass leaves empty (inner loops first), in a single pass instead of
+   one pass per link of the dead chain. *)
 let rec erase_dead_ops_in block =
   let rec go = function
     | None -> ()
@@ -520,46 +530,24 @@ let rec erase_dead_ops_in block =
       Array.iter
         (fun r -> List.iter erase_dead_ops_in r.Op.g_blocks)
         op.Op.o_regions;
-      let dead =
+      if is_empty_loop op then begin
+        Op.iter_block_ops Op.erase (Fsc_fir.Fir.do_loop_body op);
+        Op.erase op
+      end
+      else if
         Op.num_results op > 0
         && (not (Array.exists Op.has_uses op.Op.o_results))
         && (Dialect.op_is_pure op
            || List.mem op.Op.o_name
                 [ "fir.load"; "arith.constant"; "fir.convert";
                   "fir.no_reassoc" ])
-      in
-      if dead then Op.erase op;
+      then Op.erase op;
       go prev
   in
   go (Op.last_op block)
 
 let remove_empty_loops func =
-  let rec sweep () =
-    let removed = ref false in
-    let loops =
-      Op.collect_ops (fun o -> o.Op.o_name = "fir.do_loop") func
-    in
-    List.iter
-      (fun loop ->
-        if Op.parent_block loop <> None && Op.num_results loop = 0 then begin
-          let body = Fsc_fir.Fir.do_loop_body loop in
-          erase_dead_ops_in body;
-          match body.Op.b_first with
-          | Some term
-            when term.Op.o_next = None && term.Op.o_name = "fir.result" ->
-            Op.erase term;
-            Op.erase loop;
-            removed := true
-          | _ -> ()
-        end)
-      (* innermost first *)
-      (List.rev loops);
-    if !removed then sweep ()
-  in
-  sweep ();
-  (* finally clear now-dead index computations at function level *)
-  List.iter erase_dead_ops_in
-    (match (Op.region func).Op.g_blocks with bs -> bs)
+  List.iter erase_dead_ops_in (Op.region func).Op.g_blocks
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)

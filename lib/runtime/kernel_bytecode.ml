@@ -30,9 +30,11 @@
    order the tree does, a row program evaluates the tree itself, and
    hoisted subtrees run the same operations in the same order (division
    stays division); (b) vectorising a nest only when no statement reads
-   a buffer the nest writes, so batching statements row-wise — and
-   reading loads in place — cannot change any read-after-write
-   interleaving the per-cell engine would honour; (c) falling back per
+   a buffer the nest writes at another cell (a written buffer may be
+   read and stored only at the cell being computed, offset 0 in every
+   dimension), so batching statements row-wise — and reading loads in
+   place — cannot change any read-after-write interleaving the per-cell
+   engine would honour; (c) falling back per
    nest to the closure engine (compile time: unsupported shape; run
    time: the bounds proof fails, or a fused row is bound at a stride
    other than 1) rather than approximating.
@@ -265,12 +267,6 @@ let compile_expr_code ~inner e =
   ( Array.of_list (List.rev !code), !high, out,
     Array.of_list (List.rev !slots), Array.of_list (List.rev !fixed) )
 
-let rec loaded_buffers acc = function
-  | Kc.F_load (b, _) -> b :: acc
-  | Kc.F_unary (_, a) -> loaded_buffers acc a
-  | Kc.F_binary (_, a, b) -> loaded_buffers (loaded_buffers acc a) b
-  | Kc.F_const _ | Kc.F_scalar _ | Kc.F_ivf _ -> acc
-
 let rec load_indices acc = function
   | Kc.F_load (b, idx) -> (b, idx) :: acc
   | Kc.F_unary (_, a) -> load_indices acc a
@@ -326,19 +322,34 @@ let compile_nest (nest : Kc.nest) : (vnest, string) result =
           (load_indices [] st.Kc.st_expr))
       nest.Kc.n_stores;
     (* batching statements row-wise is only order-preserving when no
-       statement reads a buffer the nest writes *)
-    let stored =
-      List.fold_left
-        (fun acc (st : Kc.store_stmt) -> st.Kc.st_buf :: acc)
-        [] nest.Kc.n_stores
+       statement reads a buffer the nest writes at another cell: every
+       load of a written buffer, and every store to it, must use the
+       identity index (offset 0 along the loop walking each dimension),
+       so each cell depends only on itself *)
+    let identity idx =
+      List.for_all Fun.id
+        (List.mapi
+           (fun d -> function
+             | Kc.Iv (l, 0) ->
+               l >= 0 && l < Array.length loops && loops.(l).Kc.l_dim = d
+             | Kc.Iv _ | Kc.Cst _ -> false)
+           idx)
+    in
+    let loads =
+      List.concat_map
+        (fun (st : Kc.store_stmt) -> load_indices [] st.Kc.st_expr)
+        nest.Kc.n_stores
     in
     List.iter
       (fun (st : Kc.store_stmt) ->
-        List.iter
-          (fun b ->
-            if List.mem b stored then
-              unvec "nest reads buffer %d that it also writes" b)
-          (loaded_buffers [] st.Kc.st_expr))
+        let b = st.Kc.st_buf in
+        let reads = List.filter (fun (b', _) -> b' = b) loads in
+        if
+          reads <> []
+          && not
+               (identity st.Kc.st_index
+               && List.for_all (fun (_, idx) -> identity idx) reads)
+        then unvec "nest reads buffer %d that it also writes" b)
       nest.Kc.n_stores;
     let inner = loops.(Array.length loops - 1) in
     let compile =

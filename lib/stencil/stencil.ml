@@ -140,20 +140,15 @@ let apply_accesses op =
   let body = apply_body op in
   let args = Op.block_args body in
   let acc = ref [] in
-  List.iter
+  Op.walk_inner
     (fun o ->
-      Op.walk
-        (fun o ->
-          if is_access o then begin
-            let target = Op.operand o in
-            match
-              List.find_index (fun a -> a == target) args
-            with
-            | Some i -> acc := (i, access_offset o) :: !acc
-            | None -> ()
-          end)
-        o)
-    (Op.block_ops body);
+      if is_access o then begin
+        let target = Op.operand o in
+        match List.find_index (fun a -> a == target) args with
+        | Some i -> acc := (i, access_offset o) :: !acc
+        | None -> ()
+      end)
+    op;
   List.rev !acc
 
 (* ---- shape inference ----

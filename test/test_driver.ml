@@ -131,9 +131,8 @@ let test_vector_stats_line () =
       a.P.a_kernels
   in
   Alcotest.(check (list string)) "residual kernels"
-    [ "_stencil_kernel_0: vectorised (1/2 nests: expr 7 row ops, 1 \
-       invariant; closure); nest 2 -> closure: nest reads buffer 0 that \
-       it also writes";
+    [ "_stencil_kernel_0: vectorised (2/2 nests: expr 7 row ops, 1 \
+       invariant; expr 2 row ops, 1 invariant)";
       "_stencil_kernel_1: vectorised (1/1 nests: expr+expr 3 row ops, 4 \
        invariants)" ]
     lines

@@ -482,6 +482,42 @@ let test_rw_overlap_falls_back () =
   Alcotest.(check (float 0.)) "written buffer identical" 0.0 d0;
   Alcotest.(check (float 0.)) "other buffer identical" 0.0 d1
 
+(* u(i) = u(i) + 0.25 * v(i), residual's edge probe: the nest reads the
+   buffer it writes, but only at the cell it writes (offset 0), so each
+   cell depends on itself alone and the nest runs as a row program. A
+   store to a shifted cell of a buffer the nest reads still falls back. *)
+let test_cellwise_update_vectorises () =
+  let update store_off =
+    { Kc.n_loops = [ loop ~parallel:false ~lb:1 ~ub:14 0 0 ];
+      n_stores =
+        [ { Kc.st_buf = 0; st_index = [ Kc.Iv (0, store_off) ];
+            st_expr =
+              Kc.F_binary
+                ( "arith.addf",
+                  Kc.F_load (0, [ Kc.Iv (0, 0) ]),
+                  Kc.F_binary
+                    ( "arith.mulf",
+                      Kc.F_const 0.25,
+                      Kc.F_load (1, [ Kc.Iv (0, 0) ]) ) ) } ];
+      n_uses_iv = false; n_flops_per_cell = 2; n_loads_per_cell = 2;
+      n_tile = [] }
+  in
+  let plan, d0, d1 = run_both (spec1 (update 0)) in
+  Alcotest.(check int) "no fallback" 0 (List.length (Kb.fallbacks plan));
+  Alcotest.(check (list string)) "a row program" [ "expr" ] (kinds plan);
+  Alcotest.(check (float 0.)) "written buffer identical" 0.0 d0;
+  Alcotest.(check (float 0.)) "read buffer identical" 0.0 d1;
+  let plan, d0, d1 = run_both (spec1 (update 1)) in
+  (match Kb.fallbacks plan with
+  | [ (0, reason) ] ->
+    Alcotest.(check bool) "shifted store names the buffer" true
+      (contains ~sub:"reads buffer 0" reason)
+  | fbs ->
+    Alcotest.failf "expected exactly one fallback, got %d"
+      (List.length fbs));
+  Alcotest.(check (float 0.)) "shifted: written buffer identical" 0.0 d0;
+  Alcotest.(check (float 0.)) "shifted: read buffer identical" 0.0 d1
+
 let test_register_overflow_falls_back () =
   (* right-leaning chains cannot be flattened without reassociating, so
      every left operand stays live while the rest of the chain is
@@ -619,6 +655,8 @@ let () =
       ("fallbacks",
        [ Alcotest.test_case "read/write overlap" `Quick
            test_rw_overlap_falls_back;
+         Alcotest.test_case "cell-wise update vectorises" `Quick
+           test_cellwise_update_vectorises;
          Alcotest.test_case "register overflow" `Quick
            test_register_overflow_falls_back;
          Alcotest.test_case "unknown unary" `Quick
