@@ -478,6 +478,214 @@ let test_thread_count_not_in_key () =
     "requested thread count attached" true
     (ca.P.ca_options.P.opt_target = P.Openmp 4)
 
+(* ---- v3 entries: corruption, the store span, allocation ---- *)
+
+module J = Fsc_obs.Obs.Json
+
+let v3_src = B.gauss_seidel ~nx:6 ~ny:6 ~nz:6 ~niter:2 ()
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* The entry file is "sfc-cache <version> <key> <bytes>\n<payload>";
+   [with_payload] rewrites the payload and keeps that framing valid, so
+   only the compile cache's own decoder can reject the result. *)
+let split_file data =
+  let nl = String.index data '\n' in
+  (String.sub data 0 nl, String.sub data (nl + 1) (String.length data - nl - 1))
+
+let with_payload ?version path f =
+  let header, payload = split_file (read_file path) in
+  let payload = f payload in
+  match String.split_on_char ' ' header with
+  | [ magic; v; key; _ ] ->
+    write_file path
+      (Printf.sprintf "%s %s %s %d\n%s" magic
+         (match version with Some v -> string_of_int v | None -> v)
+         key (String.length payload) payload)
+  | _ -> Alcotest.fail "unexpected entry framing"
+
+(* Byte offset and length of a section, read off the header line. *)
+let section payload name =
+  let nl = String.index payload '\n' in
+  let sections =
+    Option.get (J.member "sections" (J.of_string (String.sub payload 0 nl)))
+  in
+  let len s =
+    match J.member s sections with
+    | Some (J.Num f) -> int_of_float f
+    | _ -> 0
+  in
+  match name with
+  | "host" -> (nl + 1, len "host")
+  | _ -> (nl + 1 + len "host", len "stencil")
+
+let set_stencil_length payload n =
+  let _, len = section payload "stencil" in
+  let nl = String.index payload '\n' in
+  let header = String.sub payload 0 nl in
+  let from = Printf.sprintf "\"stencil\":%d" len in
+  let i = Str.search_forward (Str.regexp_string from) header 0 in
+  String.sub header 0 i
+  ^ Printf.sprintf "\"stencil\":%d" n
+  ^ String.sub header (i + String.length from)
+      (String.length header - i - String.length from)
+  ^ String.sub payload nl (String.length payload - nl)
+
+let run_grid ca =
+  let a = P.link ca in
+  Fun.protect
+    ~finally:(fun () -> P.shutdown a)
+    (fun () ->
+      P.run a;
+      Rt.clone (P.buffer_exn a "u"))
+
+(* Damage the entry a cold compile stored, then compile again through a
+   fresh cache on the same directory: the damaged entry must be evicted
+   (never raised on), the compile must miss and store a good entry, and
+   both that run and the next warm hit must match the uncached run bit
+   for bit. *)
+let check_corruption label damage =
+  let options = P.default_options () in
+  let reference = run_grid (P.compile options v3_src) in
+  let dir = tmp_dir () in
+  let cache = Cc.create_cache ~dir () in
+  let _, cold = Cc.compile ~cache options v3_src in
+  Alcotest.(check bool) (label ^ ": cold miss") true (cold = `Miss);
+  let path = Option.get (C.entry_path cache ~key:(Cc.key cache options v3_src)) in
+  damage path;
+  let cache2 = Cc.create_cache ~dir () in
+  let ca, outcome = Cc.compile ~cache:cache2 options v3_src in
+  Alcotest.(check bool) (label ^ ": recompiled") true (outcome = `Miss);
+  Alcotest.(check int) (label ^ ": evicted as invalid") 1
+    (C.stats cache2).C.invalid;
+  Alcotest.(check (float 0.)) (label ^ ": recompiled run bitwise") 0.0
+    (Rt.max_abs_diff reference (run_grid ca));
+  let cache3 = Cc.create_cache ~dir () in
+  let warm, outcome = Cc.compile ~cache:cache3 options v3_src in
+  Alcotest.(check bool) (label ^ ": then a warm hit") true (outcome = `Hit);
+  Alcotest.(check (float 0.)) (label ^ ": warm run bitwise") 0.0
+    (Rt.max_abs_diff reference (run_grid warm))
+
+let test_truncated_section () =
+  check_corruption "truncated section" (fun path ->
+      with_payload path (fun p -> String.sub p 0 (String.length p - 40)))
+
+let test_section_past_payload () =
+  check_corruption "section past payload" (fun path ->
+      with_payload path (fun p ->
+          let _, len = section p "stencil" in
+          set_stencil_length p (len + 1000)))
+
+let test_flipped_stencil_byte () =
+  (* the byte that opens the stencil section's module: a flipped byte the
+     round-trip parse must reject *)
+  check_corruption "flipped stencil byte" (fun path ->
+      with_payload path (fun p ->
+          let start, _ = section p "stencil" in
+          let b = Bytes.of_string p in
+          Bytes.set b start (Char.chr (Char.code p.[start] lxor 0x20));
+          Bytes.to_string b))
+
+let test_header_not_json () =
+  check_corruption "header not JSON" (fun path ->
+      with_payload path (fun p ->
+          let nl = String.index p '\n' in
+          "{\"format\": 3, sections" ^ String.sub p nl (String.length p - nl)))
+
+(* What a v2 writer left: the old framing version, and a payload holding
+   the modules as escaped JSON strings on one line. *)
+let v2_payload p =
+  let host_at, host_len = section p "host" in
+  let st_at, st_len = section p "stencil" in
+  J.to_string
+    (J.Obj
+       [ ("format", J.Num 2.); ("target", J.Str "serial");
+         ("host", J.Str (String.sub p host_at host_len));
+         ("stencil", J.Str (String.sub p st_at st_len)); ("gpu_ir", J.Null) ])
+
+let test_v2_entry_on_disk () =
+  check_corruption "v2 entry" (fun path ->
+      with_payload ~version:2 path v2_payload);
+  check_corruption "v2 payload in a v3 frame" (fun path ->
+      with_payload path v2_payload)
+
+(* The store (encode + put) runs under its own "cache store" span, in
+   category "cache" (perfbench's cache.store_ms subtracts the pipeline
+   spans inside a miss), on a miss only; `sfc run --stats` prints its
+   minor words after the stage words. *)
+let test_store_span () =
+  let options = P.default_options () in
+  let cache = Cc.create_cache ~disk:false () in
+  let stores () =
+    List.filter
+      (fun e -> e.Obs.e_name = "cache store")
+      (Obs.events_with_cat "cache")
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+      let _, o1 = Cc.compile ~cache options v3_src in
+      Alcotest.(check bool) "miss" true (o1 = `Miss);
+      (match stores () with
+      | [ e ] ->
+        Alcotest.(check bool) "records minor words" true
+          (List.mem_assoc "minor_words" e.Obs.e_args)
+      | l -> Alcotest.failf "%d store spans on a miss" (List.length l));
+      Alcotest.(check int) "not a pipeline span" 0
+        (span_count "cache store");
+      let _, o2 = Cc.compile ~cache options v3_src in
+      Alcotest.(check bool) "hit" true (o2 = `Hit);
+      Alcotest.(check int) "no store span on a hit" 1
+        (List.length (stores ())));
+  let dir = tmp_dir () in
+  let stage_line () =
+    let err = Filename.temp_file "sfc-store-stats" ".err" in
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/sfc.exe"
+           [ "run"; "../examples/laplace.f90"; "--cache-dir"; dir; "--stats" ]
+           ~stdout:Filename.null ~stderr:err)
+    in
+    let lines = String.split_on_char '\n' (read_file err) in
+    Sys.remove err;
+    Alcotest.(check int) "sfc run exits 0" 0 code;
+    List.find
+      (fun l -> String.starts_with ~prefix:"stage minor words: " l)
+      lines
+  in
+  let has_store l =
+    Str.string_match (Str.regexp ".*; cache store [0-9.]+k$") l 0
+  in
+  Alcotest.(check bool) "cold run prints the store words" true
+    (has_store (stage_line ()));
+  Alcotest.(check bool) "warm run prints no store" false
+    (has_store (stage_line ()))
+
+(* Minor words of one GS 48^3 openmp(2) cache-miss compile (key, lookup,
+   compile, encode and put into a disk cache), counted on this domain.
+   The exact count makes an allocation regression visible where timing
+   on a shared host cannot. Measured 67,251 words (the JSON-entry path
+   before it allocated about 151k: 118k in the compile, 32k in the
+   encode). *)
+let test_miss_allocation_budget () =
+  let src = B.gauss_seidel ~nx:48 ~ny:48 ~nz:48 ~niter:10 () in
+  let options = P.default_options ~target:(P.Openmp 2) () in
+  Obs.set_enabled false;
+  (* one compile first: dialect registration and other one-time set-up
+     are not part of a miss *)
+  ignore (Cc.compile ~cache:(Cc.create_cache ~dir:(tmp_dir ()) ()) options src);
+  let cache = Cc.create_cache ~dir:(tmp_dir ()) () in
+  let w0 = Gc.minor_words () in
+  let _, outcome = Cc.compile ~cache options src in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "a miss" true (outcome = `Miss);
+  if words > 90_000. then
+    Alcotest.failf "cache-miss compile allocated %.0f minor words (budget 90000)"
+      words
+
 let () =
   Alcotest.run "cache"
     [ ("store",
@@ -510,4 +718,15 @@ let () =
            test_round_trip_all;
          Alcotest.test_case "memory warm hit" `Quick test_memory_warm_hit;
          Alcotest.test_case "thread count not in key" `Quick
-           test_thread_count_not_in_key ]) ]
+           test_thread_count_not_in_key ]);
+      ("v3 entries",
+       [ Alcotest.test_case "truncated section" `Quick test_truncated_section;
+         Alcotest.test_case "section length past the payload" `Quick
+           test_section_past_payload;
+         Alcotest.test_case "flipped stencil byte" `Quick
+           test_flipped_stencil_byte;
+         Alcotest.test_case "header line not JSON" `Quick test_header_not_json;
+         Alcotest.test_case "v2 entry on disk" `Quick test_v2_entry_on_disk;
+         Alcotest.test_case "store span on a miss only" `Quick test_store_span;
+         Alcotest.test_case "miss allocation budget" `Quick
+           test_miss_allocation_budget ]) ]
