@@ -80,6 +80,14 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
 let is_alnum c = is_alpha c || is_digit c
 
+(* [src.[start .. start + len)] lowercased, copied once. *)
+let lower_sub src start len =
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (Char.lowercase_ascii src.[start + i])
+  done;
+  Bytes.unsafe_to_string b
+
 let lower = String.lowercase_ascii
 
 let tokenize src =
@@ -198,7 +206,7 @@ let tokenize src =
       while is_alnum (peek ()) do
         advance ()
       done;
-      emit (IDENT (lower (String.sub src start (st.pos - start))))
+      emit (IDENT (lower_sub src start (st.pos - start)))
     end
     else if c = '.' && is_alpha (peek2 ()) then begin
       (* dot operator: .and. .or. .not. .true. .false. .eq. ... *)
@@ -207,7 +215,7 @@ let tokenize src =
       while is_alpha (peek ()) do
         advance ()
       done;
-      let name = lower (String.sub src start (st.pos - start)) in
+      let name = lower_sub src start (st.pos - start) in
       if peek () <> '.' then
         error ("." ^ name ^ " not terminated by '.'");
       advance ();
