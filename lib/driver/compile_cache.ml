@@ -40,7 +40,8 @@ let key cache (options : P.options) src =
      {"format":3,"target":...,"sections":{"host":H,"stencil":S,"gpu_ir":G}}\n
      <H bytes of host IR><S bytes of stencil IR><G bytes of GPU IR>
 
-   The modules are printed straight into the entry's buffer. *)
+   The modules are printed straight into one buffer, copied once behind
+   the header line. *)
 
 let encode (ca : P.compiled_artifact) =
   let body = Buffer.create 16384 in
@@ -120,7 +121,10 @@ let parse_ir name text =
   | Error e -> Error (Printf.sprintf "%s module: %s" name e)
 
 let as_length name = function
-  | J.Num f when Float.is_integer f && f >= 0. -> Ok (int_of_float f)
+  | J.Num f
+    when Float.is_integer f && f >= 0.
+         && f <= float_of_int Sys.max_string_length ->
+    Ok (int_of_float f)
   | _ -> Error (Printf.sprintf "section %S has no valid length" name)
 
 (* The header line and the (offset, length) of each IR section; the

@@ -28,6 +28,7 @@ let set_loc b loc =
       | Some (line, col) -> [ ("loc", Attr.Loc_a (line, col)) ]
       | None -> [])
   end
+
 let loc b = b.loc
 
 let insert b op =

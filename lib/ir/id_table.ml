@@ -18,7 +18,9 @@ let rec probe keys mask id i =
   let k = Array.unsafe_get keys i in
   if k = id || k = 0 then i else probe keys mask id ((i + 1) land mask)
 
-let slot keys id = probe keys (Array.length keys - 1) id (id land (Array.length keys - 1))
+let slot keys id =
+  let mask = Array.length keys - 1 in
+  probe keys mask id (id land mask)
 
 (* The value bound to [id], or -1. *)
 let find t id =

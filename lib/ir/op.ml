@@ -38,7 +38,7 @@ and op = {
   mutable o_parent : block option;
   mutable o_prev : op option;
   mutable o_next : op option;
-  mutable o_self : op option; (* [Some] of this op, shared by every link to it *)
+  mutable o_self : op option; (* [Some] of this op, shared by its links *)
 }
 
 and block = {
@@ -468,8 +468,8 @@ let clone ?(mapping = Hashtbl.create 16) op =
           Array.mapi
             (fun i a ->
               let v =
-                { v_id = next_id (); v_type = a.v_type; v_def = Block_arg (b', i);
-                  v_uses = [] }
+                { v_id = next_id (); v_type = a.v_type;
+                  v_def = Block_arg (b', i); v_uses = [] }
               in
               record a v;
               v)

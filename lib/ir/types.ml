@@ -78,10 +78,6 @@ let rank = function
   | Stencil_field (b, _) | Stencil_temp (b, _) -> List.length b
   | _ -> 0
 
-let dim_to_string = function
-  | Static n -> string_of_int n
-  | Dynamic -> "?"
-
 let add_dim buf = function
   | Static n -> Buffer.add_string buf (string_of_int n)
   | Dynamic -> Buffer.add_char buf '?'

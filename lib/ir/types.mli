@@ -55,8 +55,6 @@ val element_type : t -> t
 (** Rank of a shaped type; scalars have rank 0. *)
 val rank : t -> int
 
-val dim_to_string : dim -> string
-
 (** The MLIR textual syntax; round-trips through {!Parser.parse_type}. *)
 val to_string : t -> string
 

@@ -72,7 +72,8 @@ let rec check_block_parents errors op r = function
 let check_count errors op what expected got =
   let ok = expected < 0 || got = expected in
   if not ok then
-    report errors op (Printf.sprintf "expected %d %s, got %d" expected what got);
+    report errors op
+      (Printf.sprintf "expected %d %s, got %d" expected what got);
   ok
 
 let check_op errors (op : Op.op) =

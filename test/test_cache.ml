@@ -554,7 +554,8 @@ let check_corruption label damage =
   let cache = Cc.create_cache ~dir () in
   let _, cold = Cc.compile ~cache options v3_src in
   Alcotest.(check bool) (label ^ ": cold miss") true (cold = `Miss);
-  let path = Option.get (C.entry_path cache ~key:(Cc.key cache options v3_src)) in
+  let key = Cc.key cache options v3_src in
+  let path = Option.get (C.entry_path cache ~key) in
   damage path;
   let cache2 = Cc.create_cache ~dir () in
   let ca, outcome = Cc.compile ~cache:cache2 options v3_src in
@@ -683,8 +684,8 @@ let test_miss_allocation_budget () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check bool) "a miss" true (outcome = `Miss);
   if words > 90_000. then
-    Alcotest.failf "cache-miss compile allocated %.0f minor words (budget 90000)"
-      words
+    Alcotest.failf
+      "cache-miss compile allocated %.0f minor words (budget 90000)" words
 
 let () =
   Alcotest.run "cache"

@@ -74,7 +74,9 @@ let test_printer_identity () =
             @ Option.fold ~none:[] ~some:(fun m -> [ ("gpu", m) ])
                 ca.P.ca_gpu_ir
           in
-          let label m = Printf.sprintf "%s/%s/%s" name (P.target_name target) m in
+          let label m =
+            Printf.sprintf "%s/%s/%s" name (P.target_name target) m
+          in
           let buf = Buffer.create 4096 in
           List.iter
             (fun (m, op) ->
