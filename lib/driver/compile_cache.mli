@@ -4,13 +4,26 @@
     Entries are keyed by a digest of (source text, target kind, GPU tile
     sizes, merge flag, L2 budget, format version) and hold the {e
     printed} IR of every pipeline stage plus kernel metadata — including
-    the per-kernel affine footprints (canonical string form). Loading
-    re-parses each module through [Fsc_ir.Parser], re-verifies the host
-    and recomputes every footprint from the parsed stencil IR, demanding
-    it match what was stored — so every warm hit doubles as a
-    printer/parser round-trip check {e and} a footprint-analysis
-    consistency check; entries that fail are evicted by the cache, never
-    fatal.
+    the per-kernel affine footprints (canonical string form).
+
+    Entry layout (format 3): one JSON header line — [format], [target],
+    [kernels], [managed], [footprints], [stats] and [sections], the byte
+    length of each IR section ([gpu_ir] is [null] off GPU targets) —
+    then the printed [host], [stencil] and [gpu_ir] modules back to
+    back as raw text, with no JSON escaping:
+
+    {v
+{"format":3,...,"sections":{"host":H,"stencil":S,"gpu_ir":null}}
+<H bytes: host module><S bytes: stencil module>
+    v}
+
+    Loading checks that the section lengths account for every byte
+    after the header, re-parses each module through [Fsc_ir.Parser],
+    re-verifies the host and recomputes every footprint from the parsed
+    stencil IR, demanding it match what was stored — so every warm hit
+    doubles as a printer/parser round-trip check {e and} a
+    footprint-analysis consistency check; entries that fail are evicted
+    by the cache, never fatal.
 
     The OpenMP thread count is deliberately absent from the key: the
     pool is created at {!Pipeline.link} time, so one cached artifact
@@ -35,7 +48,8 @@ val create_cache :
 (** The entry key for compiling [source] under the given options. *)
 val key : Fsc_cache.Cache.t -> Pipeline.options -> string -> string
 
-(** Serialize to the cached payload (printed IR + metadata, JSON). *)
+(** Serialize to the cached payload: the header line, then the modules
+    printed into one buffer ({!Fsc_ir.Printer.to_buffer}). *)
 val encode : Pipeline.compiled_artifact -> string
 
 (** Re-parse and re-verify a payload; the artifact's options are the
@@ -45,7 +59,9 @@ val decode :
   Pipeline.options -> string -> (Pipeline.compiled_artifact, string) result
 
 (** [compile ?cache options src] — with a cache, look up first and
-    populate on miss; without one, plain {!Pipeline.compile}. The second
+    populate on miss; without one, plain {!Pipeline.compile}. A miss
+    stores the entry (encode + put) under a ["cache store"] span of
+    category ["cache"] that records its minor words. The second
     component reports what happened, for [--stats] and the job
     protocol. *)
 val compile :

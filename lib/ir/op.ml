@@ -119,19 +119,12 @@ let create_region () =
   r.g_self <- Some r;
   r
 
-(* The values [types] define, numbered from 0; no closure or list is
-   built, as every created op and block goes through here. *)
-let rec define_values def i = function
-  | [] -> []
-  | t :: rest ->
-    let v = { v_id = next_id (); v_type = t; v_def = def i; v_uses = [] } in
-    v :: define_values def (i + 1) rest
-
+(* The values [types] define, numbered from 0. *)
 let values_array def types =
-  match types with
-  | [] -> [||]
-  | [ t ] -> [| { v_id = next_id (); v_type = t; v_def = def 0; v_uses = [] } |]
-  | types -> Array.of_list (define_values def 0 types)
+  Array.of_list
+    (List.mapi
+       (fun i t -> { v_id = next_id (); v_type = t; v_def = def i; v_uses = [] })
+       types)
 
 let create_block ?(args = []) () =
   let b =
@@ -166,6 +159,7 @@ let create ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = []) name
       add_use op.o_operands.(i) ~op ~index:i
     done
   end;
+  (* a single result, the common case, without a closure or a list *)
   (match results with
   | [] -> ()
   | [ t ] ->
