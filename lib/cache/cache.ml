@@ -251,29 +251,19 @@ let rec enforce_budget t ~keep =
         enforce_budget t ~keep
     end
 
-(* [bytes]: the size just written, when the writer knows it (saves a
-   stat). *)
-let note_file_written ?bytes t ~key fname =
+let note_file_written t ~key fname =
   match t.cache_dir with
   | None -> ()
   | Some d ->
     ensure_scanned t;
-    let size =
-      match bytes with
-      | Some n -> Some n
-      | None -> (
-        match Unix.stat (Filename.concat d fname) with
-        | exception Unix.Unix_error _ -> None
-        | st -> Some st.Unix.st_size)
-    in
-    (match size with
-    | None -> ()
-    | Some size ->
+    (match Unix.stat (Filename.concat d fname) with
+    | exception Unix.Unix_error _ -> ()
+    | st ->
       let prev =
         Option.value (Hashtbl.find_opt t.d_files fname) ~default:0
       in
-      Hashtbl.replace t.d_files fname size;
-      t.d_bytes <- t.d_bytes + size - prev;
+      Hashtbl.replace t.d_files fname st.Unix.st_size;
+      t.d_bytes <- t.d_bytes + st.Unix.st_size - prev;
       Hashtbl.replace t.d_used key (Unix.gettimeofday ()));
     enforce_budget t ~keep:(Some key)
 
@@ -356,9 +346,8 @@ let disk_store t key payload =
           (Printf.sprintf ".tmp.%s.%d" key (Unix.getpid ()))
       in
       let oc = open_out_bin tmp in
-      let header = entry_header t ~key payload in
       (try
-         output_string oc header;
+         output_string oc (entry_header t ~key payload);
          output_string oc payload;
          close_out oc
        with e ->
@@ -366,8 +355,7 @@ let disk_store t key payload =
          (try Sys.remove tmp with Sys_error _ -> ());
          raise e);
       Sys.rename tmp (Filename.concat d (key ^ ".art"));
-      note_file_written t ~key (key ^ ".art")
-        ~bytes:(String.length header + String.length payload);
+      note_file_written t ~key (key ^ ".art");
       true
     with Sys_error _ | Unix.Unix_error _ -> false)
 

@@ -33,10 +33,18 @@ module Obs = Fsc_obs.Obs
 let c_msgs = Obs.counter "dmp.msgs"
 let c_bytes = Obs.counter "dmp.bytes"
 
+type link = {
+  ln_dir : Decomp.direction;
+  ln_nbr : int;
+  ln_send_tag : int;
+  ln_recv_tag : int;
+}
+
 type rank_state = {
   rs_rank : int;
   mutable rs_fields : (string * Rt.t) list;
   rs_range : (int * int) * (int * int) * (int * int); (* global 1-based *)
+  rs_links : link list; (* neighbours, in [Decomp.directions] order *)
   (* halo payloads this rank posts, one per (direction, length), reused
      by every superstep: only the rank's own team member touches them *)
   mutable rs_payloads : (Decomp.direction * float array) list;
@@ -153,8 +161,21 @@ let create ?pool ?(field_rank = 3) decomp ~fields ~init =
   let mpi = Mpi.create (Decomp.nranks decomp) in
   let ranks =
     Array.init (Decomp.nranks decomp) (fun rank ->
+        let links =
+          List.filter_map
+            (fun dir ->
+              Option.map
+                (fun nbr ->
+                  { ln_dir = dir; ln_nbr = nbr;
+                    ln_send_tag = Decomp.tag_of_direction dir;
+                    ln_recv_tag =
+                      Decomp.tag_of_direction (Decomp.opposite dir) })
+                (Decomp.neighbor decomp rank dir))
+            Decomp.directions
+        in
         { rs_rank = rank; rs_fields = [];
-          rs_range = Decomp.local_range decomp rank; rs_payloads = [] })
+          rs_range = Decomp.local_range decomp rank; rs_links = links;
+          rs_payloads = [] })
   in
   let t = { decomp; mpi; ranks; pool; field_rank } in
   List.iter (fun name -> set_field t name (init name)) fields;
@@ -162,12 +183,7 @@ let create ?pool ?(field_rank = 3) decomp ~fields ~init =
 
 let field st name = List.assoc name st.rs_fields
 
-let release_fields t =
-  Array.iter
-    (fun st ->
-      List.iter (fun (_, b) -> Rt.release b) st.rs_fields;
-      st.rs_fields <- [])
-    t.ranks
+let reset t = Mpi.reset t.mpi
 
 (* ------------------------------------------------------------------ *)
 (* Halo packing                                                        *)
@@ -270,6 +286,12 @@ let unpack_from buf (axis, idx) payload ~off =
     done;
     d0 * dims.(1)
 
+let rec find_payload dir total = function
+  | [] -> None
+  | (d, p) :: rest ->
+    if d = dir && Array.length p = total then Some p
+    else find_payload dir total rest
+
 (* Coalesced payload: one message per neighbour carrying every field of
    the swap set. Layout:
 
@@ -286,38 +308,39 @@ let unpack_from buf (axis, idx) payload ~off =
    after the post, and the barrier ending that phase comes before the
    rank's next post, so no payload is overwritten while in flight. *)
 let payload st dir total =
-  match
-    List.find_opt
-      (fun (d, p) -> d = dir && Array.length p = total)
-      st.rs_payloads
-  with
-  | Some (_, p) -> p
+  match find_payload dir total st.rs_payloads with
+  | Some p -> p
   | None ->
     let p = Array.make total 0.0 in
     st.rs_payloads <- (dir, p) :: st.rs_payloads;
     p
 
-let pack_coalesced t ~names ~rank ~dir =
-  let st = t.ranks.(rank) in
-  let bufs = List.map (field st) names in
+let rec planes_len dir acc = function
+  | [] -> acc
+  | b :: rest -> planes_len dir (acc + plane_len b dir) rest
+
+(* Pack [bufs]' planes for [dir] behind the header, from field [f]
+   on, the next plane at [off]. *)
+let rec pack_planes out dir f off = function
+  | [] -> ()
+  | b :: rest ->
+    out.(1 + f) <- float_of_int off;
+    let n = pack_into b (send_plane_index b dir) out ~off in
+    pack_planes out dir (f + 1) (off + n) rest
+
+let pack_bufs st bufs dir =
   let nf = List.length bufs in
   let header = 1 + nf in
-  let total =
-    List.fold_left (fun acc b -> acc + plane_len b dir) header bufs
-  in
-  let out = payload st dir total in
+  let out = payload st dir (planes_len dir header bufs) in
   out.(0) <- float_of_int nf;
-  let off = ref header in
-  List.iteri
-    (fun f b ->
-      out.(1 + f) <- float_of_int !off;
-      off := !off + pack_into b (send_plane_index b dir) out ~off:!off)
-    bufs;
+  pack_planes out dir 0 header bufs;
   out
 
-let unpack_coalesced t ~names ~rank ~dir payload =
+let pack_coalesced t ~names ~rank ~dir =
   let st = t.ranks.(rank) in
-  let bufs = List.map (field st) names in
+  pack_bufs st (List.map (field st) names) dir
+
+let unpack_bufs bufs ~dir payload =
   let nf = List.length bufs in
   let len = Array.length payload in
   if len < 1 + nf || int_of_float payload.(0) <> nf then
@@ -340,33 +363,32 @@ let unpack_coalesced t ~names ~rank ~dir payload =
       ignore (unpack_from b (recv_plane_index b dir) payload ~off))
     bufs
 
-(* One halo swap: one message per neighbour for the whole swap set. *)
+let unpack_coalesced t ~names ~rank ~dir payload =
+  let st = t.ranks.(rank) in
+  unpack_bufs (List.map (field st) names) ~dir payload
+
+(* One halo swap: one message per neighbour for the whole swap set. The
+   neighbours and tags were worked out at [create]; the fields are
+   looked up once per swap, not once per neighbour. *)
 let post_coalesced t ~names ~rank =
+  let st = t.ranks.(rank) in
+  let bufs = List.map (field st) names in
   List.iter
-    (fun dir ->
-      match Decomp.neighbor t.decomp rank dir with
-      | Some nbr ->
-        let payload = pack_coalesced t ~names ~rank ~dir in
-        Mpi.send t.mpi ~src:rank ~dst:nbr
-          ~tag:(Decomp.tag_of_direction dir)
-          payload;
-        Obs.incr c_msgs;
-        Obs.add c_bytes (8 * Array.length payload)
-      | None -> ())
-    Decomp.directions
+    (fun ln ->
+      let payload = pack_bufs st bufs ln.ln_dir in
+      Mpi.send t.mpi ~src:rank ~dst:ln.ln_nbr ~tag:ln.ln_send_tag payload;
+      Obs.incr c_msgs;
+      Obs.add c_bytes (8 * Array.length payload))
+    st.rs_links
 
 let consume_coalesced t ~names ~rank =
+  let st = t.ranks.(rank) in
+  let bufs = List.map (field st) names in
   List.iter
-    (fun dir ->
-      match Decomp.neighbor t.decomp rank dir with
-      | Some nbr ->
-        let payload =
-          Mpi.recv t.mpi ~src:nbr ~dst:rank
-            ~tag:(Decomp.tag_of_direction (Decomp.opposite dir))
-        in
-        unpack_coalesced t ~names ~rank ~dir payload
-      | None -> ())
-    Decomp.directions
+    (fun ln ->
+      unpack_bufs bufs ~dir:ln.ln_dir
+        (Mpi.recv t.mpi ~src:ln.ln_nbr ~dst:rank ~tag:ln.ln_recv_tag))
+    st.rs_links
 
 (* ------------------------------------------------------------------ *)
 (* Supersteps                                                          *)

@@ -15,12 +15,22 @@ module Mpi = Fsc_rt.Mpi_sim
 module Rt = Fsc_rt.Memref_rt
 module Pool = Fsc_rt.Domain_pool
 
+(** A neighbour of a rank: the direction it lies in, its rank, and the
+    tags of the messages sent to it and received from it. *)
+type link = {
+  ln_dir : Decomp.direction;
+  ln_nbr : int;
+  ln_send_tag : int;
+  ln_recv_tag : int;
+}
+
 type rank_state = {
   rs_rank : int;
   mutable rs_fields : (string * Rt.t) list;
       (** (lx+2)(ly+2)[(lz+2)] local grids *)
   rs_range : (int * int) * (int * int) * (int * int);
       (** global 1-based interior ranges owned by the rank *)
+  rs_links : link list;  (** neighbours, in {!Decomp.directions} order *)
   mutable rs_payloads : (Decomp.direction * float array) list;
       (** the halo payloads the rank posts, one per (direction,
           length), reused across supersteps (see {!pack_coalesced}) *)
@@ -61,9 +71,9 @@ val alloc_field : t -> string -> unit
 
 val field : rank_state -> string -> Rt.t
 
-(** Drop every rank's fields and hand their blocks' storage back to the
-    arena ({!Rt.release}). Nothing may read those blocks afterwards. *)
-val release_fields : t -> unit
+(** Start over on the same fields: drop undelivered messages and zero
+    the {!stats} counters. Rank blocks and halo payloads stay. *)
+val reset : t -> unit
 
 (** Pack the swap set [names] for the neighbour in [dir] into one
     self-describing payload: header = field count + per-field absolute

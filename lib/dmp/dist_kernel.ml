@@ -52,16 +52,18 @@ type runner = bufs:Rt.t array -> scalars:float array -> unit
 
 (* One coherence group: all buffers sharing a global shape, scattered
    over one [Dist_exec] state. [g_valid] means the rank-local copies are
-   authoritative; false means the host globals are (after a fallback)
-   and the next distributed kernel must re-scatter. [g_fresh] tracks
-   which fields' halo planes currently mirror their owners — fresh
-   after a scatter or an exchange, stale once a stage writes the field
-   — and is what superstep fusion keys on. *)
+   authoritative; false means the host globals are (after a fallback,
+   and at the start of a run) and the next distributed kernel must
+   re-scatter. [g_fresh] tracks which fields' halo planes currently
+   mirror their owners — fresh after a scatter or an exchange, stale
+   once a stage writes the field — and is what superstep fusion keys
+   on. *)
 type group = {
   g_dims : int list;
   g_dx : Dist_exec.t;
   mutable g_valid : bool;
-  mutable g_bufs : (int * Rt.t) list; (* buffer id -> global buffer *)
+  g_planes : int list * int list; (* [mirror_planes] of the decomposition *)
+  mutable g_bufs : (string * Rt.t) list; (* field name -> global buffer *)
   mutable g_fresh : SS.t; (* fields with up-to-date halos *)
 }
 
@@ -86,7 +88,7 @@ type state = {
   dk_ranks : int;
   dk_pool : Pool.t option;
   mutable dk_groups : group list;
-  mutable dk_ids : (Rt.t * int) list; (* physical buffer -> id *)
+  mutable dk_ids : (Rt.t * string) list; (* physical buffer -> field name *)
   mutable dk_next_id : int;
   dk_plans : (string, (kplan, string) result) Hashtbl.t;
   (* cumulative statistics *)
@@ -108,20 +110,20 @@ let create ?pool ~ranks () =
     dk_stales_avoided = 0; dk_scatters_skipped = 0; dk_vec_nests = 0;
     dk_total_nests = 0 }
 
-let buf_id st b =
-  let rec find = function
-    | [] -> None
-    | (b', id) :: tl -> if b' == b then Some id else find tl
-  in
-  match find st.dk_ids with
-  | Some id -> id
-  | None ->
-    let id = st.dk_next_id in
-    st.dk_next_id <- id + 1;
-    st.dk_ids <- (b, id) :: st.dk_ids;
-    id
+let rec find_name b = function
+  | [] -> None
+  | (b', name) :: tl -> if b' == b then Some name else find_name b tl
 
-let field_name id = "b" ^ string_of_int id
+(* The field a host buffer is scattered into: "b<n>" for the n-th
+   buffer of the run, named once per run. *)
+let field_name st b =
+  match find_name b st.dk_ids with
+  | Some name -> name
+  | None ->
+    let name = "b" ^ string_of_int st.dk_next_id in
+    st.dk_next_id <- st.dk_next_id + 1;
+    st.dk_ids <- (b, name) :: st.dk_ids;
+    name
 
 (* ------------------------------------------------------------------ *)
 (* Kernel planning: distributability and stages                        *)
@@ -377,7 +379,8 @@ let noop_runner ~bufs:_ ~scalars:_ = ()
 
 (* Per-rank execution passes no pool: each rank already runs inside one
    pool worker, and the vector engine's row loops are the parallelism
-   within the rank's own cache. *)
+   within the rank's own cache. A rank's blocks persist across runs
+   ([begin_run]), so its runner binds once and re-runs that binding. *)
 let compile_runner st spec nests =
   match nests with
   | [] -> noop_runner
@@ -385,7 +388,7 @@ let compile_runner st spec nests =
     let vplan = Kb.compile_spec { spec with Kc.k_nests = nests } in
     st.dk_total_nests <- st.dk_total_nests + Kb.nest_count vplan;
     st.dk_vec_nests <- st.dk_vec_nests + Kb.vectorised_nests vplan;
-    fun ~bufs ~scalars -> Kb.run vplan ~bufs ~scalars ())
+    Kb.runner vplan)
 
 (* One runner per (stage, rank) over all of the stage's localized
    nests: [Kb.run] runs them in program order over the whole local
@@ -435,7 +438,8 @@ let group_for st dims =
         ~init:(fun _ _ -> 0.0)
     in
     let g =
-      { g_dims = dims; g_dx = dx; g_valid = true; g_bufs = [];
+      { g_dims = dims; g_dx = dx; g_planes = mirror_planes decomp;
+        g_valid = true; g_bufs = [];
         g_fresh = SS.empty }
     in
     st.dk_groups <- g :: st.dk_groups;
@@ -450,8 +454,7 @@ let group_for st dims =
    write stales every mirrored plane anyway, so the exchange schedule is
    the one a scatter would have led to. Without mirrored planes (one
    rank) the kernel writes the whole block, as fresh as a scatter. *)
-let place st g spec bufs id gb =
-  let name = field_name id in
+let place st g spec bufs name gb =
   let args =
     List.filter (fun i -> bufs.(i) == gb) (List.init (Array.length bufs) Fun.id)
   in
@@ -460,7 +463,7 @@ let place st g spec bufs id gb =
     st.dk_scatters_skipped <- st.dk_scatters_skipped + 1;
     Obs.incr c_scatters_skipped;
     Dist_exec.alloc_field g.g_dx name;
-    if mirror_planes g.g_dx.Dist_exec.decomp = ([], []) then
+    if g.g_planes = ([], []) then
       g.g_fresh <- SS.add name g.g_fresh
   | _ -> scatter g name gb
 
@@ -468,23 +471,22 @@ let ensure_scattered st g spec bufs =
   if not g.g_valid then begin
     (* the host globals are authoritative after a fallback *)
     g.g_fresh <- SS.empty;
-    List.iter (fun (id, gb) -> place st g spec bufs id gb) g.g_bufs;
+    List.iter (fun (name, gb) -> place st g spec bufs name gb) g.g_bufs;
     g.g_valid <- true
   end;
   Array.iter
     (fun b ->
-      let id = buf_id st b in
-      if not (List.mem_assoc id g.g_bufs) then begin
-        g.g_bufs <- (id, b) :: g.g_bufs;
-        place st g spec bufs id b
+      let name = field_name st b in
+      if not (List.mem_assoc name g.g_bufs) then begin
+        g.g_bufs <- (name, b) :: g.g_bufs;
+        place st g spec bufs name b
       end)
     bufs
 
 let gather_group g =
   if g.g_valid then begin
     Obs.add c_gathers (List.length g.g_bufs);
-    Dist_exec.gather_fields g.g_dx
-      (List.map (fun (id, gb) -> (field_name id, gb)) g.g_bufs);
+    Dist_exec.gather_fields g.g_dx g.g_bufs;
     g.g_valid <- false
   end
 
@@ -492,12 +494,21 @@ let gather_group g =
 (* Execution protocol                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The previous run's rank blocks were gathered into its host grids at
-   [sync_back]; nothing reads them again, so their storage serves this
-   run's blocks. *)
+(* Groups outlive runs, with their rank blocks, halo payloads and
+   runner bindings: a re-run of the same program allocates none of
+   them again. What a run must not inherit is coherence: no group is
+   valid and no buffer placed until this run's first kernel on it, so
+   every block is scattered (or handed unfilled to a kernel that
+   overwrites it) before anything reads it, exactly as a fresh block
+   would be. *)
 let begin_run st =
-  List.iter (fun g -> Dist_exec.release_fields g.g_dx) st.dk_groups;
-  st.dk_groups <- [];
+  List.iter
+    (fun g ->
+      Dist_exec.reset g.g_dx;
+      g.g_valid <- false;
+      g.g_bufs <- [];
+      g.g_fresh <- SS.empty)
+    st.dk_groups;
   st.dk_ids <- [];
   st.dk_next_id <- 0
 
@@ -515,9 +526,7 @@ let run_dist st g kplan ~bufs ~scalars =
   let decomp = dx.Dist_exec.decomp in
   let ddims = decomposed_dims dx.Dist_exec.field_rank in
   let nranks = Decomp.nranks decomp in
-  let names =
-    Array.map (fun b -> field_name (buf_id st b)) bufs
-  in
+  let names = Array.map (field_name st) bufs in
   let local_bufs =
     Array.init nranks (fun r ->
         Array.map (fun nm -> Dist_exec.field dx.Dist_exec.ranks.(r) nm) names)
@@ -527,7 +536,6 @@ let run_dist st g kplan ~bufs ~scalars =
       (fun bi -> if bi < Array.length names then Some names.(bi) else None)
       bis
   in
-  let planes = mirror_planes decomp in
   (* Build the whole invocation — every stage's superstep — as one phase
      list, executed by a single [Dist_exec.run_phases] call: under the
      barrier rendezvous the pool is launched once per kernel invocation,
@@ -566,7 +574,8 @@ let run_dist st g kplan ~bufs ~scalars =
                (fun bi ->
                  match List.assoc_opt bi stage.sg_write_regions with
                  | None -> true
-                 | Some region -> write_stales ~ddims ~planes region)
+                 | Some region ->
+                   write_stales ~ddims ~planes:g.g_planes region)
                stage.sg_writes
            in
            let avoided = List.length stage.sg_writes - List.length staling in

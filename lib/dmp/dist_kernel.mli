@@ -52,10 +52,11 @@ val write_stales :
   bool
 
 (** Reset per-run coherence state. Call at the start of every program
-    run: buffers are allocated fresh each run, so stale groups must not
-    accumulate. The previous run's rank blocks go back to the arena
-    ({!Fsc_rt.Memref_rt.release}), so this run's blocks reuse their
-    storage. *)
+    run: the host buffers are allocated fresh each run, so no group
+    stays valid and every buffer is placed again by its first kernel.
+    Groups keep their rank blocks, halo payloads and per-rank runner
+    bindings, so a re-run allocates none of them; group message counts
+    restart from zero. *)
 val begin_run : state -> unit
 
 (** Gather every valid group back into the host's global buffers. Call

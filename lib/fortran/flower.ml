@@ -33,12 +33,10 @@ let unsupported loc fmt =
 
 (* Thread frontend source locations onto lowered ops: while a location is
    set on the builder, every op it creates carries a loc(line:col)
-   attribute (see Builder.set_loc). [no_loc] clears it. *)
+   attribute (see Builder.set_loc). [no_loc] (line 0) leaves the current
+   location in place. *)
 let set_builder_loc b (l : loc) =
-  if l.line <> 0 then
-    match Builder.loc b with
-    | Some (line, col) when line = l.line && col = l.col -> ()
-    | _ -> Builder.set_loc b (Some (l.line, l.col))
+  if l.line <> 0 then Builder.set_loc b ~line:l.line ~col:l.col
 
 let fir_scalar_type = function
   | T_integer -> Types.I32

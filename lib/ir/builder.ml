@@ -6,30 +6,24 @@ type insertion =
   | Before of Op.op
   | After of Op.op
 
+(* [loc_attrs] is the whole location state: [] before the first
+   [set_loc], then the one "loc" attribute every op built under the
+   current location shares. *)
 type t = {
   mutable point : insertion;
-  mutable loc : (int * int) option;
   mutable loc_attrs : (string * Attr.t) list;
 }
 
-let create point = { point; loc = None; loc_attrs = [] }
+let create point = { point; loc_attrs = [] }
 
 let at_end block = create (At_end block)
 let before op = create (Before op)
 let after op = create (After op)
 
-(* [loc_attrs] holds the one "loc" attribute every op built under this
-   location shares. *)
-let set_loc b loc =
-  if loc <> b.loc then begin
-    b.loc <- loc;
-    b.loc_attrs <-
-      (match loc with
-      | Some (line, col) -> [ ("loc", Attr.Loc_a (line, col)) ]
-      | None -> [])
-  end
-
-let loc b = b.loc
+let set_loc b ~line ~col =
+  match b.loc_attrs with
+  | [ (_, Attr.Loc_a (l, c)) ] when l = line && c = col -> ()
+  | _ -> b.loc_attrs <- [ ("loc", Attr.Loc_a (line, col)) ]
 
 let insert b op =
   (match b.point with

@@ -8,26 +8,19 @@ type insertion =
       (** after inserting, the point advances so consecutive inserts stay
           in source order *)
 
-type t = {
-  mutable point : insertion;
-  mutable loc : (int * int) option;
-  mutable loc_attrs : (string * Attr.t) list;
-      (** the ["loc"] attribute list for [loc], shared by every op built
-          under it; kept by {!set_loc} *)
-}
+type t
 
 val create : insertion -> t
 val at_end : Op.block -> t
 val before : Op.op -> t
 val after : Op.op -> t
 
-(** Current source location [(line, col)]. While set, every op built via
+(** Set the current source location. From then on every op built via
     {!op}/{!op1} carries it as a ["loc"] attribute ({!Attr.Loc_a}) — the
     frontend lowering updates it per statement/expression so diagnostics
-    can point back into the Fortran source. *)
-val set_loc : t -> (int * int) option -> unit
-
-val loc : t -> (int * int) option
+    can point back into the Fortran source. Setting the location already
+    current costs one comparison and allocates nothing. *)
+val set_loc : t -> line:int -> col:int -> unit
 
 (** Insert an already-created op at the current point. *)
 val insert : t -> Op.op -> Op.op

@@ -338,7 +338,8 @@ let block_args block = Array.to_list block.b_args
    It follows each block's linked list and reads an op's successor
    before visiting the op, so [f] may erase or move the op it is given
    and rewrite anything nested inside it, without a per-block list being
-   built. *)
+   built. A successor that [f] erased or moved out of the block would
+   silently end the walk of that block early, so it raises instead. *)
 let rec walk f op =
   f op;
   walk_regions f op.o_regions
@@ -351,15 +352,25 @@ and walk_regions f regions =
 and walk_blocks f = function
   | [] -> ()
   | b :: rest ->
-    walk_ops f b.b_first;
+    walk_ops f b b.b_first;
     walk_blocks f rest
 
-and walk_ops f = function
+and walk_ops f b = function
   | None -> ()
   | Some op ->
     let next = op.o_next in
     walk f op;
-    walk_ops f next
+    (match next with
+    | Some n -> (
+      match n.o_parent with
+      | Some p when p == b -> ()
+      | _ ->
+        invalid_arg
+          (Printf.sprintf
+             "Op.walk: visiting %s removed its successor %s from the block"
+             op.o_name n.o_name))
+    | None -> ());
+    walk_ops f b next
 
 (* Walk only the ops nested inside [op]'s regions (not [op] itself). *)
 let walk_inner f op = walk_regions f op.o_regions

@@ -163,7 +163,10 @@ val block_args : block -> value list
     follows each block's linked list, reading an op's successor before
     visiting it: [f] may erase or move the op it is given and rewrite
     anything nested inside that op, but must not insert or remove other
-    ops of the blocks being walked (take {!block_ops} for that). *)
+    ops of the blocks being walked (take {!block_ops} for that).
+    @raise Invalid_argument when [f] erased or moved out of its block
+    the successor of the op it was given, which the walk would
+    otherwise skip together with the rest of the block. *)
 val walk : (op -> unit) -> op -> unit
 
 (** Like {!walk} but excluding [op] itself. *)

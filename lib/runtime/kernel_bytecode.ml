@@ -1012,13 +1012,23 @@ let bind_stmt ~bufs ~scalars ~strides ~w ~si ~inner_level ~inner_lb =
 
 (* -------- nest driver: tiles over rows, parallel prefix -------- *)
 
-let run_vnest vn ?pool ~(bufs : Memref_rt.t array) ~scalars () =
+(* A nest bound to one call's buffers and scalars: the parallel extent,
+   and [sweep], which builds one executor (registers, slots, row
+   closures) and returns its loop over a range of parallel indices.
+   [None] when some loop is empty. *)
+type vbound = {
+  vb_npar : int;
+  vb_npar_levels : int;
+  vb_sweep : unit -> int -> int -> unit;
+}
+
+let bind_vnest vn ~(bufs : Memref_rt.t array) ~scalars =
   let nest = vn.v_nest in
   let strides = Kc.check_buffers bufs in
   let loops = Array.of_list nest.Kc.n_loops in
   let depth = Array.length loops in
   let extent (l : Kc.loop_spec) = l.Kc.l_ub - l.Kc.l_lb in
-  if Array.exists (fun l -> extent l <= 0) loops then ()
+  if Array.exists (fun l -> extent l <= 0) loops then None
   else begin
     Kc.check_nest_bounds ~strides ~bufs nest;
     let inner = loops.(depth - 1) in
@@ -1071,31 +1081,39 @@ let run_vnest vn ?pool ~(bufs : Memref_rt.t array) ~scalars () =
        while still hot. Reordering across parallel indices is always
        legal; the sequential row order within each parallel index is
        preserved (tiles ascend, rows ascend within a tile). *)
-    let do_range plo phi =
+    let sweep () =
       let ivs = Array.make depth 0 in
       ivs.(depth - 1) <- inner.Kc.l_lb;
       let fns = Array.map (fun m -> m ivs) makes in
       let nf = Array.length fns in
-      for t = 0 to ntiles - 1 do
-        Obs.incr c_tiles;
-        let slo = t * tile and shi = min nseq ((t + 1) * tile) in
-        for p = plo to phi - 1 do
-          let pbase = decode par p ivs in
-          for s = slo to shi - 1 do
-            let base = pbase + decode seq s ivs + inner_base in
-            for j = 0 to nf - 1 do
-              (Array.unsafe_get fns j) base
+      fun plo phi ->
+        for t = 0 to ntiles - 1 do
+          Obs.incr c_tiles;
+          let slo = t * tile and shi = min nseq ((t + 1) * tile) in
+          for p = plo to phi - 1 do
+            let pbase = decode par p ivs in
+            for s = slo to shi - 1 do
+              let base = pbase + decode seq s ivs + inner_base in
+              for j = 0 to nf - 1 do
+                (Array.unsafe_get fns j) base
+              done
             done
-          done
-        done;
-        Obs.add c_rows ((shi - slo) * (phi - plo))
-      done
+          done;
+          Obs.add c_rows ((shi - slo) * (phi - plo))
+        done
     in
-    match pool with
-    | Some pool when npar_levels > 0 && npar > 1 ->
-      Domain_pool.parallel_for pool ~lo:0 ~hi:npar do_range
-    | _ -> do_range 0 npar
+    Some { vb_npar = npar; vb_npar_levels = npar_levels; vb_sweep = sweep }
   end
+
+let run_vnest vn ?pool ~bufs ~scalars () =
+  match bind_vnest vn ~bufs ~scalars with
+  | None -> ()
+  | Some vb -> (
+    match pool with
+    | Some pool when vb.vb_npar_levels > 0 && vb.vb_npar > 1 ->
+      Domain_pool.parallel_for pool ~lo:0 ~hi:vb.vb_npar (fun plo phi ->
+          vb.vb_sweep () plo phi)
+    | _ -> vb.vb_sweep () 0 vb.vb_npar)
 
 let run_compiled ?pool ~bufs ~scalars cn =
   match cn with
@@ -1106,8 +1124,75 @@ let run_compiled ?pool ~bufs ~scalars cn =
       Kc.run_nest vn.v_nest ?pool ~bufs ~scalars ())
   | Scalar (nest, _) -> Kc.run_nest nest ?pool ~bufs ~scalars ()
 
+(* One nest bound for repeated pool-less calls: a single executor built
+   up front. Binding reads the buffers' shapes and storage and the
+   scalar values, never buffer contents (slots and fixed rows hold no
+   loads), so the bound nest computes exactly what [run_compiled] would
+   at any later call on the same buffers and scalars. *)
+let bind_compiled ~bufs ~scalars cn : unit -> unit =
+  let fallback nest () =
+    Obs.incr c_fallbacks;
+    Kc.run_nest nest ~bufs ~scalars ()
+  in
+  match cn with
+  | Vec vn -> (
+    match bind_vnest vn ~bufs ~scalars with
+    | None -> ignore
+    | Some vb ->
+      let go = vb.vb_sweep () in
+      fun () -> go 0 vb.vb_npar
+    | exception (Bind_fallback _ | Kc.Out_of_bounds _) -> fallback vn.v_nest)
+  | Scalar (nest, _) -> fun () -> Kc.run_nest nest ~bufs ~scalars ()
+
 let run plan ?pool ~bufs ~scalars () =
   List.iter (run_compiled ?pool ~bufs ~scalars) plan.p_nests
+
+let same_bufs (a : Memref_rt.t array) b =
+  Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
+(* bitwise, so that a change between 0.0 and -0.0 (or between NaN
+   payloads) rebinds; a loop, as a closure over float array elements
+   would box them *)
+let same_scalars (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && begin
+    let same = ref true in
+    for i = 0 to Array.length a - 1 do
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float (Array.unsafe_get a i))
+             (Int64.bits_of_float (Array.unsafe_get b i)))
+      then same := false
+    done;
+    !same
+  end
+
+type bound = {
+  b_bufs : Memref_rt.t array;
+  b_scalars : float array;
+  b_nests : (unit -> unit) array;
+}
+
+let runner plan =
+  let bound = ref None in
+  fun ~bufs ~scalars ->
+    let b =
+      match !bound with
+      | Some b when same_bufs b.b_bufs bufs && same_scalars b.b_scalars scalars
+        ->
+        b
+      | _ ->
+        let b =
+          { b_bufs = Array.copy bufs; b_scalars = Array.copy scalars;
+            b_nests =
+              Array.of_list
+                (List.map (bind_compiled ~bufs ~scalars) plan.p_nests) }
+        in
+        bound := Some b;
+        b
+    in
+    Array.iter (fun f -> f ()) b.b_nests
 
 (* Single-nest entry point for engines that interleave their own nests
    with vector-executed ones (the native JIT's per-nest fallback). *)

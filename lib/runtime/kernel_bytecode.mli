@@ -85,6 +85,16 @@ val run :
   unit ->
   unit
 
+(** [runner plan] is a pool-less [run plan] for repeated calls by one
+    caller at a time. It binds every nest on its first call (the checks,
+    the row closures and row buffers {!run} builds on every call) and
+    reuses that binding while the buffers are physically the same and
+    the scalars bitwise the same, rebinding otherwise. Binding reads
+    the buffers' shapes and storage, never their contents, so a reused
+    binding computes exactly what {!run} would.
+    @raise Kc.Fallback as {!run}. *)
+val runner : plan -> bufs:Memref_rt.t array -> scalars:float array -> unit
+
 (** Execute only the nest at [index] (0-based, nest order), with the
     same per-nest vectorised/closure selection and bind-time fallback
     as {!run}. For engines that interleave their own nest execution

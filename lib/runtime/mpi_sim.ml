@@ -39,6 +39,11 @@ let create nranks =
     total_messages = Atomic.make 0;
     total_bytes = Atomic.make 0 }
 
+let reset t =
+  Array.iter (fun box -> box.mb_pending <- []) t.boxes;
+  Atomic.set t.total_messages 0;
+  Atomic.set t.total_bytes 0
+
 let nranks t = t.nranks
 let messages t = Atomic.get t.total_messages
 let bytes t = Atomic.get t.total_bytes
@@ -49,21 +54,17 @@ let check_rank t what r =
       (Printf.sprintf "Mpi_sim.%s: rank %d out of range 0..%d" what r
          (t.nranks - 1))
 
-let with_box t dst f =
-  let box = t.boxes.(dst) in
-  Mutex.lock box.mb_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock box.mb_mutex) (fun () -> f box)
-
 (* Both endpoints are validated: a negative or out-of-range *source*
    would silently poison the mailbox and only surface as a mystifying
    recv miss on some other rank. *)
 let send t ~src ~dst ~tag payload =
   check_rank t "send src" src;
   check_rank t "send dst" dst;
-  with_box t dst (fun box ->
-      box.mb_pending <-
-        box.mb_pending
-        @ [ { m_src = src; m_dst = dst; m_tag = tag; m_payload = payload } ]);
+  let box = t.boxes.(dst) in
+  let m = { m_src = src; m_dst = dst; m_tag = tag; m_payload = payload } in
+  Mutex.lock box.mb_mutex;
+  box.mb_pending <- box.mb_pending @ [ m ];
+  Mutex.unlock box.mb_mutex;
   ignore (Atomic.fetch_and_add t.total_messages 1);
   ignore (Atomic.fetch_and_add t.total_bytes (8 * Array.length payload))
 
@@ -80,29 +81,36 @@ let pending t =
            (fun () ->
              List.map (fun m -> (m.m_src, m.m_dst, m.m_tag)) box.mb_pending))
 
+(* Take the oldest message in [box] matching (src, dst, tag). Runs under
+   the box's mutex, with no closure: only the messages it skips are
+   copied. *)
+let rec take box ~src ~dst ~tag acc = function
+  | [] -> None
+  | m :: rest ->
+    if m.m_src = src && m.m_dst = dst && m.m_tag = tag then begin
+      box.mb_pending <- List.rev_append acc rest;
+      Some m.m_payload
+    end
+    else take box ~src ~dst ~tag (m :: acc) rest
+
 let recv t ~src ~dst ~tag =
   check_rank t "recv src" src;
   check_rank t "recv dst" dst;
-  with_box t dst (fun box ->
-      let rec pick acc = function
-        | [] ->
-          (* a miss names what *is* queued for this rank, so a mismatched
-             tag or a skipped exchange is diagnosable from the error *)
-          let queued =
-            match box.mb_pending with
-            | [] -> "mailbox empty"
-            | ms ->
-              "pending: "
-              ^ String.concat ", " (List.map triple_to_string ms)
-          in
-          invalid_arg
-            (Printf.sprintf "Mpi_sim.recv: no message %d->%d tag %d (%s)"
-               src dst tag queued)
-        | m :: rest ->
-          if m.m_src = src && m.m_dst = dst && m.m_tag = tag then begin
-            box.mb_pending <- List.rev_append acc rest;
-            m.m_payload
-          end
-          else pick (m :: acc) rest
-      in
-      pick [] box.mb_pending)
+  let box = t.boxes.(dst) in
+  Mutex.lock box.mb_mutex;
+  let taken = take box ~src ~dst ~tag [] box.mb_pending in
+  let queued = box.mb_pending in
+  Mutex.unlock box.mb_mutex;
+  match taken with
+  | Some payload -> payload
+  | None ->
+    (* a miss names what *is* queued for this rank, so a mismatched tag
+       or a skipped exchange is diagnosable from the error *)
+    let queued =
+      match queued with
+      | [] -> "mailbox empty"
+      | ms -> "pending: " ^ String.concat ", " (List.map triple_to_string ms)
+    in
+    invalid_arg
+      (Printf.sprintf "Mpi_sim.recv: no message %d->%d tag %d (%s)" src dst
+         tag queued)

@@ -18,6 +18,10 @@ type t
 (** @raise Invalid_argument when [nranks < 1]. *)
 val create : int -> t
 
+(** Drop every undelivered message and zero {!messages} and {!bytes}.
+    No send or receive may run concurrently. *)
+val reset : t -> unit
+
 val nranks : t -> int
 
 (** Post a message into [dst]'s mailbox. Both endpoints are validated.

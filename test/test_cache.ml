@@ -668,7 +668,7 @@ let test_store_span () =
 (* Minor words of one GS 48^3 openmp(2) cache-miss compile (key, lookup,
    compile, encode and put into a disk cache), counted on this domain.
    The exact count makes an allocation regression visible where timing
-   on a shared host cannot. Measured 67,313 words (the JSON-entry path
+   on a shared host cannot. Measured 66,674 words (the JSON-entry path
    before it allocated about 151k: 118k in the compile, 32k in the
    encode). *)
 let test_miss_allocation_budget () =

@@ -704,9 +704,9 @@ let test_payload_reuse () =
     received;
   Alcotest.(check int) "messages" 6 (fst (DX.stats t))
 
-(* Re-running one dist artifact releases the previous run's rank blocks
-   and reuses payloads within the run; the halo traffic of every run is
-   the first run's, and the answer stays serial's. *)
+(* Re-running one dist artifact keeps its groups, rank blocks, payloads
+   and per-rank runner bindings; the halo traffic of every run is the
+   first run's, and the answer stays serial's. *)
 let test_rerun_message_counts () =
   let gs = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:3 () in
   let serial =
@@ -728,6 +728,30 @@ let test_rerun_message_counts () =
       done;
       P.shutdown a)
     [ (1, 0); (2, 6); (4, 24); (8, 60) ]
+
+(* What a re-run of a linked dist artifact allocates in the calling
+   domain: GS 12^3, 4 iterations, at 8 ranks, the dist bench's 8-rank
+   strong point. Every allocation lands on minor-heap pages, and until
+   a process's first minor collection each fresh page costs a page
+   fault, so this count is what a freshly linked artifact's runs pay.
+   Rebuilding the groups, rank blocks, payloads and vector-engine
+   bindings on every run took about 23k words here with the ranks split
+   between the caller and one pool worker (a 2-core host); keeping them,
+   and posting halos without per-message closures, takes 7,192. With
+   every rank on the caller (no pool) it is about 9.6k, inside the same
+   budget. *)
+let test_rerun_allocation () =
+  let gs = B.gauss_seidel ~nx:12 ~ny:12 ~nz:12 ~niter:4 () in
+  let a, _ = P.stencil ~target:(P.Dist 8) ~engine:P.Engine_vector gs in
+  P.run a;
+  P.run a;
+  let w0 = Gc.minor_words () in
+  P.run a;
+  let words = Gc.minor_words () -. w0 in
+  P.shutdown a;
+  Alcotest.(check bool)
+    (Printf.sprintf "re-run allocates %.0f <= 11000 minor words" words)
+    true (words <= 11000.)
 
 (* Mirror planes on an asymmetric decomposition: global (8,7,5) over 6
    ranks splits y 4+3 and z 2+2+1, so the block-boundary planes are
@@ -951,6 +975,8 @@ let () =
            test_mirror_planes_asymmetric;
          Alcotest.test_case "halo payloads reused across supersteps" `Quick
            test_payload_reuse;
+         Alcotest.test_case "re-runs allocate little" `Quick
+           test_rerun_allocation;
          Alcotest.test_case "re-runs keep message counts (bitwise)" `Quick
            test_rerun_message_counts;
          Alcotest.test_case "footprint staling ablation (bitwise)" `Quick

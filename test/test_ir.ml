@@ -128,6 +128,40 @@ let test_walk_collect () =
   let consts = Op.collect_ops (fun o -> o.Op.o_name = "arith.constant") m in
   check_int "walks into regions" 4 (List.length consts)
 
+(* [Op.walk] reads each op's successor before visiting it: erasing the
+   visited op keeps the walk going, erasing the successor raises rather
+   than silently skipping the rest of the block. *)
+let test_walk_guard () =
+  let block_of_consts n =
+    let m = Op.create_module () in
+    let blk = Op.module_block m in
+    let ops = List.init n (fun i -> mk_const i) in
+    List.iter (Op.append_to blk) ops;
+    (m, ops)
+  in
+  let m, _ = block_of_consts 3 in
+  let seen = ref 0 in
+  Op.walk_inner
+    (fun op ->
+      incr seen;
+      Op.erase op)
+    m;
+  check_int "erasing the visited op visits every op" 3 !seen;
+  check_int "and erases them all" 0
+    (List.length (Op.block_ops (Op.module_block m)));
+  let m, ops = block_of_consts 3 in
+  let second = List.nth ops 1 in
+  let raised =
+    match
+      Op.walk_inner
+        (fun op -> if op == List.hd ops then Op.erase second)
+        m
+    with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "erasing the successor raises" true raised
+
 let test_verifier_dominance () =
   let m = Op.create_module () in
   let blk = Op.module_block m in
@@ -256,6 +290,7 @@ let suite =
     Alcotest.test_case "hoist chain" `Quick test_hoist_chain;
     Alcotest.test_case "clone" `Quick test_clone;
     Alcotest.test_case "walk collects nested" `Quick test_walk_collect;
+    Alcotest.test_case "walk guards its successor" `Quick test_walk_guard;
     Alcotest.test_case "verifier dominance" `Quick test_verifier_dominance;
     Alcotest.test_case "verifier op structure" `Quick
       test_verifier_op_structure;

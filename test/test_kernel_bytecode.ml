@@ -626,6 +626,80 @@ let test_pooled_bitwise () =
       Alcotest.(check (float 0.)) "pooled result identical" 0.0
         (Rt.max_abs_diff c1 v1))
 
+(* [Kb.runner] binds once and re-runs the binding while the buffers and
+   scalars stay the same. Two nests over 2-D buffers (a, b, c) with one
+   scalar: b(i,j) = a(i-1,j) * s + dble(i) * 0.5 + a(i+1,j), an expr row
+   with a slot, a fixed row and loads; then c(i,j) = b(i,j) + a(i,j),
+   which reads what the first nest wrote. Every call must match [Kb.run]
+   on twin buffers: after the inputs change in place (a binding holds
+   storage, never contents), after the scalar changes (0.0 to -0.0
+   included, so [1/s] style results cannot hide a stale binding) and on
+   other buffers. *)
+let test_runner_rebinds () =
+  let n = 12 in
+  let iv1 d = Kc.Iv (1, d) and iv0 = Kc.Iv (0, 0) in
+  let loops = [ loop ~lb:1 ~ub:(n - 1) 0 1; loop ~lb:1 ~ub:(n - 1) 1 0 ] in
+  let nest stores =
+    { Kc.n_loops = loops; n_stores = stores; n_uses_iv = true;
+      n_flops_per_cell = 4; n_loads_per_cell = 2; n_tile = [] }
+  in
+  let first =
+    nest
+      [ { Kc.st_buf = 1; st_index = [ iv1 0; iv0 ];
+          st_expr =
+            Kc.F_binary
+              ( "arith.addf",
+                Kc.F_binary
+                  ( "arith.addf",
+                    Kc.F_binary
+                      ("arith.divf", Kc.F_load (0, [ iv1 (-1); iv0 ]),
+                       Kc.F_scalar 0),
+                    Kc.F_binary
+                      ("arith.mulf", Kc.F_ivf (1, 0), Kc.F_const 0.5) ),
+                Kc.F_load (0, [ iv1 1; iv0 ]) ) } ]
+  in
+  let second =
+    nest
+      [ { Kc.st_buf = 2; st_index = [ iv1 0; iv0 ];
+          st_expr =
+            Kc.F_binary
+              ( "arith.addf",
+                Kc.F_load (1, [ iv1 0; iv0 ]),
+                Kc.F_load (0, [ iv1 0; iv0 ]) ) } ]
+  in
+  let plan =
+    Kb.compile_spec
+      { Kc.k_nests = [ first; second ]; k_num_bufs = 3; k_num_scalars = 1 }
+  in
+  Alcotest.(check int) "both nests vectorise" 2 (Kb.vectorised_nests plan);
+  let mk k =
+    Array.init 3 (fun g ->
+        let b = Rt.create [ n; n ] in
+        Rt.init b (fun i -> 0.125 *. float_of_int (((i + k + g) mod 17) + 1));
+        b)
+  in
+  let run = Kb.runner plan in
+  let check label ~scalars refs bufs =
+    Kb.run plan ~bufs:refs ~scalars ();
+    run ~bufs ~scalars;
+    Array.iteri
+      (fun g r ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s: buffer %d" label g)
+          0.0
+          (Rt.max_abs_diff r bufs.(g)))
+      refs
+  in
+  let refs = mk 0 and bufs = mk 0 in
+  check "first call" ~scalars:[| 0.37 |] refs bufs;
+  check "same binding" ~scalars:[| 0.37 |] refs bufs;
+  Rt.init refs.(0) (fun i -> 2.0 -. (0.01 *. float_of_int i));
+  Rt.init bufs.(0) (fun i -> 2.0 -. (0.01 *. float_of_int i));
+  check "inputs changed in place" ~scalars:[| 0.37 |] refs bufs;
+  check "scalar changed" ~scalars:[| 0.0 |] refs bufs;
+  check "scalar sign changed" ~scalars:[| -0.0 |] refs bufs;
+  check "other buffers" ~scalars:[| -0.0 |] (mk 5) (mk 5)
+
 let () =
   Alcotest.run "kernel_bytecode"
     [ ("classification",
@@ -667,4 +741,6 @@ let () =
            test_fused_rows_need_unit_stride;
          Alcotest.test_case "tile override" `Quick
            test_tile_override_bitwise;
-         Alcotest.test_case "pooled" `Quick test_pooled_bitwise ]) ]
+         Alcotest.test_case "pooled" `Quick test_pooled_bitwise;
+         Alcotest.test_case "runner rebinds on new buffers or scalars"
+           `Quick test_runner_rebinds ]) ]
