@@ -351,15 +351,16 @@ let compile_cmd =
         end
       | `Gpu -> (
         let ca, _ = Lazy.force compiled in
-        match ca.P.ca_gpu_ir with
-        | Some gm ->
+        match target with
+        | P.Gpu _ ->
+          let gm = P.gpu_ir ca in
           print_string (Fsc_ir.Printer.module_to_string gm);
           (match Fsc_lowering.Gpu_pipeline.verify_gpu_artifact gm with
           | Ok () ->
             prerr_endline "; GPU artifact check: OK";
             Ok ()
           | Error e -> Error (`Msg ("GPU artifact check FAILED: " ^ e)))
-        | None ->
+        | _ ->
           Error
             (`Msg "no GPU IR (use --target gpu-optimised or gpu-initial)"))
     in
@@ -477,12 +478,15 @@ let run_cmd =
     setup_obs ~trace ~stats;
     let cache = make_cache ~default:false cache_flag cache_dir cache_mb in
     let options = P.default_options ~target () in
-    (* the native tier shares --cache-dir when given, so one directory
-       holds both compiled IR entries and built plugin sidecars; the
-       L2 budget behind the pipeline's tile hints rides along so tiled
-       artifacts built under a different budget are evicted *)
+    (* the engine that runs, and why it is not the one requested; the
+       native tier (and its toolchain probe) only when native runs. It
+       shares --cache-dir when given, so one directory holds both
+       compiled IR entries and built plugin sidecars; the L2 budget
+       behind the pipeline's tile hints rides along so tiled artifacts
+       built under a different budget are evicted *)
+    let runs, reason = P.resolve_engine engine target in
     let native =
-      match engine with
+      match runs with
       | P.Engine_native ->
         let ncache =
           Option.map
@@ -512,7 +516,12 @@ let run_cmd =
                 ca.P.ca_stats.P.st_kernels;
               Printf.eprintf "compile: cache %s\n"
                 (cache_status_name cache_outcome);
-              Printf.eprintf "engine: %s\n" (P.engine_name engine);
+              Printf.eprintf "engine: %s%s\n" (P.engine_name runs)
+                (match reason with
+                | Some r ->
+                  Printf.sprintf " (%s requested: %s)" (P.engine_name engine)
+                    r
+                | None -> "");
               Option.iter
                 (fun n ->
                   Printf.eprintf "native toolchain: %s\n"

@@ -377,12 +377,15 @@ type bind = {
   bd_result : bind_result;
 }
 
+type runner = bufs:Rt.t array -> scalars:float array -> unit
+
 type kernel = {
   k_ctx : ctx;
   k_name : string;
   k_spec : Kc.spec;
   k_plan : Kb.plan; (* the vector tier: fallback at every level *)
   k_nnests : int;
+  mutable k_runners : (Pool.t option * runner * runner array) option;
   k_mutex : Mutex.t;
   mutable k_bind : bind option;
   mutable k_pending_runs : int; (* calls served by vector mid-build *)
@@ -394,7 +397,7 @@ let prepare ctx ~name spec =
   { k_ctx = ctx; k_name = name; k_spec = spec;
     k_plan = Kb.compile_spec spec;
     k_nnests = List.length spec.Kc.k_nests; k_mutex = Mutex.create ();
-    k_bind = None; k_pending_runs = 0; k_guard_misses = 0;
+    k_bind = None; k_runners = None; k_pending_runs = 0; k_guard_misses = 0;
     k_par_mode = "" }
 
 let name k = k.k_name
@@ -487,9 +490,27 @@ let bind_kernel k ~bufs =
    preserving sequential order for non-parallel outer levels. *)
 let serial_pfor lo hi body = if hi > lo then body lo hi
 
+(* The vector tier's bound runners: the whole plan's, for the kernel
+   fallback, and one per nest, for nests outside a runnable group. Made
+   on the first vector call and kept while calls pass the same pool, so
+   repeated calls re-run their bindings. *)
+let runners k pool =
+  match k.k_runners with
+  | Some ((p, _, _) as r) when Option.equal ( == ) p pool -> r
+  | _ ->
+    let r =
+      ( pool,
+        Kb.runner ?pool k.k_plan,
+        Array.init k.k_nnests (fun i ->
+            Kb.runner ?pool (Kb.nest_plan k.k_plan i)) )
+    in
+    k.k_runners <- Some r;
+    r
+
 let run_vector k ?pool ~bufs ~scalars () =
   Obs.incr c_fallback_runs;
-  Kb.run k.k_plan ?pool ~bufs ~scalars ()
+  let _, all, _ = runners k pool in
+  all ~bufs ~scalars
 
 let locked m f =
   Mutex.lock m;
@@ -522,7 +543,8 @@ let run_ready k r ~bb_groups ~bb_bounds_skipped ?pool ~bufs ~scalars () =
   in
   let run_single i =
     (* a nest outside any runnable group: vector plan *)
-    Kb.run_nest k.k_plan i ?pool ~bufs ~scalars ()
+    let _, _, nests = runners k pool in
+    nests.(i) ~bufs ~scalars
   in
   let group_runnable (g : Emit.group) =
     List.for_all

@@ -85,8 +85,9 @@ val plan : kernel -> Kb.plan
     are work-shared {e inside} the plugin when [pool] has more than one
     worker; shift-fused groups dispatch their members' standalone
     entries in that case (the fused schedule is serial). Never fails
-    due to the native tier.
-    @raise Kc.Fallback on mismatched buffer extents (as {!Kb.run}). *)
+    due to the native tier. One caller at a time: the vector fallbacks
+    are {!Kb.runner}s kept on the kernel.
+    @raise Kc.Fallback on mismatched buffer extents (as {!Kb.runner}). *)
 val run :
   kernel ->
   ?pool:Fsc_rt.Domain_pool.t ->

@@ -391,7 +391,7 @@ let compile_runner st spec nests =
     Kb.runner vplan)
 
 (* One runner per (stage, rank) over all of the stage's localized
-   nests: [Kb.run] runs them in program order over the whole local
+   nests: it runs them in program order over the whole local
    interior. *)
 let stage_runner st kplan ~decomp ~ddims ~stage_idx ~rank =
   match Hashtbl.find_opt kplan.kp_runners (stage_idx, rank) with

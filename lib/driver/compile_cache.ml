@@ -12,8 +12,9 @@ module P = Pipeline
 
 (* v2: compiled artifacts carry per-kernel affine footprints; entries
    written by v1 lack them and must recompile. v3: the printed modules
-   follow a JSON header line as raw text instead of JSON strings. *)
-let format_version = 3
+   follow a JSON header line as raw text instead of JSON strings. v4:
+   no Listing-4 [gpu_ir] section ({!P.gpu_ir} rebuilds that module). *)
+let format_version = 4
 
 let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
   Cache.create ?mem_entries ?disk ?dir ?max_disk_bytes
@@ -22,23 +23,21 @@ let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
 let key cache (options : P.options) src =
   Cache.digest cache
     [ "target:" ^ P.target_kind options.P.opt_target;
-      (* the two pipeline constants stay in the key so that editing
-         either re-keys every artifact: the GPU tile shapes the Listing-4
-         IR, the cache budget the cpu_tile annotations baked into the
-         stencil IR (the execution engine, by contrast, is link-time
+      (* the cache budget stays in the key so that editing it re-keys
+         every artifact: it sizes the cpu_tile annotations baked into
+         the stencil IR (the execution engine, by contrast, is link-time
          state) *)
-      "tiles:" ^ String.concat "," (List.map string_of_int P.gpu_tile_sizes);
       "merge:" ^ string_of_bool options.P.opt_merge;
       "l2:" ^ string_of_int P.cpu_l2_kb;
       src ]
 
 (* ---------------- serialization ----------------
 
-   An entry is one JSON header line, then the printed [host], [stencil]
-   and (GPU targets only) [gpu_ir] modules back to back, unescaped:
+   An entry is one JSON header line, then the printed [host] and
+   [stencil] modules back to back, unescaped:
 
-     {"format":3,"target":...,"sections":{"host":H,"stencil":S,"gpu_ir":G}}\n
-     <H bytes of host IR><S bytes of stencil IR><G bytes of GPU IR>
+     {"format":4,"target":...,"sections":{"host":H,"stencil":S}}\n
+     <H bytes of host IR><S bytes of stencil IR>
 
    The modules are printed straight into one buffer, copied once behind
    the header line. *)
@@ -52,9 +51,6 @@ let encode (ca : P.compiled_artifact) =
   in
   let host = section ca.P.ca_host in
   let stencil = section ca.P.ca_stencil in
-  let gpu_ir =
-    match ca.P.ca_gpu_ir with Some m -> section m | None -> J.Null
-  in
   let strings l = J.List (List.map (fun s -> J.Str s) l) in
   let header =
     J.to_string
@@ -80,7 +76,7 @@ let encode (ca : P.compiled_artifact) =
                 ("kernels", J.Num (float_of_int ca.P.ca_stats.P.st_kernels))
               ]);
            ("sections",
-            J.Obj [ ("host", host); ("stencil", stencil); ("gpu_ir", gpu_ir) ])
+            J.Obj [ ("host", host); ("stencil", stencil) ])
          ])
   in
   let hl = String.length header in
@@ -145,25 +141,14 @@ let split_entry payload =
   let* host = as_length "host" host in
   let* stencil = member_exn "stencil" sections in
   let* stencil = as_length "stencil" stencil in
-  let* gpu_ir =
-    match J.member "gpu_ir" sections with
-    | None | Some J.Null -> Ok None
-    | Some v ->
-      let* n = as_length "gpu_ir" v in
-      Ok (Some n)
-  in
   let start = nl + 1 in
-  let total = host + stencil + Option.value gpu_ir ~default:0 in
+  let total = host + stencil in
   if start + total <> String.length payload then
     Error
       (Printf.sprintf "sections hold %d bytes, the payload %d" total
          (String.length payload - start))
   else
-    Ok
-      ( json,
-        (start, host),
-        (start + host, stencil),
-        Option.map (fun n -> (start + host + stencil, n)) gpu_ir )
+    Ok (json, (start, host), (start + host, stencil))
 
 (* Decoding IS the revalidation: header, format version, section
    lengths, a full parser round-trip per module, recomputed footprints
@@ -171,7 +156,7 @@ let split_entry payload =
    the cache layer above. *)
 let decode (options : P.options) payload =
   Obs.with_span ~cat:"pipeline" "cache revalidate" @@ fun () ->
-  let* json, host, stencil, gpu_ir = split_entry payload in
+  let* json, host, stencil = split_entry payload in
   let section name (pos, len) = parse_ir name (String.sub payload pos len) in
   let* format = member_exn "format" json in
   let* format = as_int "format" format in
@@ -188,13 +173,6 @@ let decode (options : P.options) payload =
     else
       let* host = section "host" host in
       let* stencil = section "stencil" stencil in
-      let* gpu_ir =
-        match gpu_ir with
-        | None -> Ok None
-        | Some s ->
-          let* m = section "gpu_ir" s in
-          Ok (Some m)
-      in
       let* kernels = member_exn "kernels" json in
       let* kernels = as_strings "kernels" kernels in
       let* managed = member_exn "managed" json in
@@ -254,7 +232,7 @@ let decode (options : P.options) payload =
         | exception e -> Error ("host verification: " ^ Printexc.to_string e)
       in
       Ok
-        { P.ca_host = host; P.ca_stencil = stencil; P.ca_gpu_ir = gpu_ir;
+        { P.ca_host = host; P.ca_stencil = stencil;
           P.ca_kernels = kernels; P.ca_managed = managed;
           P.ca_footprints = footprints;
           P.ca_stats =

@@ -1,19 +1,20 @@
 (** Cached compilation: the bridge between {!Pipeline.compile} and the
     content-addressed artifact store in [Fsc_cache.Cache].
 
-    Entries are keyed by a digest of (source text, target kind, GPU tile
-    sizes, merge flag, L2 budget, format version) and hold the {e
-    printed} IR of every pipeline stage plus kernel metadata — including
-    the per-kernel affine footprints (canonical string form).
+    Entries are keyed by a digest of (source text, target kind, merge
+    flag, L2 budget, format version) and hold the {e printed} IR that
+    {!Pipeline.link} consumes plus kernel metadata — including the
+    per-kernel affine footprints (canonical string form). The Listing-4
+    GPU module is not stored: {!Pipeline.gpu_ir} rebuilds it from the
+    stencil module on demand.
 
-    Entry layout (format 3): one JSON header line — [format], [target],
+    Entry layout (format 4): one JSON header line — [format], [target],
     [kernels], [managed], [footprints], [stats] and [sections], the byte
-    length of each IR section ([gpu_ir] is [null] off GPU targets) —
-    then the printed [host], [stencil] and [gpu_ir] modules back to
-    back as raw text, with no JSON escaping:
+    length of each IR section — then the printed [host] and [stencil]
+    modules back to back as raw text, with no JSON escaping:
 
     {v
-{"format":3,...,"sections":{"host":H,"stencil":S,"gpu_ir":null}}
+{"format":4,...,"sections":{"host":H,"stencil":S}}
 <H bytes: host module><S bytes: stencil module>
     v}
 

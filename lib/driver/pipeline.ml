@@ -102,6 +102,17 @@ let all_engines = [ Engine_interp; Engine_vector; Engine_native ]
 
 let engine_names = List.map engine_name all_engines
 
+(* The one place that decides which engine runs a target's kernels:
+   native is a CPU execution strategy, so it gives way to vector plans
+   where a target runs its own kind of plan, with the reason. *)
+let resolve_engine engine target =
+  match (engine, target) with
+  | Engine_native, Dist _ ->
+    (Engine_vector, Some "dist ranks run per-rank vector plans")
+  | Engine_native, Gpu _ ->
+    (Engine_vector, Some "GPU targets run vector plans on device twins")
+  | _ -> (engine, None)
+
 type kernel_impl =
   | Vectorised of Kc.spec * Kb.plan
   | Native_jit of Kc.spec * Fsc_codegen.Native.kernel
@@ -110,7 +121,6 @@ type kernel_impl =
 type artifact = {
   a_host : Op.op;
   a_stencil : Op.op option; (* the extracted module, post-lowering *)
-  a_gpu_ir : Op.op option;  (* Listing-4 pipeline output, GPU targets *)
   a_ctx : Interp.context;
   a_kernels : (string * kernel_impl) list;
   a_target : target;
@@ -141,7 +151,7 @@ let flang_only src =
       Verifier.verify_in_context_exn (Dialect.flang_context ()) m);
   let ctx = Interp.create_context () in
   Interp.add_module ctx m;
-  { a_host = m; a_stencil = None; a_gpu_ir = None; a_ctx = ctx;
+  { a_host = m; a_stencil = None; a_ctx = ctx;
     a_kernels = []; a_target = Serial; a_dist = None; a_unzeroed = [] }
 
 (* -------------------- stencil flow -------------------- *)
@@ -179,24 +189,23 @@ let default_native_ctx () =
   Mutex.unlock native_mutex;
   ctx
 
-(* Register one stencil kernel's runtime implementation. [dist] is the
-   distributed runtime state for [Dist] targets (absent under the interp
-   engine, which executes the whole program on the host interpreter).
-   [native] is the native-JIT context, present iff the engine is
-   [Engine_native] on a CPU target. *)
-let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
+(* Register one stencil kernel's runtime implementation. [compile]
+   makes an analysable kernel's implementation and its exec, with the
+   artifact's pool inside ([None] under the interp engine, which
+   executes the kernel func); the call only picks the target's wrapper.
+   [dist] is the distributed runtime state, present on [Dist] targets
+   whenever kernels compile. *)
+let register_kernel ~compile ~target ~dist ctx kernel_func =
   let name = Fsc_dialects.Func.name kernel_func in
-  match engine with
-  | Engine_interp ->
-    (* register nothing: the interpreter executes the kernel func *)
-    (name, Interpreted "execution engine 'interp' selected")
-  | Engine_vector | Engine_native -> (
+  match compile with
+  | None -> (name, Interpreted "execution engine 'interp' selected")
+  | Some compile -> (
     match Kc.try_analyze kernel_func with
     | Error reason ->
       Log.debug (fun f ->
           f "kernel %s: interpreter fallback (%s)" name reason);
-      (match (target, dist) with
-      | Dist _, Some dst ->
+      (match dist with
+      | Some dst ->
         (* the interpreter must see current host globals: gather the
            scattered groups first, and re-scatter afterwards *)
         let impl ctx args =
@@ -205,37 +214,20 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
               Interp.call_func ctx kernel_func args)
         in
         Interp.register_external ctx name impl
-      | _ -> ());
+      | None -> ());
       (name, Interpreted reason)
     | Ok spec ->
-      (* Native is a CPU execution strategy: under [Dist] the ranks run
-         the per-rank vector plans in [Dist_kernel] (a per-process JIT
-         does not fit rank-sliced spaces), and GPU targets run the vector
-         plan on the simulator's device twins. *)
-      let impl, exec =
-        match (engine, target, native) with
-        | Engine_native, (Serial | Openmp _), Some nctx ->
-          let nk = Fsc_codegen.Native.prepare nctx ~name spec in
-          (Native_jit (spec, nk), Fsc_codegen.Native.run nk)
-        | _ ->
-          let plan = Kb.compile_spec spec in
-          (Vectorised (spec, plan), Kb.run plan)
-      in
+      let impl, exec = compile ~name spec in
       let run _ctx args =
         Obs.with_span ~cat:"kernel" ("kernel.exec " ^ name) @@ fun () ->
         let bufs = Array.of_list (spec_buffers args) in
         let scalars = Array.of_list (spec_scalars args) in
-        (match target with
-        | Serial -> exec ~bufs ~scalars ()
-        | Openmp _ -> exec ?pool ~bufs ~scalars ()
-        | Dist _ -> (
-          match dist with
-          | Some dst ->
-            Fsc_dmp.Dist_kernel.run_kernel dst ~name spec
-              ~host:(fun () -> exec ?pool ~bufs ~scalars ())
-              ~bufs ~scalars
-          | None -> exec ~bufs ~scalars ())
-        | Gpu strategy ->
+        (match (dist, target) with
+        | Some dst, _ ->
+          Fsc_dmp.Dist_kernel.run_kernel dst ~name spec
+            ~host:(fun () -> exec ~bufs ~scalars)
+            ~bufs ~scalars
+        | None, Gpu strategy ->
           let g =
             match ctx.Interp.gpu with
             | Some g -> g
@@ -268,8 +260,9 @@ let register_kernel ~engine ~target ~pool ~dist ~native ctx kernel_func =
             ~block_threads
             ~flops:(float_of_int (Kc.flops spec))
             ~bytes_accessed:(8.0 *. float_of_int (Kc.loads spec))
-            ~body:(fun () -> exec ~bufs:dev_bufs ~scalars ())
-            (Array.to_list bufs));
+            ~body:(fun () -> exec ~bufs:dev_bufs ~scalars)
+            (Array.to_list bufs)
+        | None, _ -> exec ~bufs ~scalars);
         []
       in
       Interp.register_external ctx name run;
@@ -319,7 +312,6 @@ let cpu_l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb
 type compiled_artifact = {
   ca_host : Op.op;
   ca_stencil : Op.op;
-  ca_gpu_ir : Op.op option;
   ca_kernels : string list;
   ca_managed : string list;
   ca_footprints : (string * Fsc_analysis.Footprint.t) list;
@@ -378,18 +370,6 @@ let compile options src =
       Fsc_lowering.Stencil_to_scf.run ~mode stencil_m);
   stage "canonicalize" (fun () ->
       ignore (Fsc_transforms.Canonicalize.run stencil_m));
-  (* keep a pre-GPU-pipeline copy for compiled execution; the Listing 4
-     pipeline output is produced alongside for inspection/verification *)
-  let gpu_ir =
-    match target with
-    | Gpu _ ->
-      stage "gpu pipeline (Listing 4)" (fun () ->
-          let clone = Op.clone stencil_m in
-          ignore
-            (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:gpu_tile_sizes clone);
-          Some clone)
-    | _ -> None
-  in
   (match target with
   | Openmp _ ->
     stage "scf-to-openmp" (fun () ->
@@ -424,13 +404,25 @@ let compile options src =
             | Error _ -> None)
           kernel_funcs)
   in
-  { ca_host = host; ca_stencil = stencil_m; ca_gpu_ir = gpu_ir;
+  { ca_host = host; ca_stencil = stencil_m;
     ca_kernels = kernels; ca_footprints = footprints;
     ca_managed = List.map (fun m -> m.Fsc_core.Gpu_data.mg_kernel) managed;
     ca_stats =
       { st_discovered = dstats.Fsc_core.Discovery.found; st_merged = merged;
         st_kernels = List.length kernels };
     ca_options = options }
+
+(* The Listing-4 pipeline's output for a GPU artifact, rebuilt on a
+   clone of its stencil module: GPU targets execute vector plans of the
+   stencil module itself, so only inspection asks for this module, and
+   neither the compile nor the cache entry carries it. *)
+let gpu_ir ca =
+  match ca.ca_options.opt_target with
+  | Gpu _ ->
+    let clone = Op.clone ca.ca_stencil in
+    ignore (Fsc_lowering.Gpu_pipeline.run ~tile_sizes:gpu_tile_sizes clone);
+    clone
+  | t -> invalid_arg ("Pipeline.gpu_ir: target " ^ target_name t)
 
 (* -------------------- zero-fill elision -------------------- *)
 
@@ -535,16 +527,7 @@ let unzeroed_grids host kernels =
 let link ?(engine = Engine_vector) ?native ca =
   ensure_registered ();
   let target = ca.ca_options.opt_target in
-  (* resolve the native ctx only when the engine/target pair uses it *)
-  let native =
-    match (engine, target) with
-    | Engine_native, (Serial | Openmp _) ->
-      Some
-        (match native with
-        | Some nctx -> nctx
-        | None -> default_native_ctx ())
-    | _ -> None
-  in
+  let engine, _ = resolve_engine engine target in
   let ctx = Interp.create_context () in
   Interp.add_module ctx ca.ca_host;
   Interp.add_module ctx ca.ca_stencil;
@@ -560,9 +543,30 @@ let link ?(engine = Engine_vector) ?native ca =
     | _ -> None
   in
   ctx.Interp.pool <- pool;
+  (* every kernel's exec is made once here, with the pool inside; the
+     native ctx is resolved only when native kernels run *)
+  let compile =
+    match engine with
+    | Engine_interp -> None
+    | Engine_vector ->
+      Some
+        (fun ~name:_ spec ->
+          let plan = Kb.compile_spec spec in
+          (Vectorised (spec, plan), Kb.runner ?pool plan))
+    | Engine_native ->
+      let nctx =
+        match native with Some nctx -> nctx | None -> default_native_ctx ()
+      in
+      Some
+        (fun ~name spec ->
+          let nk = Fsc_codegen.Native.prepare nctx ~name spec in
+          ( Native_jit (spec, nk),
+            fun ~bufs ~scalars ->
+              Fsc_codegen.Native.run nk ?pool ~bufs ~scalars () ))
+  in
   let dist =
-    match (target, engine) with
-    | Dist ranks, (Engine_vector | Engine_native) ->
+    match target with
+    | Dist ranks when engine <> Engine_interp ->
       Some (Fsc_dmp.Dist_kernel.create ?pool ~ranks ())
     | _ -> None
   in
@@ -580,14 +584,14 @@ let link ?(engine = Engine_vector) ?native ca =
         |> List.filter (fun f ->
                List.mem (Fsc_dialects.Func.name f) ca.ca_kernels)
         |> List.map
-             (register_kernel ~engine ~target ~pool ~dist ~native ctx))
+             (register_kernel ~compile ~target ~dist ctx))
   in
   register_gpu_data ctx ca.ca_managed;
   let unzeroed = unzeroed_grids ca.ca_host kernels in
   List.iter (fun (id, _, _) -> Hashtbl.replace ctx.Interp.unzeroed id ())
     unzeroed;
   { a_host = ca.ca_host; a_stencil = Some ca.ca_stencil;
-    a_gpu_ir = ca.ca_gpu_ir; a_ctx = ctx; a_kernels = kernels;
+    a_ctx = ctx; a_kernels = kernels;
     a_target = target; a_dist = dist;
     a_unzeroed = List.map (fun (_, grid, kernel) -> (grid, kernel)) unzeroed }
 

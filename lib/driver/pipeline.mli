@@ -47,9 +47,8 @@ type exec_engine =
           compiled with [ocamlfind ocamlopt -shared] and Dynlink'ed;
           serves from the vector engine until the plugin is ready and
           falls back to it per nest (emit/bounds) or per kernel
-          (toolchain/build/load failures). CPU targets only: [Dist]
-          executes its rank-sliced spaces on the vector engine, GPU
-          targets the vector plan on the device twins. *)
+          (toolchain/build/load failures). CPU targets only (see
+          {!resolve_engine}). *)
 
 val engine_name : exec_engine -> string
 
@@ -61,6 +60,11 @@ val all_engines : exec_engine list
 
 (** Valid [--exec-engine] spellings, for diagnostics. *)
 val engine_names : string list
+
+(** The engine that runs a target's kernels when [engine] is requested,
+    with the reason when they differ: native on [Dist] and [Gpu] runs
+    vector plans. {!link} and [sfc run] both decide through it. *)
+val resolve_engine : exec_engine -> target -> exec_engine * string option
 
 (** How a kernel is executed at runtime. *)
 type kernel_impl =
@@ -75,8 +79,6 @@ type kernel_impl =
 type artifact = {
   a_host : Op.op;  (** the FIR host module *)
   a_stencil : Op.op option;  (** extracted module after lowering *)
-  a_gpu_ir : Op.op option;
-      (** the Listing-4 pipeline output (GPU targets only) *)
   a_ctx : Fsc_rt.Interp.context;  (** linked execution context *)
   a_kernels : (string * kernel_impl) list;
   a_target : target;
@@ -105,9 +107,6 @@ type options = {
 
 val default_options : ?target:target -> ?merge:bool -> unit -> options
 
-(** The GPU pipeline's tile (the paper's Listing 4: 32,32,1). *)
-val gpu_tile_sizes : int list
-
 (** Per-core cache budget (KB) behind the ["cpu_tile"] nest annotations
     the vector engine blocks by: the host's L2. *)
 val cpu_l2_kb : int
@@ -119,7 +118,6 @@ val cpu_l2_kb : int
 type compiled_artifact = {
   ca_host : Op.op;  (** FIR host module after extraction *)
   ca_stencil : Op.op;  (** extracted module after lowering *)
-  ca_gpu_ir : Op.op option;  (** Listing-4 output (GPU targets) *)
   ca_kernels : string list;  (** stencil kernel symbols, in order *)
   ca_managed : string list;
       (** kernels whose GPU data placement was hoisted (optimised GPU) *)
@@ -130,6 +128,12 @@ type compiled_artifact = {
   ca_stats : stencil_stats;
   ca_options : options;
 }
+
+(** The Listing-4 pipeline's output for a GPU artifact (tile 32,32,1),
+    rebuilt on a clone of [ca_stencil] at each call; nothing executes
+    it.
+    @raise Invalid_argument off GPU targets. *)
+val gpu_ir : compiled_artifact -> Op.op
 
 (** The baseline: frontend to FIR, no stencil optimisation, naive
     execution (the paper's "Flang only" series). *)
@@ -144,7 +148,7 @@ val compile : options -> string -> compiled_artifact
 (** Impure back half: create the interpreter context, register the host
     and stencil modules, take a view of the shared pool / create the GPU
     simulator for the artifact's target, and compile each kernel for
-    [engine]
+    the engine {!resolve_engine} picks for [engine] and the target
     (default {!Engine_vector}; falls back to the interpreter outside
     the analysable shape, and per nest to the closure JIT of
     {!Fsc_rt.Kernel_compile} outside the vectorisable shape or the
@@ -167,7 +171,7 @@ val compile : options -> string -> compiled_artifact
     [native] supplies the {!Engine_native} context (cache directory,
     build mode, toolchain); without it a process-wide default ctx
     (async builds, default cache directory) is created on first use.
-    It is ignored under other engines.
+    It is ignored unless native kernels run.
 
     Link also decides which grids skip their zero-fill: an array
     [fir.alloca] in [_QQmain]'s top-level block whose first use (seeing
@@ -201,6 +205,10 @@ val stencil :
     arena ({!Fsc_rt.Memref_rt.release}), so a re-run reuses their
     storage: a grid from {!buffer} is valid until this artifact's next
     [run]. Clone it to keep it longer.
+
+    An artifact is run by one caller at a time, as its
+    {!Fsc_rt.Interp} context already requires (so are its kernels'
+    bound runners).
     @raise Fsc_dmp.Decomp.Invalid_decomp when a distributed kernel's
     grid cannot host the requested rank count. *)
 val run : artifact -> unit

@@ -1105,47 +1105,33 @@ let bind_vnest vn ~(bufs : Memref_rt.t array) ~scalars =
     Some { vb_npar = npar; vb_npar_levels = npar_levels; vb_sweep = sweep }
   end
 
-let run_vnest vn ?pool ~bufs ~scalars () =
-  match bind_vnest vn ~bufs ~scalars with
-  | None -> ()
-  | Some vb -> (
-    match pool with
-    | Some pool when vb.vb_npar_levels > 0 && vb.vb_npar > 1 ->
-      Domain_pool.parallel_for pool ~lo:0 ~hi:vb.vb_npar (fun plo phi ->
-          vb.vb_sweep () plo phi)
-    | _ -> vb.vb_sweep () 0 vb.vb_npar)
-
-let run_compiled ?pool ~bufs ~scalars cn =
+(* One nest bound to one call's buffers and scalars, for repeated calls.
+   Binding reads shapes, storage and scalar values, never buffer
+   contents (slots and fixed rows hold no loads), so a bound nest
+   computes what a fresh binding would. The executor built here runs a
+   serial nest and surfaces bind-time fallbacks before a row runs; a
+   parallel nest under [pool] hands each concurrent chunk an executor
+   of its own. Rejected nests run on the checked closure engine. *)
+let bind_compiled ?pool ~bufs ~scalars cn : unit -> unit =
+  let checked nest () = Kc.run_nest nest ?pool ~bufs ~scalars () in
   match cn with
+  | Scalar (nest, _) -> checked nest
   | Vec vn -> (
-    try run_vnest vn ?pool ~bufs ~scalars () with
-    | Bind_fallback _ | Kc.Out_of_bounds _ ->
-      Obs.incr c_fallbacks;
-      Kc.run_nest vn.v_nest ?pool ~bufs ~scalars ())
-  | Scalar (nest, _) -> Kc.run_nest nest ?pool ~bufs ~scalars ()
-
-(* One nest bound for repeated pool-less calls: a single executor built
-   up front. Binding reads the buffers' shapes and storage and the
-   scalar values, never buffer contents (slots and fixed rows hold no
-   loads), so the bound nest computes exactly what [run_compiled] would
-   at any later call on the same buffers and scalars. *)
-let bind_compiled ~bufs ~scalars cn : unit -> unit =
-  let fallback nest () =
-    Obs.incr c_fallbacks;
-    Kc.run_nest nest ~bufs ~scalars ()
-  in
-  match cn with
-  | Vec vn -> (
-    match bind_vnest vn ~bufs ~scalars with
+    match
+      Option.map (fun vb -> (vb, vb.vb_sweep ())) (bind_vnest vn ~bufs ~scalars)
+    with
     | None -> ignore
-    | Some vb ->
-      let go = vb.vb_sweep () in
-      fun () -> go 0 vb.vb_npar
-    | exception (Bind_fallback _ | Kc.Out_of_bounds _) -> fallback vn.v_nest)
-  | Scalar (nest, _) -> fun () -> Kc.run_nest nest ~bufs ~scalars ()
-
-let run plan ?pool ~bufs ~scalars () =
-  List.iter (run_compiled ?pool ~bufs ~scalars) plan.p_nests
+    | Some (vb, go) -> (
+      match pool with
+      | Some pool when vb.vb_npar_levels > 0 && vb.vb_npar > 1 ->
+        fun () ->
+          Domain_pool.parallel_for pool ~lo:0 ~hi:vb.vb_npar (fun plo phi ->
+              vb.vb_sweep () plo phi)
+      | _ -> fun () -> go 0 vb.vb_npar)
+    | exception (Bind_fallback _ | Kc.Out_of_bounds _) ->
+      fun () ->
+        Obs.incr c_fallbacks;
+        checked vn.v_nest ())
 
 let same_bufs (a : Memref_rt.t array) b =
   Array.length a = Array.length b && Array.for_all2 ( == ) a b
@@ -1174,7 +1160,7 @@ type bound = {
   b_nests : (unit -> unit) array;
 }
 
-let runner plan =
+let runner ?pool plan =
   let bound = ref None in
   fun ~bufs ~scalars ->
     let b =
@@ -1187,14 +1173,11 @@ let runner plan =
           { b_bufs = Array.copy bufs; b_scalars = Array.copy scalars;
             b_nests =
               Array.of_list
-                (List.map (bind_compiled ~bufs ~scalars) plan.p_nests) }
+                (List.map (bind_compiled ?pool ~bufs ~scalars) plan.p_nests) }
         in
         bound := Some b;
         b
     in
     Array.iter (fun f -> f ()) b.b_nests
 
-(* Single-nest entry point for engines that interleave their own nests
-   with vector-executed ones (the native JIT's per-nest fallback). *)
-let run_nest plan index ?pool ~bufs ~scalars () =
-  run_compiled ?pool ~bufs ~scalars (List.nth plan.p_nests index)
+let nest_plan plan index = { p_nests = [ List.nth plan.p_nests index ] }

@@ -15,6 +15,8 @@
     consecutive rows (sized by the ["cpu_tile"] annotation; a nest
     without one runs as a single tile), and the leading parallel loop
     levels are flattened and work-shared over the {!Domain_pool}.
+    A plan runs only through {!runner}, which binds each nest to its
+    buffers and scalars once and re-runs that binding.
 
     Results are bitwise identical to the closure engine: no float
     reassociation (a fused sum adds its loads in the tree's
@@ -73,40 +75,25 @@ val vectorised_nests : plan -> int
     nest 2 -> closure: ..."]. *)
 val describe : plan -> string
 
-(** Execute the whole kernel: every nest in order, vectorised where the
-    plan allows and on the closure engine otherwise. Parallel nests are
-    work-shared over [pool] when given.
+(** [runner ?pool plan], the engine's one execution entry point, runs
+    every nest of the kernel in order. A runner serves one caller at a
+    time: calls must not overlap. Parallel nests are work-shared over
+    [pool] when given, each chunk on an executor of its own. It binds
+    every nest on its first call (the bounds proof, the row closures
+    and scratch rows) and reuses that binding while the buffers are
+    physically the same and the scalars bitwise the same, rebinding
+    otherwise; binding reads the buffers' shapes and storage, never
+    their contents. Nests the plan or the bounds proof reject run on
+    the checked closure engine, with [pool].
     @raise Kc.Fallback on mismatched buffer extents (as {!Kc.run}). *)
-val run :
-  plan ->
+val runner :
   ?pool:Domain_pool.t ->
+  plan ->
   bufs:Memref_rt.t array ->
   scalars:float array ->
-  unit ->
   unit
 
-(** [runner plan] is a pool-less [run plan] for repeated calls by one
-    caller at a time. It binds every nest on its first call (the checks,
-    the row closures and row buffers {!run} builds on every call) and
-    reuses that binding while the buffers are physically the same and
-    the scalars bitwise the same, rebinding otherwise. Binding reads
-    the buffers' shapes and storage, never their contents, so a reused
-    binding computes exactly what {!run} would.
-    @raise Kc.Fallback as {!run}. *)
-val runner : plan -> bufs:Memref_rt.t array -> scalars:float array -> unit
-
-(** Execute only the nest at [index] (0-based, nest order), with the
-    same per-nest vectorised/closure selection and bind-time fallback
-    as {!run}. For engines that interleave their own nest execution
-    with vector-executed ones — the native JIT runs its emitted nests
-    itself and routes skipped ones here.
-    @raise Kc.Fallback as {!run}; [Failure] if [index] is out of
-    range. *)
-val run_nest :
-  plan ->
-  int ->
-  ?pool:Domain_pool.t ->
-  bufs:Memref_rt.t array ->
-  scalars:float array ->
-  unit ->
-  unit
+(** The plan of the nest at [index] (0-based) alone, for engines that
+    run their own nests and route the others to the vector engine (the
+    native JIT's per-nest fallback). [index] must be in range. *)
+val nest_plan : plan -> int -> plan

@@ -393,7 +393,7 @@ let run_linked ca names =
 let front_half_spans =
   [ "frontend"; "discovery"; "merge"; "extraction"; "gpu data placement";
     "stencil-to-scf"; "canonicalize"; "loop specialisation";
-    "gpu pipeline (Listing 4)"; "scf-to-openmp" ]
+    "scf-to-openmp" ]
 
 let span_count name =
   List.length
@@ -607,11 +607,36 @@ let v2_payload p =
          ("host", J.Str (String.sub p host_at host_len));
          ("stencil", J.Str (String.sub p st_at st_len)); ("gpu_ir", J.Null) ])
 
+(* What a v3 writer left: the same raw modules behind a format-3
+   header whose sections still list the Listing-4 [gpu_ir] module (null
+   off GPU targets). *)
+let v3_payload p =
+  let nl = String.index p '\n' in
+  let fields =
+    match J.of_string (String.sub p 0 nl) with
+    | J.Obj l -> l
+    | _ -> Alcotest.fail "header is not an object"
+  in
+  let fields =
+    List.map
+      (function
+        | "format", _ -> ("format", J.Num 3.)
+        | "sections", J.Obj l ->
+          ("sections", J.Obj (l @ [ ("gpu_ir", J.Null) ]))
+        | f -> f)
+      fields
+  in
+  J.to_string (J.Obj fields) ^ String.sub p nl (String.length p - nl)
+
 let test_v2_entry_on_disk () =
   check_corruption "v2 entry" (fun path ->
       with_payload ~version:2 path v2_payload);
-  check_corruption "v2 payload in a v3 frame" (fun path ->
-      with_payload path v2_payload)
+  check_corruption "v2 payload in a v4 frame" (fun path ->
+      with_payload path v2_payload);
+  check_corruption "v3 entry" (fun path ->
+      with_payload ~version:3 path v3_payload);
+  check_corruption "v3 payload in a v4 frame" (fun path ->
+      with_payload path v3_payload)
 
 (* The store (encode + put) runs under its own "cache store" span, in
    category "cache" (perfbench's cache.store_ms subtracts the pipeline

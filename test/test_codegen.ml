@@ -634,6 +634,50 @@ let test_tile_budget_eviction () =
   Alcotest.(check (float 0.)) "rebuilt kernel bitwise" 0.0
     (Rt.max_abs_diff ref_bufs.(1) nat_bufs.(1))
 
+(* A native request runs native only on CPU targets. Dist and GPU
+   targets link vector plans, the engine decision states why, and
+   [sfc run --stats] prints that reason without probing the toolchain;
+   openmp(2) still links native kernels. *)
+let test_native_request_per_target () =
+  let src = B.gauss_seidel ~nx:8 ~ny:8 ~nz:8 ~niter:2 () in
+  let native = sync_ctx () in
+  let link target =
+    P.link ~engine:P.Engine_native ~native
+      (P.compile (P.default_options ~target ()) src)
+  in
+  List.iter
+    (fun (target, args, reason) ->
+      let label = P.target_name target in
+      Alcotest.(check (option string)) (label ^ ": reason") (Some reason)
+        (snd (P.resolve_engine P.Engine_native target));
+      let a = link target in
+      Alcotest.(check bool) (label ^ ": vectorised kernels") true
+        (a.P.a_kernels <> []
+        && List.for_all
+             (function _, P.Vectorised _ -> true | _ -> false)
+             a.P.a_kernels);
+      let code, text =
+        sfc_run
+          ~env:[ "XDG_CACHE_HOME=" ^ fresh_dir () ]
+          (args @ [ "--exec-engine"; "native" ])
+      in
+      if code <> 0 then Alcotest.failf "exit %d:\n%s" code text;
+      Alcotest.(check bool) (label ^ ": --stats states the engine") true
+        (contains text
+           (Printf.sprintf "engine: vector (native requested: %s)\n" reason));
+      Alcotest.(check bool) (label ^ ": no toolchain probe") false
+        (contains text "native toolchain:"))
+    [ (P.Dist 2, [ "--target"; "dist"; "--ranks"; "2" ],
+       "dist ranks run per-rank vector plans");
+      (P.Gpu P.Gpu_optimised, [ "--target"; "gpu-optimised" ],
+       "GPU targets run vector plans on device twins") ];
+  Alcotest.(check (option string)) "openmp(2): no reason" None
+    (snd (P.resolve_engine P.Engine_native (P.Openmp 2)));
+  Alcotest.(check bool) "openmp(2): native kernels" true
+    (List.for_all
+       (function _, P.Native_jit _ -> true | _ -> false)
+       (link (P.Openmp 2)).P.a_kernels)
+
 let () =
   Alcotest.run "codegen"
     [ ("emit",
@@ -675,4 +719,6 @@ let () =
          Alcotest.test_case "storage arena recycles buffers" `Quick
            test_arena_recycles;
          Alcotest.test_case "tile budget change evicts artifacts" `Quick
-           test_tile_budget_eviction ]) ]
+           test_tile_budget_eviction;
+         Alcotest.test_case "native request per target" `Quick
+           test_native_request_per_target ]) ]

@@ -180,13 +180,12 @@ let test_failed_pass_preserves_stats () =
       stats
 
 let test_gpu_ir_artifact () =
-  let a, _ = P.stencil ~target:(P.Gpu P.Gpu_optimised) gs_src in
-  match a.P.a_gpu_ir with
-  | None -> Alcotest.fail "no GPU IR produced"
-  | Some gm -> (
-    match Fsc_lowering.Gpu_pipeline.verify_gpu_artifact gm with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "GPU artifact: %s" e)
+  let ca =
+    P.compile (P.default_options ~target:(P.Gpu P.Gpu_optimised) ()) gs_src
+  in
+  match Fsc_lowering.Gpu_pipeline.verify_gpu_artifact (P.gpu_ir ca) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "GPU artifact: %s" e
 
 (* ---- GPU accounting: the Figure 5 story in stats ---- *)
 

@@ -71,8 +71,7 @@ let test_printer_identity () =
           let ca = P.compile (P.default_options ~target ()) src in
           let modules =
             [ ("host", ca.P.ca_host); ("stencil", ca.P.ca_stencil) ]
-            @ Option.fold ~none:[] ~some:(fun m -> [ ("gpu", m) ])
-                ca.P.ca_gpu_ir
+            @ (match target with P.Gpu _ -> [ ("gpu", P.gpu_ir ca) ] | _ -> [])
           in
           let label m =
             Printf.sprintf "%s/%s/%s" name (P.target_name target) m

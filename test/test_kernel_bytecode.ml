@@ -338,7 +338,7 @@ let run_both spec =
   let v0 = mk () and v1 = mk () in
   Kc.run spec ~bufs:[| c0; c1 |] ~scalars:[||] ();
   let plan = Kb.compile_spec spec in
-  Kb.run plan ~bufs:[| v0; v1 |] ~scalars:[||] ();
+  Kb.runner plan ~bufs:[| v0; v1 |] ~scalars:[||];
   (plan, Rt.max_abs_diff c0 v0, Rt.max_abs_diff c1 v1)
 
 (* Rows at non-unit stride: level 1 (innermost) walks dimension 1 of
@@ -399,7 +399,7 @@ let test_strided_rows () =
   Alcotest.(check (list string)) "shapes"
     (List.map (fun _ -> "expr") all)
     (List.map (fun s -> s.Kb.s_kind) (shapes plan));
-  Kb.run plan ~bufs:v ~scalars ();
+  Kb.runner plan ~bufs:v ~scalars;
   Array.iteri
     (fun k cb ->
       Alcotest.(check (float 0.))
@@ -446,7 +446,7 @@ let test_fused_rows_need_unit_stride () =
   let before = Fsc_obs.Obs.counter_value fallbacks in
   Fun.protect
     ~finally:(fun () -> Fsc_obs.Obs.set_counters_only false)
-    (fun () -> Kb.run plan ~bufs:v ~scalars:[||] ());
+    (fun () -> Kb.runner plan ~bufs:v ~scalars:[||]);
   Alcotest.(check int) "bind-time fallback" 1
     (Fsc_obs.Obs.counter_value fallbacks - before);
   Array.iteri
@@ -606,7 +606,7 @@ let test_tile_override_bitwise () =
         (Printf.sprintf "tile %s vectorises"
            (String.concat "," (List.map string_of_int tile)))
         1 (Kb.vectorised_nests plan);
-      Kb.run plan ~bufs:[| v0; v1 |] ~scalars:[||] ();
+      Kb.runner plan ~bufs:[| v0; v1 |] ~scalars:[||];
       Alcotest.(check (float 0.)) "tiled result identical" 0.0
         (Rt.max_abs_diff c1 v1))
     [ []; [ 1 ]; [ 2 ]; [ 7 ]; [ 1000 ] ]
@@ -622,21 +622,21 @@ let test_pooled_bitwise () =
       let plan =
         Kb.compile_spec (spec1 (sweep_2d ~n ~tile:[ 3 ] ~parallel:true ()))
       in
-      Kb.run plan ~pool ~bufs:[| v0; v1 |] ~scalars:[||] ();
+      Kb.runner ~pool plan ~bufs:[| v0; v1 |] ~scalars:[||];
       Alcotest.(check (float 0.)) "pooled result identical" 0.0
         (Rt.max_abs_diff c1 v1))
 
 (* [Kb.runner] binds once and re-runs the binding while the buffers and
    scalars stay the same. Two nests over 2-D buffers (a, b, c) with one
-   scalar: b(i,j) = a(i-1,j) * s + dble(i) * 0.5 + a(i+1,j), an expr row
+   scalar: b(i,j) = a(i-1,j) / s + dble(i) * 0.5 + a(i+1,j), an expr row
    with a slot, a fixed row and loads; then c(i,j) = b(i,j) + a(i,j),
-   which reads what the first nest wrote. Every call must match [Kb.run]
-   on twin buffers: after the inputs change in place (a binding holds
-   storage, never contents), after the scalar changes (0.0 to -0.0
-   included, so [1/s] style results cannot hide a stale binding) and on
-   other buffers. *)
-let test_runner_rebinds () =
-  let n = 12 in
+   which reads what the first nest wrote. Every call must match the
+   closure engine ([Kc.run]) on twin buffers: after the inputs change in
+   place (a binding holds storage, never contents), after the scalar
+   changes (0.0 to -0.0 included, so [a/s] cannot hide a stale binding),
+   after a buffer swap and on other buffers. Under [pool] the outer
+   level of both nests is work-shared. *)
+let check_runner ?pool n =
   let iv1 d = Kc.Iv (1, d) and iv0 = Kc.Iv (0, 0) in
   let loops = [ loop ~lb:1 ~ub:(n - 1) 0 1; loop ~lb:1 ~ub:(n - 1) 1 0 ] in
   let nest stores =
@@ -667,10 +667,10 @@ let test_runner_rebinds () =
                 Kc.F_load (1, [ iv1 0; iv0 ]),
                 Kc.F_load (0, [ iv1 0; iv0 ]) ) } ]
   in
-  let plan =
-    Kb.compile_spec
-      { Kc.k_nests = [ first; second ]; k_num_bufs = 3; k_num_scalars = 1 }
+  let spec =
+    { Kc.k_nests = [ first; second ]; k_num_bufs = 3; k_num_scalars = 1 }
   in
+  let plan = Kb.compile_spec spec in
   Alcotest.(check int) "both nests vectorise" 2 (Kb.vectorised_nests plan);
   let mk k =
     Array.init 3 (fun g ->
@@ -678,9 +678,9 @@ let test_runner_rebinds () =
         Rt.init b (fun i -> 0.125 *. float_of_int (((i + k + g) mod 17) + 1));
         b)
   in
-  let run = Kb.runner plan in
+  let run = Kb.runner ?pool plan in
   let check label ~scalars refs bufs =
-    Kb.run plan ~bufs:refs ~scalars ();
+    Kc.run spec ~bufs:refs ~scalars ();
     run ~bufs ~scalars;
     Array.iteri
       (fun g r ->
@@ -698,7 +698,52 @@ let test_runner_rebinds () =
   check "inputs changed in place" ~scalars:[| 0.37 |] refs bufs;
   check "scalar changed" ~scalars:[| 0.0 |] refs bufs;
   check "scalar sign changed" ~scalars:[| -0.0 |] refs bufs;
+  let swap b = [| b.(2); b.(1); b.(0) |] in
+  check "buffers swapped" ~scalars:[| -0.0 |] (swap refs) (swap bufs);
+  check "swapped binding" ~scalars:[| -0.0 |] (swap refs) (swap bufs);
   check "other buffers" ~scalars:[| -0.0 |] (mk 5) (mk 5)
+
+let test_runner_rebinds () = check_runner 12
+
+(* The same calls on a runner holding an openmp(2) pool: each pool
+   chunk sweeps on an executor of its own. *)
+let test_pooled_runner () =
+  DP.with_pool 2 (fun pool -> check_runner ~pool 40)
+
+(* Minor words of one serial vector re-run, on the calling domain: 3
+   warm-up runs, then the mean of 10. The pin makes an allocation
+   regression on the vector path visible where timing on a shared host
+   cannot. When every kernel call re-bound its nests these were 36.5k
+   (GS 48^3 x 10) and 61.8k (PW 32^3 x 10) words per run; with bound
+   runners they measure 34,207 and 40,773. A run still rebinds, as
+   [P.run] makes new grid records each run, and the row loops allocate
+   as they go. *)
+let rerun_words src =
+  let a, _ = P.stencil ~target:P.Serial ~engine:P.Engine_vector src in
+  Fun.protect
+    ~finally:(fun () -> P.shutdown a)
+    (fun () ->
+      for _ = 1 to 3 do
+        P.run a
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        P.run a
+      done;
+      (Gc.minor_words () -. w0) /. 10.)
+
+let test_rerun_allocation () =
+  List.iter
+    (fun (label, src, budget) ->
+      let words = rerun_words src in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s re-run allocates %.0f <= %.0f minor words" label
+           words budget)
+        true (words <= budget))
+    [ ("GS 48^3 x 10", B.gauss_seidel ~nx:48 ~ny:48 ~nz:48 ~niter:10 (),
+       35_000.);
+      ("PW 32^3 x 10", B.pw_advection ~nx:32 ~ny:32 ~nz:32 ~niter:10 (),
+       42_000.) ]
 
 let () =
   Alcotest.run "kernel_bytecode"
@@ -743,4 +788,8 @@ let () =
            test_tile_override_bitwise;
          Alcotest.test_case "pooled" `Quick test_pooled_bitwise;
          Alcotest.test_case "runner rebinds on new buffers or scalars"
-           `Quick test_runner_rebinds ]) ]
+           `Quick test_runner_rebinds;
+         Alcotest.test_case "pooled runner matches the closure engine"
+           `Quick test_pooled_runner;
+         Alcotest.test_case "serial re-run allocation" `Quick
+           test_rerun_allocation ]) ]
