@@ -481,9 +481,7 @@ let run_cmd =
     (* the engine that runs, and why it is not the one requested; the
        native tier (and its toolchain probe) only when native runs. It
        shares --cache-dir when given, so one directory holds both
-       compiled IR entries and built plugin sidecars; the L2 budget
-       behind the pipeline's tile hints rides along so tiled artifacts
-       built under a different budget are evicted *)
+       compiled IR entries and built plugin sidecars *)
     let runs, reason = P.resolve_engine engine target in
     let native =
       match runs with
@@ -495,9 +493,7 @@ let run_cmd =
                 ~version:Fsc_codegen.Native.format_version ())
             cache_dir
         in
-        Some
-          (Fsc_codegen.Native.create ?cache:ncache
-             ~l2_kb:P.cpu_l2_kb ())
+        Some (Fsc_codegen.Native.create ?cache:ncache ())
       | _ -> None
     in
     (* the trace must be flushed and the pool shut down even when the

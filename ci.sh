@@ -75,9 +75,9 @@ echo "check smoke: examples clean (no dead-write FPs), racy and dead-write fixtu
 # outside its 66x66 grid fails the bounds proof, so every engine must
 # report the overrun as a run failure (exit status below 128, no
 # signal) instead of reading past the buffer, serially, on the openmp
-# pool (the pooled runner's checked fallback) and over dist ranks. The
-# retired closure engine must be rejected with the located engine
-# diagnostic.
+# pool (the pooled runner's checked fallback), over dist ranks and on
+# both GPU strategies' device twins (vector plans). The retired closure
+# engine must be rejected with the located engine diagnostic.
 OOBDIR=$(mktemp -d)
 cat >"$OOBDIR/oob.f90" <<'F90'
 program oob
@@ -100,26 +100,26 @@ program oob
   end do
 end program oob
 F90
-for target in "" "--target openmp --threads 2" "--target dist --ranks 2"; do
-  for engine in vector native; do
-    status=0
-    # shellcheck disable=SC2086 # $target is a list of options
-    oob_out=$("$SFC" run "$OOBDIR/oob.f90" $target --exec-engine "$engine" \
-      --cache-dir "$OOBDIR/cache" 2>&1) || status=$?
-    where="$engine${target:+ $target}"
-    if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
-      echo "ci: out-of-bounds run on $where exited with status $status"
-      printf '%s\n' "$oob_out"
-      rm -rf "$OOBDIR"
-      exit 1
-    fi
-    if ! printf '%s\n' "$oob_out" | grep -q 'run failed'; then
-      echo "ci: out-of-bounds run on $where did not report 'run failed'"
-      printf '%s\n' "$oob_out"
-      rm -rf "$OOBDIR"
-      exit 1
-    fi
-  done
+for where in vector native \
+    "vector --target openmp --threads 2" "native --target openmp --threads 2" \
+    "vector --target dist --ranks 2" "native --target dist --ranks 2" \
+    "vector --target gpu-initial" "vector --target gpu-optimised"; do
+  status=0
+  # shellcheck disable=SC2086 # $where is the engine, then target options
+  oob_out=$("$SFC" run "$OOBDIR/oob.f90" --exec-engine $where \
+    --cache-dir "$OOBDIR/cache" 2>&1) || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
+    echo "ci: out-of-bounds run on $where exited with status $status"
+    printf '%s\n' "$oob_out"
+    rm -rf "$OOBDIR"
+    exit 1
+  fi
+  if ! printf '%s\n' "$oob_out" | grep -q 'run failed'; then
+    echo "ci: out-of-bounds run on $where did not report 'run failed'"
+    printf '%s\n' "$oob_out"
+    rm -rf "$OOBDIR"
+    exit 1
+  fi
 done
 if ! "$SFC" run "$OOBDIR/oob.f90" --exec-engine closure 2>&1 \
     | grep -q -- '--exec-engine:1:1: error\[engine\]: unknown'; then
@@ -128,7 +128,7 @@ if ! "$SFC" run "$OOBDIR/oob.f90" --exec-engine closure 2>&1 \
   exit 1
 fi
 rm -rf "$OOBDIR"
-echo "out-of-bounds smoke: vector and native report run failed (serial, openmp(2), dist(2)), closure rejected"
+echo "out-of-bounds smoke: vector and native report run failed (serial, openmp(2), dist(2)), vector on gpu-initial and gpu-optimised, closure rejected"
 
 CACHE=$(mktemp -d)
 JOBS=$(mktemp)

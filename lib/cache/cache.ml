@@ -567,16 +567,7 @@ let remove_sidecars t ~key =
   if removed <> [] then
     locked t (fun () -> List.iter (note_file_removed t) removed)
 
-let revalidate_sidecars ?validate t ~stamp =
-  (* default policy: a set is valid iff its stamp equals [stamp];
-     [validate] widens that (e.g. stamps carrying parameter suffixes
-     that are valid under the current configuration) — it still only
-     sees sets that have a readable stamp *)
-  let is_valid =
-    match validate with
-    | Some f -> f
-    | None -> fun ~key:_ ~stamp:s -> s = stamp
-  in
+let revalidate_sidecars t ~stamp =
   match t.cache_dir with
   | None -> 0
   | Some d -> (
@@ -592,7 +583,7 @@ let revalidate_sidecars ?validate t ~stamp =
               with Sys_error _ -> None
             in
             match current with
-            | Some s when is_valid ~key ~stamp:s -> dropped
+            | Some s when s = stamp -> dropped
             | _ ->
             begin
               remove_sidecars t ~key;

@@ -107,14 +107,8 @@ val sidecar_exts : t -> key:string -> string list
 val remove_sidecars : t -> key:string -> unit
 
 (** Drop every sidecar set whose ["stamp"] sidecar differs from
-    [stamp]; returns the number of keys dropped. [validate] replaces
-    the equality test: a set with a readable stamp survives iff
-    [validate ~key ~stamp] accepts it (sets without a readable stamp
-    are always dropped) — used for stamps carrying parameter suffixes
-    (e.g. the tile-shape budget) that are only valid under the current
-    configuration. *)
-val revalidate_sidecars :
-  ?validate:(key:string -> stamp:string -> bool) -> t -> stamp:string -> int
+    [stamp] or cannot be read; returns the number of keys dropped. *)
+val revalidate_sidecars : t -> stamp:string -> int
 
 (** Bytes currently accounted in the disk store (0 if diskless). *)
 val disk_bytes : t -> int

@@ -1,20 +1,11 @@
 (* Kernel spec -> scheduled OCaml source.
 
    The native emitter: not just a pretty-printer of the closure
-   JIT's naive loops but a scheduling codegen. Three transform
+   JIT's naive loops but a scheduling codegen. Two transform
    families are applied at emit time, every one of them value-preserving
    down to the bit pattern:
 
    Intra-nest scheduling:
-   - cache tiling: a nest carrying the L2-derived ["cpu_tile"] rows
-     hint ({!Fsc_lowering.Loop_tiling.annotate_cpu}) gets its first
-     sequential level emitted as blocked loops with the tile bound a
-     literal, full tiles hoisted above the parallel chunk loop (the
-     vector engine's schedule: a tile's rows revisited across adjacent
-     parallel indices while hot) plus a statically emitted remainder
-     loop. Reordering across parallel outer indices is legal because
-     they are independent; the sequential order per outer index is
-     preserved.
    - rolling load windows: when an innermost loop reads a buffer at
      three or more constant offsets along the innermost dimension (and
      never writes that buffer in the same loop), the values roll
@@ -97,7 +88,6 @@ type t = {
   e_skipped : (int * string) list;
   e_refused : (int * string) list;
       (* nest index -> why fusion with its predecessor was refused *)
-  e_tiled : (int * int) list;  (* nest index -> emitted tile rows *)
   e_reused : int;  (* rolling load windows emitted *)
   e_blits : int;  (* innermost copy loops emitted as row blits *)
   e_unrolled : int;  (* innermost loops emitted 4-wide *)
@@ -106,7 +96,6 @@ type t = {
 let groups t = t.e_groups
 let skipped t = t.e_skipped
 let refused t = t.e_refused
-let tiled t = t.e_tiled
 let reused t = t.e_reused
 let blits t = t.e_blits
 let unrolled t = t.e_unrolled
@@ -439,7 +428,6 @@ type est = {
   mutable n_reused : int;
   mutable n_blits : int;
   mutable n_unrolled : int;
-  mutable n_tiled : (int * int) list;
   mutable wid : int;  (* rolling-window name counter, per module *)
 }
 
@@ -661,75 +649,27 @@ let emit_inner st ~ind ~ivn ~basep ~(inner : Kc.loop_spec) ~lo_e ~hi_e
 
 (* Levels [loops] (innermost last) below the outer level, all literal
    bounds; [basep] is the enclosing accumulated base variable. *)
-let rec emit_levels st ~ind ~ivn ~basep ~loops ~lo_ov stmts =
+let rec emit_levels st ~ind ~ivn ~basep ~loops stmts =
   match (loops : Kc.loop_spec list) with
   | [] -> ()
   | [ inner ] ->
-    let lo = match lo_ov with Some l -> l | None -> inner.Kc.l_lb in
-    if inner.Kc.l_ub > lo then
-      emit_inner st ~ind ~ivn ~basep ~inner ~lo_e:(string_of_int lo)
+    if inner.Kc.l_ub > inner.Kc.l_lb then
+      emit_inner st ~ind ~ivn ~basep ~inner
+        ~lo_e:(string_of_int inner.Kc.l_lb)
         ~hi_e:(string_of_int inner.Kc.l_ub) ~literal:true stmts
     else
       (* keep the enclosing [let _b = .. in] well-formed *)
       add st "%s();\n" ind
   | l :: rest ->
     let iv = ivn l.Kc.l_level in
-    let lo = match lo_ov with Some o -> o | None -> l.Kc.l_lb in
-    add st "%sfor %s = %d to %d do\n" ind iv lo (l.Kc.l_ub - 1);
+    add st "%sfor %s = %d to %d do\n" ind iv l.Kc.l_lb (l.Kc.l_ub - 1);
     let bvar = Printf.sprintf "%s_b" iv in
     add st "%s  let %s = %s%s * %d in\n" ind bvar
       (if basep = "" then "" else basep ^ " + ")
       iv
       st.strides.(l.Kc.l_dim);
-    emit_levels st ~ind:(ind ^ "  ") ~ivn ~basep:bvar ~loops:rest ~lo_ov:None
-      stmts;
+    emit_levels st ~ind:(ind ^ "  ") ~ivn ~basep:bvar ~loops:rest stmts;
     add st "%sdone;\n" ind
-
-(* Tile bound for a group body: the first sequential level of a depth
-   >= 3 nest, blocked only when the hint is a real split. *)
-let tile_rows st ~nest_idx (nest : Kc.nest) =
-  match (nest.Kc.n_tile, nest.Kc.n_loops) with
-  | t :: _, _ :: (l1 : Kc.loop_spec) :: _ :: _
-    when t > 0 && not l1.Kc.l_parallel ->
-    let ext = l1.Kc.l_ub - l1.Kc.l_lb in
-    if t < ext then begin
-      st.n_tiled <- (nest_idx, t) :: st.n_tiled;
-      Some t
-    end
-    else None
-  | _ -> None
-
-(* The body below one outer index: levels 1.., optionally blocked at
-   level 1 (serial split: tiles in order, then the remainder). *)
-let emit_plane st ~ind ~ivn ~basep ~(loops : Kc.loop_spec list) ~tile stmts =
-  match (tile, loops) with
-  | Some t, (l1 : Kc.loop_spec) :: _ ->
-    let ext = l1.Kc.l_ub - l1.Kc.l_lb in
-    let nfull = ext / t in
-    let rem_lb = l1.Kc.l_lb + (nfull * t) in
-    add st "%s(* %d-row tiles over level %d, statically blocked *)\n" ind t
-      l1.Kc.l_level;
-    add st "%sfor t%d = 0 to %d do\n" ind l1.Kc.l_level (nfull - 1);
-    add st "%s  let j%d = %d + (t%d * %d) in\n" ind l1.Kc.l_level l1.Kc.l_lb
-      l1.Kc.l_level t;
-    (* a full tile: lb/ub rebound through jN with a constant trip count *)
-    let iv = ivn l1.Kc.l_level in
-    add st "%s  for %s = j%d to j%d + %d do\n" ind iv l1.Kc.l_level
-      l1.Kc.l_level (t - 1);
-    let bvar = Printf.sprintf "%s_b" iv in
-    add st "%s    let %s = %s%s * %d in\n" ind bvar
-      (if basep = "" then "" else basep ^ " + ")
-      iv
-      st.strides.(l1.Kc.l_dim);
-    emit_levels st ~ind:(ind ^ "    ") ~ivn ~basep:bvar ~loops:(List.tl loops)
-      ~lo_ov:None stmts;
-    add st "%s  done\n" ind;
-    add st "%sdone;\n" ind;
-    if rem_lb < l1.Kc.l_ub then begin
-      add st "%s(* remainder rows *)\n" ind;
-      emit_levels st ~ind ~ivn ~basep ~loops ~lo_ov:(Some rem_lb) stmts
-    end
-  | _ -> emit_levels st ~ind ~ivn ~basep ~loops ~lo_ov:None stmts
 
 let fun_header st ~fname ~pfor_used nests =
   add st "let %s (bufs : Sfc_native_shim.buf array) (scalars : float array)\n"
@@ -763,15 +703,9 @@ let fun_header st ~fname ~pfor_used nests =
   List.iter (fun si -> add st "  let s%d = scalars.(%d) in\n" si si)
     (sorted scalars_used)
 
-(* A single nest or an aligned group: one pfor over the outer level.
-   With a parallel outer and a tile bound, full tiles hoist above the
-   chunk's outer loop (the vector engine's schedule — legal because
-   parallel outer indices are independent); a serial outer keeps the
-   split inside to preserve its order. *)
-let emit_straight_group st ~fname (members : (int * Kc.nest) list) =
-  let nests = List.map snd members in
-  let nest0 = List.hd nests in
-  let loops = nest0.Kc.n_loops in
+(* A single nest or an aligned group: one pfor over the outer level. *)
+let emit_straight_group st ~fname (nests : Kc.nest list) =
+  let loops = (List.hd nests).Kc.n_loops in
   let outer = List.hd loops in
   let stmts = List.concat_map (fun (n : Kc.nest) -> n.Kc.n_stores) nests in
   let par =
@@ -780,55 +714,22 @@ let emit_straight_group st ~fname (members : (int * Kc.nest) list) =
          (fun (n : Kc.nest) -> (List.hd n.Kc.n_loops).Kc.l_parallel)
          nests
   in
-  let tile = tile_rows st ~nest_idx:(fst (List.hd members)) nest0 in
   fun_header st ~fname ~pfor_used:true nests;
   add st "  pfor %d %d (fun plo phi ->\n" outer.Kc.l_lb outer.Kc.l_ub;
   let ivn = default_ivn in
   let iv0 = ivn outer.Kc.l_level in
-  let s0 = st.strides.(outer.Kc.l_dim) in
-  (match (loops, tile, par) with
-  | [ inner ], _, _ ->
+  (match loops with
+  | [ inner ] ->
     (* 1-D: the chunk is the innermost range (dynamic bounds) *)
     emit_inner st ~ind:"    " ~ivn ~basep:"" ~inner ~lo_e:"plo" ~hi_e:"phi"
       ~literal:false stmts
-  | _ :: rest, Some t, true ->
-    (* full tiles above the chunk loop: a tile's rows are revisited
-       across adjacent outer indices while still hot *)
-    let l1 = List.hd rest in
-    let ext = l1.Kc.l_ub - l1.Kc.l_lb in
-    let nfull = ext / t in
-    let rem_lb = l1.Kc.l_lb + (nfull * t) in
-    add st "    (* %d-row tiles hoisted above the parallel chunk *)\n" t;
-    add st "    for t%d = 0 to %d do\n" l1.Kc.l_level (nfull - 1);
-    add st "      let j%d = %d + (t%d * %d) in\n" l1.Kc.l_level l1.Kc.l_lb
-      l1.Kc.l_level t;
-    add st "      for %s = plo to phi - 1 do\n" iv0;
-    add st "        let %s_b = %s * %d in\n" iv0 iv0 s0;
-    let iv1 = ivn l1.Kc.l_level in
-    add st "        for %s = j%d to j%d + %d do\n" iv1 l1.Kc.l_level
-      l1.Kc.l_level (t - 1);
-    add st "          let %s_b = %s_b + %s * %d in\n" iv1 iv0 iv1
-      st.strides.(l1.Kc.l_dim);
-    emit_levels st ~ind:"          " ~ivn ~basep:(iv1 ^ "_b")
-      ~loops:(List.tl rest) ~lo_ov:None stmts;
-    add st "        done\n";
-    add st "      done\n";
-    add st "    done;\n";
-    if rem_lb < l1.Kc.l_ub then begin
-      add st "    (* remainder rows *)\n";
-      add st "    for %s = plo to phi - 1 do\n" iv0;
-      add st "      let %s_b = %s * %d in\n" iv0 iv0 s0;
-      emit_levels st ~ind:"      " ~ivn ~basep:(iv0 ^ "_b") ~loops:rest
-        ~lo_ov:(Some rem_lb) stmts;
-      add st "    done;\n"
-    end
-  | _ :: rest, tile, _ ->
+  | _ :: rest ->
     add st "    for %s = plo to phi - 1 do\n" iv0;
-    add st "      let %s_b = %s * %d in\n" iv0 iv0 s0;
-    emit_plane st ~ind:"      " ~ivn ~basep:(iv0 ^ "_b") ~loops:rest ~tile
-      stmts;
+    add st "      let %s_b = %s * %d in\n" iv0 iv0
+      st.strides.(outer.Kc.l_dim);
+    emit_levels st ~ind:"      " ~ivn ~basep:(iv0 ^ "_b") ~loops:rest stmts;
     add st "    done;\n"
-  | [], _, _ -> assert false);
+  | [] -> assert false);
   add st "    ())\n\n";
   par
 
@@ -836,12 +737,9 @@ let emit_straight_group st ~fname (members : (int * Kc.nest) list) =
    plane k, with the last d consumer planes in an epilogue. The
    interleave is only correct executed in order over the whole outer
    range, so the entry ignores pfor and runs serially. *)
-let emit_shifted_group st ~fname ~d (a_m : int * Kc.nest) (b_m : int * Kc.nest)
-    =
-  let _, a = a_m and _, b = b_m in
+let emit_shifted_group st ~fname ~d (a : Kc.nest) (b : Kc.nest) =
   let loops = a.Kc.n_loops in
   let outer = List.hd loops in
-  let tile = tile_rows st ~nest_idx:(fst a_m) a in
   (* the consumer phase rebinds the outer level to the shifted plane *)
   let shift_iv = Printf.sprintf "i%ds" outer.Kc.l_level in
   let ivn_b l =
@@ -852,13 +750,13 @@ let emit_shifted_group st ~fname ~d (a_m : int * Kc.nest) (b_m : int * Kc.nest)
   let iv0 = default_ivn outer.Kc.l_level in
   add st "  for %s = %d to %d do\n" iv0 outer.Kc.l_lb (outer.Kc.l_ub - 1);
   add st "    let %s_b = %s * %d in\n" iv0 iv0 s0;
-  emit_plane st ~ind:"    " ~ivn:default_ivn ~basep:(iv0 ^ "_b")
-    ~loops:(List.tl loops) ~tile a.Kc.n_stores;
+  emit_levels st ~ind:"    " ~ivn:default_ivn ~basep:(iv0 ^ "_b")
+    ~loops:(List.tl loops) a.Kc.n_stores;
   add st "    if %s >= %d then begin\n" iv0 (outer.Kc.l_lb + d);
   add st "      let %s = %s - %d in\n" shift_iv iv0 d;
   add st "      let %s_b = %s * %d in\n" shift_iv shift_iv s0;
-  emit_plane st ~ind:"      " ~ivn:ivn_b ~basep:(shift_iv ^ "_b")
-    ~loops:(List.tl loops) ~tile:None b.Kc.n_stores;
+  emit_levels st ~ind:"      " ~ivn:ivn_b ~basep:(shift_iv ^ "_b")
+    ~loops:(List.tl loops) b.Kc.n_stores;
   add st "      ()\n    end\n";
   add st "  done;\n";
   (* epilogue: the last d consumer planes *)
@@ -866,14 +764,14 @@ let emit_shifted_group st ~fname ~d (a_m : int * Kc.nest) (b_m : int * Kc.nest)
     (max outer.Kc.l_lb (outer.Kc.l_ub - d))
     (outer.Kc.l_ub - 1);
   add st "    let %s_b = %s * %d in\n" shift_iv shift_iv s0;
-  emit_plane st ~ind:"    " ~ivn:ivn_b ~basep:(shift_iv ^ "_b")
-    ~loops:(List.tl loops) ~tile:None b.Kc.n_stores;
+  emit_levels st ~ind:"    " ~ivn:ivn_b ~basep:(shift_iv ^ "_b")
+    ~loops:(List.tl loops) b.Kc.n_stores;
   add st "  done\n\n"
 
 let emit ~strides ?(skip = []) (spec : Kc.spec) =
   let st =
     { eb = Buffer.create 4096; strides; n_reused = 0; n_blits = 0;
-      n_unrolled = 0; n_tiled = []; wid = 0 }
+      n_unrolled = 0; wid = 0 }
   in
   (* monomorphic accessors: the same inlined loads and stores as
      [Bigarray.Array1.unsafe_get/set], without the polymorphic
@@ -908,28 +806,29 @@ let emit ~strides ?(skip = []) (spec : Kc.spec) =
     List.map
       (fun pg ->
         let idxs = List.map fst pg.p_nests in
+        let nests = List.map snd pg.p_nests in
         let fname, par, alts =
           match (pg.p_kind, pg.p_nests) with
           | G_single, [ (i, _) ] ->
             let fname = Printf.sprintf "nest%d" i in
-            let par = emit_straight_group st ~fname pg.p_nests in
+            let par = emit_straight_group st ~fname nests in
             (fname, par, [])
           | G_aligned, (i, _) :: _ ->
             let fname = Printf.sprintf "fuse%d_%d" i (List.length idxs) in
-            let par = emit_straight_group st ~fname pg.p_nests in
+            let par = emit_straight_group st ~fname nests in
             (fname, par, [])
-          | G_shifted d, [ a_m; b_m ] ->
-            let fname = Printf.sprintf "shift%d_d%d" (fst a_m) d in
-            emit_shifted_group st ~fname ~d a_m b_m;
+          | G_shifted d, [ (ia, a); (ib, b) ] ->
+            let fname = Printf.sprintf "shift%d_d%d" ia d in
+            emit_shifted_group st ~fname ~d a b;
             (* standalone member entries, for hosts holding a real
                pool: the fused schedule above is serial by design *)
             let alts =
               List.map
-                (fun (i, _n) ->
+                (fun (i, n) ->
                   let an = Printf.sprintf "nest%d" i in
-                  ignore (emit_straight_group st ~fname:an [ (i, _n) ]);
+                  ignore (emit_straight_group st ~fname:an [ n ]);
                   (i, an))
-                [ a_m; b_m ]
+                [ (ia, a); (ib, b) ]
             in
             (fname, false, alts)
           | _ -> assert false
@@ -946,10 +845,7 @@ let emit ~strides ?(skip = []) (spec : Kc.spec) =
   else
     Ok
       { e_body = Buffer.contents st.eb; e_groups = groups;
-        e_skipped = skipped; e_refused = refused;
-        (* shifted groups re-emit members as standalone entries, which
-           would double-count their tile stat *)
-        e_tiled = List.sort_uniq compare st.n_tiled; e_reused = st.n_reused;
+        e_skipped = skipped; e_refused = refused; e_reused = st.n_reused;
         e_blits = st.n_blits; e_unrolled = st.n_unrolled }
 
 (* The registration trailer carries the cache key, so the final module

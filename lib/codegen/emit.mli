@@ -1,8 +1,8 @@
 (** Kernel spec -> scheduled OCaml source for the native tier.
 
     v2: the emitter applies bitwise-preserving scheduling transforms —
-    L2 cache tiling from the [n_tile] hint, rolling register windows
-    and row blits inside innermost loops, and cross-nest fusion
+    rolling register windows, row blits and 4-wide unrolling inside
+    innermost loops, and cross-nest fusion
     (aligned cell-wise, or outer-level shifted for sweep/copy pairs) —
     before printing flat [Bigarray.Array1] loops with bounds, strides
     and stencil deltas baked in as constants. Every module opens with
@@ -78,9 +78,6 @@ val skipped : t -> (int * string) list
     predecessor's group was rejected. *)
 val refused : t -> (int * string) list
 
-(** Nests emitted with blocked loops: (nest index, tile rows). *)
-val tiled : t -> (int * int) list
-
 (** Rolling register windows emitted across the module. *)
 val reused : t -> int
 
@@ -93,8 +90,8 @@ val unrolled : t -> int
 (** The emitted definitions without the registration trailer — the
     content-addressed identity of the generated code (the cache key is
     a digest over this, so it must not contain the key itself).
-    Deterministic in the spec and strides: tile shape and
-    fusion decisions are part of the text, hence of the digest. *)
+    Deterministic in the spec and strides: fusion decisions are part
+    of the text, hence of the digest. *)
 val body : t -> string
 
 (** The complete module source: {!body} plus a trailer registering

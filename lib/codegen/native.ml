@@ -3,8 +3,8 @@
    per process and links plugins with [ld -shared] where it can.
 
    A [kernel] starts life unbound: strides are only known at the first
-   call, so that call emits the source (strides, bounds, tile shapes
-   and fusion decisions baked in), keys it into the content-addressed
+   call, so that call emits the source (strides, bounds and fusion
+   decisions baked in), keys it into the content-addressed
    cache (digest over the emitted body plus the toolchain stamp) and
    starts a build. In [Async] mode the build runs on a background
    thread and the kernel serves calls from the vector engine until the
@@ -21,11 +21,6 @@
    the plugin drives its own loops. Shift-fused groups are serial by
    construction; when the host has a real pool to feed it dispatches
    their members' standalone alternate entries instead.
-
-   Artifacts whose emitted schedule contains blocked loops record the
-   L2 budget that derived the tile shape in their stamp sidecar;
-   startup revalidation drops them when the budget changed, so a
-   machine-config change cannot leave stale tile shapes serving runs.
 
    The fallback chain never fails a run: toolchain missing, emit
    unsupported, compile error, Dynlink error, stale stamp, bounds
@@ -53,14 +48,15 @@ let c_fallback_runs = Obs.counter "codegen.fallback_runs"
 let c_pending_runs = Obs.counter "codegen.pending_runs"
 let c_guard_misses = Obs.counter "codegen.guard_misses"
 let c_fused_nests = Obs.counter "codegen.fused_nests"
-let c_tiled_nests = Obs.counter "codegen.tiled_nests"
 let c_reuse_windows = Obs.counter "codegen.reuse_windows"
 let c_copy_blits = Obs.counter "codegen.copy_blits"
 
 (* Bumped whenever emitted code or the sidecar layout changes shape.
-   v2: scheduling emitter (tiling/fusion), pfor entry ABI, string-keyed
-   registration, tile-budget stamp suffix. v3: monomorphic [get]/[set]
-   externals replace [Bigarray.Array1.unsafe_get/set]. *)
+   v2: scheduling emitter (fusion), pfor entry ABI, string-keyed
+   registration. v3: monomorphic [get]/[set] externals replace
+   [Bigarray.Array1.unsafe_get/set]. Stamps once carried a cache-tile
+   budget suffix; such sidecars fail revalidation and are swept, and
+   untiled bodies kept their keys, so no bump was needed. *)
 let format_version = 3
 
 type mode =
@@ -85,7 +81,6 @@ type status =
 
 type build = {
   b_key : string;
-  b_stamp : string; (* full artifact stamp, incl. any tile-budget line *)
   mutable b_status : status;
   mutable b_thread : Thread.t option;
 }
@@ -94,23 +89,13 @@ type ctx = {
   c_cache : Cache.t;
   c_mode : mode;
   c_toolchain : (Build.toolchain, string) result;
-  c_l2_kb : int option; (* budget behind the current n_tile hints *)
   c_mutex : Mutex.t;
   c_cond : Condition.t;
   c_builds : (string, build) Hashtbl.t;
   c_stale_dropped : int; (* sidecar sets dropped by startup revalidation *)
 }
 
-(* Tiled artifacts append the L2 budget that derived their tile shape
-   to the toolchain stamp; untiled artifacts stay budget-independent. *)
-let budget_line kb = Printf.sprintf "\ntile-budget %d" kb
-
-let artifact_stamp ~base ~tiled ~l2_kb =
-  match (tiled, l2_kb) with
-  | true, Some kb -> base ^ budget_line kb
-  | _ -> base
-
-let create ?cache ?(mode = Async) ?ocamlfind ?l2_kb () =
+let create ?cache ?(mode = Async) ?ocamlfind ?l2_kb:_ () =
   let toolchain = Build.probe ?command:ocamlfind () in
   let cache =
     match cache with
@@ -118,38 +103,14 @@ let create ?cache ?(mode = Async) ?ocamlfind ?l2_kb () =
     | None -> Cache.create ~version:format_version ()
   in
   let dropped =
-    (* startup revalidation: sweep sidecar sets whose toolchain stamp no
-       longer matches, and tiled sets whose recorded L2 budget differs
-       from the current one; with no toolchain nothing will load, so
-       leave the (possibly still valid) artifacts for a future process *)
+    (* startup revalidation: sweep sidecar sets whose stamp is not this
+       toolchain's; with no toolchain nothing will load, so leave the
+       (possibly still valid) artifacts for a future process *)
     match toolchain with
-    | Ok tc ->
-      let base = Build.stamp tc in
-      let validate ~key:_ ~stamp =
-        stamp = base
-        ||
-        (* a tile-budget suffix: valid iff it matches the current
-           budget; with no budget configured any tiled artifact of this
-           toolchain stays (we cannot tell it stale) *)
-        (String.length stamp > String.length base
-        && String.sub stamp 0 (String.length base) = base
-        &&
-        match l2_kb with
-        | Some kb ->
-          String.sub stamp (String.length base)
-            (String.length stamp - String.length base)
-          = budget_line kb
-        | None ->
-          let rest =
-            String.sub stamp (String.length base)
-              (String.length stamp - String.length base)
-          in
-          String.length rest > 13 && String.sub rest 0 13 = "\ntile-budget ")
-      in
-      Cache.revalidate_sidecars cache ~stamp:base ~validate
+    | Ok tc -> Cache.revalidate_sidecars cache ~stamp:(Build.stamp tc)
     | Error _ -> 0
   in
-  { c_cache = cache; c_mode = mode; c_toolchain = toolchain; c_l2_kb = l2_kb;
+  { c_cache = cache; c_mode = mode; c_toolchain = toolchain;
     c_mutex = Mutex.create (); c_cond = Condition.create ();
     c_builds = Hashtbl.create 8; c_stale_dropped = dropped }
 
@@ -202,12 +163,14 @@ let finish ctx b status =
    mismatch here (written between our startup revalidation and now)
    or a Dynlink failure drops the sidecar set and falls through to a
    fresh build. *)
-let try_load_cached ctx b =
+let try_load_cached ctx tc b =
   let key = b.b_key in
   match Cache.find_sidecar ctx.c_cache ~key ~ext:"cmxs" with
   | None -> None
   | Some path ->
-    if Cache.read_sidecar ctx.c_cache ~key ~ext:"stamp" <> Some b.b_stamp
+    if
+      Cache.read_sidecar ctx.c_cache ~key ~ext:"stamp"
+      <> Some (Build.stamp tc)
     then begin
       Cache.remove_sidecars ctx.c_cache ~key;
       None
@@ -290,7 +253,8 @@ let build_fresh ctx tc b emit ~t0 =
         | Some published ->
           (* the stamp lands last: an interrupted publish leaves an
              unstamped set that the next revalidation sweeps away *)
-          ignore (Cache.put_sidecar ctx.c_cache ~key ~ext:"stamp" b.b_stamp);
+          ignore
+            (Cache.put_sidecar ctx.c_cache ~key ~ext:"stamp" (Build.stamp tc));
           published
         | None -> cmxs (* diskless cache: load straight from the workdir *)
       in
@@ -318,7 +282,7 @@ let do_build ctx b emit =
         Ready
           { r_entries = entries; r_build_ms = 0.; r_origin = Origin_memo }
       | None -> (
-        match try_load_cached ctx b with
+        match try_load_cached ctx tc b with
         | Some (entries, origin) ->
           Ready
             { r_entries = entries; r_build_ms = ms_since t0;
@@ -333,7 +297,7 @@ let do_build ctx b emit =
   in
   finish ctx b status
 
-let ensure_build ctx ~key ~stamp emit =
+let ensure_build ctx ~key emit =
   Mutex.lock ctx.c_mutex;
   match Hashtbl.find_opt ctx.c_builds key with
   | Some b ->
@@ -341,7 +305,7 @@ let ensure_build ctx ~key ~stamp emit =
     b
   | None ->
     let b =
-      { b_key = key; b_stamp = stamp; b_status = Building; b_thread = None }
+      { b_key = key; b_status = Building; b_thread = None }
     in
     Hashtbl.add ctx.c_builds key b;
     Mutex.unlock ctx.c_mutex;
@@ -365,7 +329,6 @@ type bind_result =
       bb_emit_skipped : (int * string) list;
       bb_bounds_skipped : (int * string) list;
       bb_refused : (int * string) list;
-      bb_tiled : (int * int) list;
       bb_reused : int;
       bb_blits : int;
       bb_unrolled : int;
@@ -451,10 +414,6 @@ let bind_kernel k ~bufs =
                 [ "native"; string_of_int format_version; Build.stamp tc;
                   Emit.body e ]
             in
-            let stamp =
-              artifact_stamp ~base:(Build.stamp tc)
-                ~tiled:(Emit.tiled e <> []) ~l2_kb:k.k_ctx.c_l2_kb
-            in
             let fused =
               List.fold_left
                 (fun n (g : Emit.group) ->
@@ -464,16 +423,14 @@ let bind_kernel k ~bufs =
                 0 (Emit.groups e)
             in
             Obs.add c_fused_nests fused;
-            Obs.add c_tiled_nests (List.length (Emit.tiled e));
             Obs.add c_reuse_windows (Emit.reused e);
             Obs.add c_copy_blits (Emit.blits e);
             Bind_built
-              { bb_build = ensure_build k.k_ctx ~key ~stamp e;
+              { bb_build = ensure_build k.k_ctx ~key e;
                 bb_groups = Emit.groups e;
                 bb_emit_skipped = emit_skipped;
                 bb_bounds_skipped = bounds_skipped;
                 bb_refused = Emit.refused e;
-                bb_tiled = Emit.tiled e;
                 bb_reused = Emit.reused e;
                 bb_blits = Emit.blits e;
                 bb_unrolled = Emit.unrolled e }
@@ -669,7 +626,6 @@ type report = {
   rp_native_nests : int;
   rp_total_nests : int;
   rp_fused_nests : int;
-  rp_tile_rows : int option;
   rp_reuse_windows : int;
   rp_copy_blits : int;
   rp_par_mode : string option;
@@ -687,7 +643,7 @@ let report k =
   let vector detail =
     { rp_engine = "vector"; rp_detail = detail; rp_build_ms = None;
       rp_origin = None; rp_native_nests = 0; rp_total_nests = total;
-      rp_fused_nests = 0; rp_tile_rows = None; rp_reuse_windows = 0;
+      rp_fused_nests = 0; rp_reuse_windows = 0;
       rp_copy_blits = 0; rp_par_mode = None;
       rp_pending_runs = k.k_pending_runs; rp_guard_misses = k.k_guard_misses }
   in
@@ -749,11 +705,6 @@ let report k =
                [ Printf.sprintf "fused %d nests (%s)" fused
                    (String.concat ", " kinds) ]
              else [])
-            @ (match b.bb_tiled with
-              | (_, t) :: _ ->
-                [ Printf.sprintf "tile %d rows x%d" t (List.length b.bb_tiled)
-                ]
-              | [] -> [])
             @ (if b.bb_reused > 0 then
                  [ Printf.sprintf "%d reuse windows" b.bb_reused ]
                else [])
@@ -792,8 +743,6 @@ let report k =
             | _ -> None);
           rp_origin = Some r.r_origin; rp_native_nests = native;
           rp_total_nests = total; rp_fused_nests = fused;
-          rp_tile_rows =
-            (match b.bb_tiled with (_, t) :: _ -> Some t | [] -> None);
           rp_reuse_windows = b.bb_reused; rp_copy_blits = b.bb_blits;
           rp_par_mode = (if k.k_par_mode <> "" then Some k.k_par_mode
                          else None);

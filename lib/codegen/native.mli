@@ -12,13 +12,10 @@
     engine until its plugin is resident ([Async] mode builds on a
     background thread; [Sync] builds inline for tests and benches).
 
-    v2: emission is a scheduling codegen ({!Emit}) — cache tiling from
-    the [n_tile] hint, rolling register windows, row blits, and
-    cross-nest fusion — and execution dispatches emitted {e groups}
-    with an in-plugin [pfor] work-sharer instead of chunking around
-    per-nest entries. Tiled artifacts record the L2 budget behind their
-    tile shape in the stamp sidecar; startup revalidation drops them
-    when the budget changed.
+    v2: emission is a scheduling codegen ({!Emit}) — rolling register
+    windows, row blits, unrolling and cross-nest fusion — and execution
+    dispatches emitted {e groups} with an in-plugin [pfor] work-sharer
+    instead of chunking around per-nest entries.
 
     The fallback chain never fails a run: missing toolchain, emit
     unsupported, compile/Dynlink failure (including an unusable cache
@@ -47,11 +44,10 @@ type kernel
     var) names the findlib driver that resolves the compiler; builds
     run the resolved compiler directly. [cache] defaults to a fresh
     disk cache in the default directory; pass the driver's cache to
-    share one directory. [l2_kb] is the cache budget behind the current
-    [n_tile] hints: tiled artifacts built under a different budget are
-    dropped at startup, and freshly built tiled artifacts record it.
-    Probe failure is recorded, not raised: every kernel of the ctx then
-    runs on the vector engine. *)
+    share one directory. [l2_kb] is accepted and ignored: nothing
+    derives from a cache budget any more, and the benchmark harness
+    still passes one. Probe failure is recorded, not raised: every
+    kernel of the ctx then runs on the vector engine. *)
 val create :
   ?cache:Cache.t -> ?mode:mode -> ?ocamlfind:string -> ?l2_kb:int -> unit ->
   ctx
@@ -65,9 +61,9 @@ val toolchain_error : ctx -> string option
     version and the link command, or why the tier is off. *)
 val toolchain_summary : ctx -> string
 
-(** Sidecar sets dropped by startup revalidation (compiler, shim or
-    flags changed — the flags include the link command — or a tiled
-    artifact's recorded L2 budget no longer matches). *)
+(** Sidecar sets dropped by startup revalidation: their stamp is not
+    this toolchain's (compiler, shim or flags changed — the flags
+    include the link command). *)
 val stale_dropped : ctx -> int
 
 (** Wrap one analysed kernel. Compiles the vector fallback plan
@@ -116,7 +112,6 @@ type report = {
   rp_native_nests : int;
   rp_total_nests : int;
   rp_fused_nests : int;  (** nests running inside multi-nest groups *)
-  rp_tile_rows : int option;  (** tile shape, when blocked loops emitted *)
   rp_reuse_windows : int;  (** rolling register windows in the module *)
   rp_copy_blits : int;  (** innermost copy loops emitted as row blits *)
   rp_par_mode : string option;

@@ -20,15 +20,13 @@ let create_cache ?mem_entries ?disk ?dir ?max_disk_bytes () =
   Cache.create ?mem_entries ?disk ?dir ?max_disk_bytes
     ~version:format_version ()
 
+(* Everything that defines an artifact: the options and the source. No
+   fact about the machine reaches the compiled IR, so none is keyed;
+   the execution engine is link-time state. *)
 let key cache (options : P.options) src =
   Cache.digest cache
     [ "target:" ^ P.target_kind options.P.opt_target;
-      (* the cache budget stays in the key so that editing it re-keys
-         every artifact: it sizes the cpu_tile annotations baked into
-         the stencil IR (the execution engine, by contrast, is link-time
-         state) *)
       "merge:" ^ string_of_bool options.P.opt_merge;
-      "l2:" ^ string_of_int P.cpu_l2_kb;
       src ]
 
 (* ---------------- serialization ----------------

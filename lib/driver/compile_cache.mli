@@ -2,7 +2,7 @@
     content-addressed artifact store in [Fsc_cache.Cache].
 
     Entries are keyed by a digest of (source text, target kind, merge
-    flag, L2 budget, format version) and hold the {e printed} IR that
+    flag, format version) and hold the {e printed} IR that
     {!Pipeline.link} consumes plus kernel metadata — including the
     per-kernel affine footprints (canonical string form). The Listing-4
     GPU module is not stored: {!Pipeline.gpu_ir} rebuilds it from the

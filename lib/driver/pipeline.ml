@@ -306,9 +306,6 @@ let default_options ?(target = Serial) ?(merge = true) () =
 (* the paper's Listing-4 GPU tile *)
 let gpu_tile_sizes = [ 32; 32; 1 ]
 
-(* per-core cache budget behind the CPU tile annotations *)
-let cpu_l2_kb = Fsc_perf.Machine.host_cache.Fsc_perf.Machine.ch_l2_kb
-
 type compiled_artifact = {
   ca_host : Op.op;
   ca_stencil : Op.op;
@@ -375,15 +372,6 @@ let compile options src =
     stage "scf-to-openmp" (fun () ->
         ignore (Fsc_lowering.Scf_to_openmp.run stencil_m))
   | _ -> ());
-  (* annotate the (final) top-level loop ops with cache-tile sizes for
-     the CPU vector executor; after scf-to-openmp so the attribute lands
-     on the op the kernel analyser starts from *)
-  (match target with
-  | Serial | Openmp _ | Dist _ ->
-    stage "cpu tile annotation" (fun () ->
-        ignore
-          (Fsc_lowering.Loop_tiling.annotate_cpu ~l2_kb:cpu_l2_kb stencil_m))
-  | Gpu _ -> ());
   let kernel_funcs =
     Fsc_dialects.Func.all_functions stencil_m
     |> List.filter (fun f -> is_stencil_kernel (Fsc_dialects.Func.name f))

@@ -107,10 +107,6 @@ type options = {
 
 val default_options : ?target:target -> ?merge:bool -> unit -> options
 
-(** Per-core cache budget (KB) behind the ["cpu_tile"] nest annotations
-    the vector engine blocks by: the host's L2. *)
-val cpu_l2_kb : int
-
 (** The pure, serializable half of a stencil compilation: IR modules and
     metadata only — no interpreter context, no domain pool, no GPU
     simulator, no Bigarrays, no closures. It is exactly the value the

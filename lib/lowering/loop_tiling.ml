@@ -91,80 +91,3 @@ let pass ~tile_sizes =
     (Printf.sprintf "scf-parallel-loop-tiling{parallel-loop-tile-sizes=%s}"
        (String.concat "," (List.map string_of_int tile_sizes)))
     (fun m -> run ~tile_sizes m)
-
-(* ------------------------------------------------------------------ *)
-(* CPU cache-tile annotation                                           *)
-(* ------------------------------------------------------------------ *)
-
-let const_of (v : Op.value) =
-  match Op.defining_op v with
-  | Some op when op.Op.o_name = "arith.constant" -> (
-    match Op.attr op "value" with
-    | Some (Attr.Int_a n) -> Some n
-    | _ -> None)
-  | _ -> None
-
-let is_loop_name = function
-  | "scf.for" | "scf.parallel" | "omp.parallel" | "omp.wsloop" -> true
-  | _ -> false
-
-(* Extent of the innermost constant-bound scf.for under [top] (the row
-   the vector engine processes per step), if the nest bottoms out in
-   one. *)
-let innermost_extent top =
-  let result = ref None in
-  let visit o =
-    if o.Op.o_name = "scf.for" then begin
-      let nested = ref false in
-      Op.walk_inner
-        (fun i -> if is_loop_name i.Op.o_name then nested := true)
-        o;
-      if not !nested then
-        match
-          (const_of (Op.operand ~index:0 o), const_of (Op.operand ~index:1 o))
-        with
-        | Some lb, Some ub when ub > lb -> result := Some (ub - lb)
-        | _ -> ()
-    end
-  in
-  visit top;
-  Op.walk_inner visit top;
-  !result
-
-(* Annotate every top-level loop nest of every kernel function with a
-   ["cpu_tile"] attribute: the number of innermost rows whose working
-   set (across all buffer arguments) fits in half of [l2_kb] of cache.
-   The CPU vector executor (Fsc_rt.Kernel_bytecode) reads the attribute
-   off the analysed nest and blocks its outer loops accordingly. The
-   driver supplies [l2_kb] from the machine model — this pass stays
-   machine-agnostic. Returns the number of nests annotated. *)
-let annotate_cpu ~l2_kb m =
-  let count = ref 0 in
-  List.iter
-    (fun f ->
-      let entry = Fsc_dialects.Func.entry_block f in
-      let arrays =
-        List.length
-          (List.filter
-             (fun (a : Op.value) ->
-               match Op.value_type a with
-               | Types.Llvm_ptr | Types.Llvm_typed_ptr _ | Types.Memref _
-               | Types.Fir_llvm_ptr _ ->
-                 true
-               | _ -> false)
-             (Op.block_args entry))
-      in
-      List.iter
-        (fun op ->
-          if is_loop_name op.Op.o_name then
-            match innermost_extent op with
-            | Some w ->
-              let rows =
-                max 1 (l2_kb * 1024 / 2 / max 1 (8 * w * max 1 arrays))
-              in
-              Op.set_attr op "cpu_tile" (Attr.Arr_a [ Attr.Int_a rows ]);
-              incr count
-            | None -> ())
-        (Op.block_ops entry))
-    (Fsc_dialects.Func.all_functions m);
-  !count

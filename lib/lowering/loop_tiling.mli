@@ -4,19 +4,12 @@
     min(tile, remaining). The paper found GPU performance — and even
     correctness — sensitive to these sizes; 32,32,1 performed well
     across kernels (Section 3). The outer loop is annotated with
-    ["tiled"] and ["tile_sizes"] for the GPU mapping pass. *)
+    ["tiled"] and ["tile_sizes"] for the GPU mapping pass. This is the
+    only tiling in the compiler: the CPU engines run their nests
+    untiled. *)
 
 open Fsc_ir
 
 val run : tile_sizes:int list -> Op.op -> unit
 
 val pass : tile_sizes:int list -> Pass.t
-
-(** CPU-side cache-tile annotation: marks every top-level loop nest of
-    every kernel with a ["cpu_tile"] attribute — the number of innermost
-    rows whose working set (across all buffer arguments) fits in half of
-    [l2_kb] KB of cache. Read by the vector execution engine
-    ([Fsc_rt.Kernel_bytecode]) to block its outer loops; the driver
-    supplies [l2_kb] from the machine model. Returns the number of nests
-    annotated. *)
-val annotate_cpu : l2_kb:int -> Op.op -> int

@@ -255,10 +255,7 @@ let epoch = ref (Unix.gettimeofday ())
 
 (* Counters are interned by name so a handle stays valid across
    [reset]: reset zeroes the cells rather than dropping them. *)
-type counter = {
-  c_name : string;
-  c_cell : int Atomic.t;
-}
+type counter = int Atomic.t
 
 let counters_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 64
 let now () = Unix.gettimeofday ()
@@ -350,13 +347,11 @@ let counter name =
       c
   in
   Mutex.unlock lock;
-  { c_name = name; c_cell = cell }
+  cell
 
-let add c n =
-  if counters_enabled () then ignore (Atomic.fetch_and_add c.c_cell n)
+let add c n = if counters_enabled () then ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let counter_name c = c.c_name
-let counter_value c = Atomic.get c.c_cell
+let counter_value c = Atomic.get c
 
 (* All counters that have accumulated anything, sorted by name. *)
 let counter_totals () =

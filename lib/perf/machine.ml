@@ -24,9 +24,9 @@ let archer2_node =
     core_flops = 36.0e9 (* 2.25 GHz x 16 dp flops/cycle *);
     numa_bw = 48.0e9; core_bw = 15.0e9 }
 
-(* Per-core cache hierarchy, the input to the CPU executor's cache
-   blocking: the vector engine tiles outer loops so a tile's working
-   set (rows x arrays touched) stays within half the per-core L2. *)
+(* Per-core cache hierarchy. Model data only: no compiler or engine
+   reads it (the CPU engines run their nests untiled); the benchmark
+   harness in perfbench/ still reports [host_cache]'s L2. *)
 type cache_hierarchy = {
   ch_l1_kb : int;  (* per-core L1d *)
   ch_l2_kb : int;  (* per-core private L2 *)
@@ -37,9 +37,8 @@ type cache_hierarchy = {
    CCX. *)
 let archer2_cache = { ch_l1_kb = 32; ch_l2_kb = 512; ch_l3_kb = 16384 }
 
-(* Conservative figure for the host actually running the benchmarks:
-   512 KB private L2 is the common denominator of current x86 server
-   parts; the tile heuristic only needs the order of magnitude. *)
+(* A model figure, not a probe of the running host: 512 KB private L2,
+   the common denominator of current x86 server parts. *)
 let host_cache = archer2_cache
 
 type network = {

@@ -39,14 +39,10 @@
    time: the bounds proof fails, or a fused row is bound at a stride
    other than 1) rather than approximating.
 
-   On top of the row engine sit cache blocking and parallelism: the
-   sequential outer dimensions are processed in tiles of consecutive
-   rows (sized by the ["cpu_tile"] annotation from
-   Loop_tiling.annotate_cpu; a nest without one is a single tile),
-   iterating the parallel dimensions innermost within a tile so planes
-   stay hot in cache; the leading parallel loop levels are flattened
-   into one index space and distributed over the Domain_pool. Memory
-   safety without per-access bounds checks comes from
+   On top of the row engine sits parallelism: the leading parallel loop
+   levels are flattened into one index space and distributed over the
+   Domain_pool, and each parallel index sweeps its sequential rows in
+   order. Memory safety without per-access bounds checks comes from
    Kernel_compile.check_nest_bounds, which proves every access of the
    whole iteration space in range before the row loops run on
    unchecked accesses. *)
@@ -56,7 +52,6 @@ module Obs = Fsc_obs.Obs
 module A1 = Bigarray.Array1
 
 let c_rows = Obs.counter "rt.vector.rows"
-let c_tiles = Obs.counter "rt.vector.tiles"
 let c_fallbacks = Obs.counter "rt.vector.fallbacks"
 
 (* ------------------------------------------------------------------ *)
@@ -1010,7 +1005,7 @@ let bind_stmt ~bufs ~scalars ~strides ~w ~si ~inner_level ~inner_lb =
   | V_expr ex ->
     bind_expr ~bufs ~scalars ~strides ~w ~si ~inner_level ~inner_lb ex
 
-(* -------- nest driver: tiles over rows, parallel prefix -------- *)
+(* -------- nest driver: parallel prefix, sequential rows -------- *)
 
 (* A nest bound to one call's buffers and scalars: the parallel extent,
    and [sweep], which builds one executor (registers, slots, row
@@ -1050,10 +1045,6 @@ let bind_vnest vn ~(bufs : Memref_rt.t array) ~scalars =
     in
     let npar = Array.fold_left (fun a l -> a * extent l) 1 par in
     let nseq = Array.fold_left (fun a l -> a * extent l) 1 seq in
-    (* a nest without a cpu_tile hint runs as one tile *)
-    let tile =
-      match nest.Kc.n_tile with t :: _ when t > 0 -> min t nseq | _ -> nseq
-    in
     let makes =
       Array.map
         (bind_stmt ~bufs ~scalars ~strides ~w ~si
@@ -1075,32 +1066,23 @@ let bind_vnest vn ~(bufs : Memref_rt.t array) ~scalars =
       !base
     in
     let inner_base = inner.Kc.l_lb * si in
-    let ntiles = (nseq + tile - 1) / tile in
-    (* Tile loop outermost, parallel index innermost within a tile: the
-       rows of a tile are revisited across adjacent parallel indices
-       while still hot. Reordering across parallel indices is always
-       legal; the sequential row order within each parallel index is
-       preserved (tiles ascend, rows ascend within a tile). *)
+    (* each parallel index sweeps every sequential row, in order *)
     let sweep () =
       let ivs = Array.make depth 0 in
       ivs.(depth - 1) <- inner.Kc.l_lb;
       let fns = Array.map (fun m -> m ivs) makes in
       let nf = Array.length fns in
       fun plo phi ->
-        for t = 0 to ntiles - 1 do
-          Obs.incr c_tiles;
-          let slo = t * tile and shi = min nseq ((t + 1) * tile) in
-          for p = plo to phi - 1 do
-            let pbase = decode par p ivs in
-            for s = slo to shi - 1 do
-              let base = pbase + decode seq s ivs + inner_base in
-              for j = 0 to nf - 1 do
-                (Array.unsafe_get fns j) base
-              done
+        for p = plo to phi - 1 do
+          let pbase = decode par p ivs in
+          for s = 0 to nseq - 1 do
+            let base = pbase + decode seq s ivs + inner_base in
+            for j = 0 to nf - 1 do
+              (Array.unsafe_get fns j) base
             done
-          done;
-          Obs.add c_rows ((shi - slo) * (phi - plo))
-        done
+          done
+        done;
+        Obs.add c_rows (nseq * (phi - plo))
     in
     Some { vb_npar = npar; vb_npar_levels = npar_levels; vb_sweep = sweep }
   end
@@ -1133,8 +1115,17 @@ let bind_compiled ?pool ~bufs ~scalars cn : unit -> unit =
         Obs.incr c_fallbacks;
         checked vn.v_nest ())
 
+(* Binding reads a buffer's storage, extents and strides and nothing
+   else, so a new record over the same storage (a re-run whose grids
+   the arena handed back) keeps the binding. *)
+let same_buf (a : Memref_rt.t) (b : Memref_rt.t) =
+  a == b
+  || (a.Memref_rt.data == b.Memref_rt.data
+     && a.Memref_rt.dims = b.Memref_rt.dims
+     && a.Memref_rt.strides = b.Memref_rt.strides)
+
 let same_bufs (a : Memref_rt.t array) b =
-  Array.length a = Array.length b && Array.for_all2 ( == ) a b
+  Array.length a = Array.length b && Array.for_all2 same_buf a b
 
 (* bitwise, so that a change between 0.0 and -0.0 (or between NaN
    payloads) rebinds; a loop, as a closure over float array elements

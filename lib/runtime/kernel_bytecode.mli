@@ -11,10 +11,9 @@
     loads are hoisted out of the row passes: evaluated once per row when
     they read no innermost induction value (constants, scalars, outer
     ivs), once per run into a fixed row when the innermost iv is all
-    they read. Outer sequential dimensions execute in cache tiles of
-    consecutive rows (sized by the ["cpu_tile"] annotation; a nest
-    without one runs as a single tile), and the leading parallel loop
-    levels are flattened and work-shared over the {!Domain_pool}.
+    they read. The leading parallel loop levels are flattened and
+    work-shared over the {!Domain_pool}; each parallel index sweeps its
+    sequential rows in order.
     A plan runs only through {!runner}, which binds each nest to its
     buffers and scalars once and re-runs that binding.
 
@@ -27,8 +26,7 @@
     unsupported shapes (compile time) and nests the bounds proof
     rejects (run time). Fallbacks are visible per nest via {!summary} /
     {!fallbacks} and counted on the ["rt.vector.fallbacks"] Obs
-    counter; execution volume appears on ["rt.vector.rows"] and
-    ["rt.vector.tiles"]. *)
+    counter; execution volume appears on ["rt.vector.rows"]. *)
 
 module Kc = Kernel_compile
 
@@ -80,8 +78,10 @@ val describe : plan -> string
     time: calls must not overlap. Parallel nests are work-shared over
     [pool] when given, each chunk on an executor of its own. It binds
     every nest on its first call (the bounds proof, the row closures
-    and scratch rows) and reuses that binding while the buffers are
-    physically the same and the scalars bitwise the same, rebinding
+    and scratch rows) and reuses that binding while each buffer has
+    physically the same storage and equal extents and strides (a new
+    record over the same storage, as a re-run's arena-recycled grid,
+    keeps it) and the scalars are bitwise the same, rebinding
     otherwise; binding reads the buffers' shapes and storage, never
     their contents. Nests the plan or the bounds proof reject run on
     the checked closure engine, with [pool].

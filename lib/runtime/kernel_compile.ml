@@ -50,7 +50,6 @@ type nest = {
   n_uses_iv : bool;         (* body reads induction values (F_ivf) *)
   n_flops_per_cell : int;
   n_loads_per_cell : int;
-  n_tile : int list;        (* cpu_tile annotation: rows per cache tile *)
 }
 
 type spec = {
@@ -309,17 +308,8 @@ let analyze_nest ~arg_class top_op =
           l_parallel = par })
       !loops
   in
-  let tile =
-    match Op.attr top_op "cpu_tile" with
-    | Some (Attr.Arr_a l) ->
-      List.filter_map
-        (function Attr.Int_a n -> Some n | _ -> None)
-        l
-    | Some (Attr.Int_a n) -> [ n ]
-    | _ -> []
-  in
   { n_loops = loop_specs; n_stores = stores; n_uses_iv = !uses_iv;
-    n_flops_per_cell = !flops; n_loads_per_cell = !loads; n_tile = tile }
+    n_flops_per_cell = !flops; n_loads_per_cell = !loads }
 
 let analyze func =
   let entry = Fsc_dialects.Func.entry_block func in

@@ -48,9 +48,6 @@ type nest = {
   n_uses_iv : bool;  (** body reads induction values *)
   n_flops_per_cell : int;
   n_loads_per_cell : int;
-  n_tile : int list;
-      (** rows-per-cache-tile hint from the ["cpu_tile"] annotation set by
-          {!Fsc_lowering.Loop_tiling.annotate_cpu}; [[]] when absent *)
 }
 
 type spec = {

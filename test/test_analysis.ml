@@ -762,8 +762,7 @@ let test_footprint_of_nest () =
                 ( "arith.addf",
                   Kc.F_load (1, [ Kc.Iv (0, -1); Kc.Cst 3 ]),
                   Kc.F_load (1, [ Kc.Iv (0, 1); Kc.Cst 3 ]) ) } ];
-      Kc.n_uses_iv = true; Kc.n_flops_per_cell = 1; Kc.n_loads_per_cell = 2;
-      Kc.n_tile = [] }
+      Kc.n_uses_iv = true; Kc.n_flops_per_cell = 1; Kc.n_loads_per_cell = 2 }
   in
   let fp = F.of_nest nest in
   Alcotest.(check bool) "not empty" false fp.F.nf_empty;
@@ -801,8 +800,7 @@ let test_footprint_overwrites () =
     { Kc.n_loops = loops;
       Kc.n_stores =
         [ { Kc.st_buf = 0; Kc.st_index = index; Kc.st_expr = expr } ];
-      Kc.n_uses_iv = false; Kc.n_flops_per_cell = 0; Kc.n_loads_per_cell = 1;
-      Kc.n_tile = [] }
+      Kc.n_uses_iv = false; Kc.n_flops_per_cell = 0; Kc.n_loads_per_cell = 1 }
   in
   let check label expect ~dims nests =
     Alcotest.(check bool) label expect

@@ -283,8 +283,7 @@ let native_spec c =
                   Kc.F_binary
                     ("arith.mulf", Kc.F_load (0, [ Kc.Iv (0, 0) ]),
                      Kc.F_const c) } ];
-          n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
-          n_tile = [] } ];
+          n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1 } ];
     k_num_bufs = 2; k_num_scalars = 0 }
 
 let native_bufs () =

@@ -53,8 +53,7 @@ let loop1d ~lb ~ub =
 let nest1d expr =
   { Kc.n_loops = [ loop1d ~lb:0 ~ub:8 ];
     n_stores = [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ]; st_expr = expr } ];
-    n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
-    n_tile = [] }
+    n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1 }
 
 let load buf = Kc.F_load (buf, [ Kc.Iv (0, 0) ])
 
@@ -124,9 +123,9 @@ let loops3d ?(lb = 1) ?(ub = 5) () =
 let idx3 ?(di = 0) ?(dj = 0) ?(dk = 0) () =
   [ Kc.Iv (2, di); Kc.Iv (1, dj); Kc.Iv (0, dk) ]
 
-let nest3d ?(loops = loops3d ()) ?(tile = []) stores =
+let nest3d ?(loops = loops3d ()) stores =
   { Kc.n_loops = loops; n_stores = stores; n_uses_iv = false;
-    n_flops_per_cell = 1; n_loads_per_cell = 1; n_tile = tile }
+    n_flops_per_cell = 1; n_loads_per_cell = 1 }
 
 let store3 buf ?(index = idx3 ()) expr =
   { Kc.st_buf = buf; st_index = index; st_expr = expr }
@@ -229,13 +228,12 @@ let test_fusion_structural_gates () =
   | Error e -> Alcotest.failf "emit failed: %s" e
 
 let test_schedule_emission () =
-  (* wide loops: the innermost level is unrolled 4-wide, the copy nest
-     becomes an allocation-free bulk row move, and a real n_tile hint
-     splits the first sequential level into blocked loops; the copy nest
-     carries no hint and stays unblocked. The pair shift-fuses, and its
-     standalone member entries carry the intra-nest transforms. *)
+  (* wide loops: the innermost level is unrolled 4-wide and the copy
+     nest becomes an allocation-free bulk row move. The pair
+     shift-fuses, and its standalone member entries carry the
+     intra-nest transforms. *)
   let wide = loops3d ~lb:1 ~ub:12 () in
-  let sweep = { sweep_nest with Kc.n_loops = wide; n_tile = [ 4 ] } in
+  let sweep = { sweep_nest with Kc.n_loops = wide } in
   let copy = { copy_nest with Kc.n_loops = wide } in
   let strides = [| 1; 14; 196 |] in
   match E.emit ~strides (spec3 [ sweep; copy ]) with
@@ -244,13 +242,9 @@ let test_schedule_emission () =
     Alcotest.(check bool) "innermost loops unrolled" true (E.unrolled t > 0);
     Alcotest.(check bool) "copy rows emitted as row blits" true
       (E.blits t > 0);
-    Alcotest.(check (list (pair int int))) "only the hinted nest tiled"
-      [ (0, 4) ] (E.tiled t);
     let body = E.body t in
     Alcotest.(check bool) "body carries the unrolled trips" true
       (contains body "4 cells per trip");
-    Alcotest.(check bool) "body carries the blocked tiles" true
-      (contains body "-row tiles");
     Alcotest.(check bool) "row moves never allocate sub views" false
       (contains body "Array1.sub");
     Alcotest.(check bool) "accesses go through the monomorphic externals"
@@ -478,17 +472,25 @@ let test_link_stamp_sweeps_old_sidecars () =
         (Array.to_list (Sys.readdir dir))
     in
     Alcotest.(check bool) "cold run stamped its plugins" true (stamps <> []);
-    List.iter
-      (fun f ->
-        Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-            Out_channel.output_string oc old_stamp))
-      stamps;
+    let write name text =
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc text)
+    in
+    List.iter (fun f -> write f old_stamp) stamps;
+    (* a set from a build that recorded a cache-tile budget after this
+       toolchain's stamp: no current build writes such a stamp *)
+    let budget_key = String.make 32 'f' in
+    write (budget_key ^ ".stamp") (Bld.stamp tc ^ "\ntile-budget 512");
+    write (budget_key ^ ".cmxs") "";
     let ctx =
       N.create ~cache:(Cache.create ~dir ~version:N.format_version ())
         ~mode:N.Sync ()
     in
-    Alcotest.(check bool) "old-link sidecars dropped" true
-      (N.stale_dropped ctx >= 1);
+    Alcotest.(check bool) "old-link and budget-stamped sidecars dropped" true
+      (N.stale_dropped ctx >= 2);
+    Alcotest.(check bool) "budget-stamped set removed" false
+      (Sys.file_exists (Filename.concat dir (budget_key ^ ".stamp"))
+      || Sys.file_exists (Filename.concat dir (budget_key ^ ".cmxs")));
     let rebuilt = native () in
     if not (contains rebuilt "cold build") || contains rebuilt "warm cache hit"
     then Alcotest.failf "expected cold rebuilds:\n%s" rebuilt;
@@ -532,9 +534,9 @@ let test_reference_matrix () =
       ("residual", B.residual ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "u"; "r" ]);
       ("smooth", B.smooth ~nx:8 ~ny:8 ~nz:8 ~niter:2 (), [ "rs"; "d" ]) ]
 
-(* The emitter's unfused and unblocked paths, executed: a pair whose
-   fusion is refused (a pinned outer plane) and nests without a tile
-   hint must still run bitwise-equal to the closure engine. *)
+(* The emitter's unfused path, executed: a pair whose fusion is refused
+   (a pinned outer plane) must still run bitwise-equal to the closure
+   engine. *)
 let test_refused_untiled_runs () =
   with_toolchain @@ fun () ->
   let pinned = [ Kc.Iv (2, 0); Kc.Iv (1, 0); Kc.Cst 1 ] in
@@ -564,8 +566,7 @@ let test_refused_untiled_runs () =
     ref_bufs;
   let r = N.report k in
   Alcotest.(check string) "fully native" "native" r.N.rp_engine;
-  Alcotest.(check int) "no nest fused" 0 r.N.rp_fused_nests;
-  Alcotest.(check (option int)) "no tile rows" None r.N.rp_tile_rows
+  Alcotest.(check int) "no nest fused" 0 r.N.rp_fused_nests
 
 (* ---- storage arena ----
 
@@ -587,52 +588,6 @@ let test_arena_recycles () =
   Alcotest.(check bool) "same-size create recycled it" true (hits1 > hits0);
   Alcotest.(check (float 0.)) "recycled storage is zero-filled" 0.0
     (Rt.get b2 [| 3; 3; 1 |])
-
-(* ---- tile-budget revalidation ----
-
-   A cached tiled artifact records the L2 budget its tile shape was
-   derived under; opening the cache with a different budget must evict
-   it, while the same budget keeps it. *)
-let test_tile_budget_eviction () =
-  with_toolchain @@ fun () ->
-  let dir = fresh_dir () in
-  let sp =
-    spec3
-      [ { (nest3d ~loops:(loops3d ~ub:12 ())
-             [ store3 1
-                 (Kc.F_binary
-                    ("arith.mulf", Kc.F_load (0, idx3 ()), Kc.F_const 0.5))
-             ])
-          with
-          Kc.n_tile = [ 4 ] } ]
-  in
-  let mk l2_kb =
-    N.create
-      ~cache:(Cache.create ~dir ~version:N.format_version ())
-      ~mode:N.Sync ~l2_kb ()
-  in
-  let ctx = mk 512 in
-  let k = N.prepare ctx ~name:"tb" sp in
-  let bufs = [| Rt.create [ 14; 14; 14 ]; Rt.create [ 14; 14; 14 ] |] in
-  N.run k ~bufs ~scalars:[||] ();
-  (match (N.report k).N.rp_origin with
-  | Some N.Origin_built -> ()
-  | _ -> Alcotest.fail "expected a cold tiled build");
-  (* same budget: the tiled artifact revalidates *)
-  Alcotest.(check int) "same budget keeps the artifact" 0
-    (N.stale_dropped (mk 512));
-  (* shrunk budget: the recorded tile shape no longer matches *)
-  let ctx2 = mk 256 in
-  Alcotest.(check bool) "changed budget evicts it" true
-    (N.stale_dropped ctx2 >= 1);
-  (* and the rebuild over the new budget still answers bitwise *)
-  let k2 = N.prepare ctx2 ~name:"tb" sp in
-  let ref_bufs = [| Rt.create [ 14; 14; 14 ]; Rt.create [ 14; 14; 14 ] |] in
-  Kc.run sp ~bufs:ref_bufs ~scalars:[||] ();
-  let nat_bufs = [| Rt.create [ 14; 14; 14 ]; Rt.create [ 14; 14; 14 ] |] in
-  N.run k2 ~bufs:nat_bufs ~scalars:[||] ();
-  Alcotest.(check (float 0.)) "rebuilt kernel bitwise" 0.0
-    (Rt.max_abs_diff ref_bufs.(1) nat_bufs.(1))
 
 (* A native request runs native only on CPU targets. Dist and GPU
    targets link vector plans, the engine decision states why, and
@@ -695,7 +650,7 @@ let () =
            test_fusion_refused;
          Alcotest.test_case "structural gates" `Quick
            test_fusion_structural_gates;
-         Alcotest.test_case "tile, unroll and blit emission" `Quick
+         Alcotest.test_case "unroll and blit emission" `Quick
            test_schedule_emission ]);
       ("native",
        [ Alcotest.test_case "gauss-seidel bitwise vs vector" `Quick
@@ -718,7 +673,5 @@ let () =
            test_refused_untiled_runs;
          Alcotest.test_case "storage arena recycles buffers" `Quick
            test_arena_recycles;
-         Alcotest.test_case "tile budget change evicts artifacts" `Quick
-           test_tile_budget_eviction;
          Alcotest.test_case "native request per target" `Quick
            test_native_request_per_target ]) ]

@@ -136,8 +136,7 @@ let nest_1d ~lb ~ub ~off =
       [ { Kc.st_buf = 1; st_index = [ Kc.Iv (0, 0) ];
           st_expr =
             Kc.F_unary ("math.sqrt", Kc.F_load (0, [ Kc.Iv (0, off) ])) } ];
-    n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1;
-    n_tile = [] }
+    n_uses_iv = false; n_flops_per_cell = 1; n_loads_per_cell = 1 }
 
 (* The shared flat-offset bounds proof the closure, vector and native
    engines run before their unchecked access paths, on 8-cell
