@@ -937,7 +937,9 @@ let serve_cmd =
           {\"action\": \"metrics\"} returns scheduler, per-client, cache \
           and counter statistics as JSON. The artifact cache is on by \
           default ($(b,--no-cache) disables it; $(b,--cache-mb) bounds \
-          it).")
+          it); with it, a repeated run request re-runs an idle linked \
+          artifact (up to 32 are kept) instead of decoding and linking \
+          again.")
     Term.(
       term_result
         (const run

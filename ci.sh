@@ -8,16 +8,100 @@ cd "$(dirname "$0")"
 dune build
 dune runtest
 
-# Export scan: every value a library interface exports must be used by
-# some other .ml file (library, binaries, benches, tests, examples);
-# a value used only inside its own module stays out of the .mli.
-unused_exports=$(
-  for m in lib/*/*.mli; do
-    for v in $(grep -oP '^\s*val\s+\K[a-z_][A-Za-z0-9_'"'"']*' "$m"); do
-      grep -rlw --include=*.ml -- "$v" lib bin bench perfbench test examples \
-        | grep -qv "^${m%.mli}.ml$" || echo "$m $v"
-    done
-  done)
+# Export scan: every value a library interface exports must have a
+# qualified use (Module.name, or through a module alias) outside
+# comments and strings in some other .ml file (library, binaries,
+# benches, tests, examples); a value used only inside its own module
+# stays out of the .mli.
+unused_exports=$(python3 - <<'PY'
+import glob, os, re
+
+IDENT = r"[A-Za-z0-9_']"
+QUOTED = re.compile(r"\{([a-z_]*)\|")
+CHAR = re.compile(r"'(\\[^']*|[^\\'])'")
+
+
+def code(src):
+    """OCaml source with comments and string contents blanked."""
+    out, i, n, depth = [], 0, len(src), 0
+    while i < n:
+        if src.startswith("(*", i):
+            depth, i = depth + 1, i + 2
+            continue
+        if depth and src.startswith("*)", i):
+            depth, i = depth - 1, i + 2
+            continue
+        c = src[i]
+        quoted = c == "{" and QUOTED.match(src, i)
+        char = c == "'" and CHAR.match(src, i)
+        if c == '"':
+            j = i + 1
+            while j < n and src[j] != '"':
+                j += 2 if src[j] == "\\" else 1
+            i, c = j + 1, '""'
+        elif quoted:
+            j = src.find("|" + quoted.group(1) + "}", i)
+            i, c = (n if j < 0 else j + len(quoted.group(1)) + 2), '""'
+        elif char:
+            i += len(char.group(0))
+        else:
+            i += 1
+        if not depth:
+            out.append(c)
+    return "".join(out)
+
+
+def exports(mli):
+    """(module path, value name) for every val, nested sigs included."""
+    top = os.path.basename(mli)[:-4].capitalize()
+    stack, found = [top], []
+    src = code(open(mli).read())
+    for m in re.finditer(r"\bmodule\s+([A-Z]" + IDENT + r"*)\s*:\s*sig\b"
+                         r"|\b(sig|struct|object)\b|\bend\b"
+                         r"|\bval\s+([a-z_]" + IDENT + "*)", src):
+        if m.group(1):
+            stack.append(m.group(1))
+        elif m.group(2):
+            stack.append(None)
+        elif m.group(3):
+            if None not in stack:
+                found.append((".".join(stack), m.group(3)))
+        else:
+            stack.pop()
+    return found
+
+
+def canon(path, aliases):
+    """A module path with aliases expanded and library wrappers dropped."""
+    parts = path.split(".")
+    if parts[0] in aliases:
+        parts = aliases[parts[0]].split(".") + parts[1:]
+    while len(parts) > 1 and parts[0].startswith("Fsc_"):
+        parts = parts[1:]
+    return ".".join(parts)
+
+
+def uses(ml):
+    """(module path, name) of every qualified use in one file."""
+    src = code(open(ml).read())
+    aliases = {}
+    for m in re.finditer(r"\bmodule\s+([A-Z]" + IDENT + r"*)\s*=\s*"
+                         r"([A-Z][A-Za-z0-9_'.]*[A-Za-z0-9_'])", src):
+        aliases[m.group(1)] = canon(m.group(2), aliases)
+    return {(canon(m.group(1), aliases), m.group(2))
+            for m in re.finditer(r"\b([A-Z]" + IDENT + r"*(?:\.[A-Z]" + IDENT
+                                 + r"*)*)\.([a-z_]" + IDENT + "*)", src)}
+
+
+files = [f for d in ("lib", "bin", "bench", "perfbench", "test", "examples")
+         for f in glob.glob(d + "/**/*.ml", recursive=True)]
+used = {f: uses(f) for f in files}
+for mli in sorted(glob.glob("lib/*/*.mli")):
+    for export in exports(mli):
+        if not any(export in used[f] for f in files if f != mli[:-1]):
+            print(mli, ".".join(export))
+PY
+)
 if [ -n "$unused_exports" ]; then
   echo "ci: exported values used nowhere outside their module:"
   printf '%s\n' "$unused_exports"
@@ -456,6 +540,7 @@ if [ -z "$pool_size" ] || [ "${spawned:-0}" -gt $((pool_size - 1)) ]; then
   exit 1
 fi
 for key in '"scheduler"' '"queue_depth"' '"cache"' '"counters"' \
+    '"artifact_pool"' \
     '"a":{"weight"' '"b":{"weight"' '"c":{"weight"'; do
   if ! printf '%s\n' "$metrics" | grep -q "$key"; then
     echo "ci: serve metrics JSON missing $key"

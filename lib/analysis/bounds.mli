@@ -9,10 +9,6 @@
 
 open Fsc_ir
 
-(** The [fir.do_loop] whose induction variable is the given value, when
-    it is one. *)
-val loop_of_iv : Op.value -> Op.op option
-
 (** Constant [(lb, ub, step)] of a loop (inclusive [ub]), requiring
     [step >= 1]. *)
 val const_bounds : Op.op -> (int * int * int) option

@@ -68,13 +68,6 @@ type dependence = {
           [false]: may-dependence (subscripts not fully analysable) *)
 }
 
-(** Classify the (write [w], access [x]) pair against the nest loops
-    with induction variables [ivs] (outermost first). [None] when the
-    accesses provably never conflict across different iterations —
-    distinct roots, distinct constant subscripts, or a loop-independent
-    (all-zero-distance) dependence. *)
-val pair : ivs:Op.value list -> access -> access -> dependence option
-
 (** {2 Nest classification} *)
 
 type classification =

@@ -34,14 +34,6 @@ val loc : int -> int -> srcloc
     one. *)
 val loc_of_op : Op.op -> srcloc option
 
-val make :
-  ?loc:srcloc ->
-  ?notes:(srcloc option * string) list ->
-  severity ->
-  code:string ->
-  string ->
-  t
-
 val error :
   ?loc:srcloc ->
   ?notes:(srcloc option * string) list ->

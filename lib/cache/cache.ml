@@ -91,7 +91,6 @@ let create ?(mem_entries = 64) ?(disk = true) ?dir ?max_disk_bytes ~version
     s_evictions = 0; s_invalid = 0; s_stores = 0; s_store_failures = 0;
     s_disk_evictions = 0 }
 
-let version t = t.t_version
 let dir t = t.cache_dir
 
 let locked t f =

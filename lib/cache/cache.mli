@@ -49,8 +49,6 @@ val create :
   unit ->
   t
 
-val version : t -> int
-
 (** Directory of the disk store, if any. *)
 val dir : t -> string option
 
@@ -79,10 +77,6 @@ val find :
     every sidecar set whose stamp no longer matches (counted on the
     ["cache.sidecar_drop"] Obs counter). All operations are no-ops
     returning [None]/[0] on a diskless cache. *)
-
-(** Path the sidecar would occupy ([None] if diskless); the file need
-    not exist. *)
-val sidecar_path : t -> key:string -> ext:string -> string option
 
 (** Atomically write [payload] as [<key>.<ext>]; returns the final
     path, or [None] if diskless or the write failed (counted, like

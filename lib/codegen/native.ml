@@ -114,7 +114,6 @@ let create ?cache ?(mode = Async) ?ocamlfind ?l2_kb:_ () =
     c_mutex = Mutex.create (); c_cond = Condition.create ();
     c_builds = Hashtbl.create 8; c_stale_dropped = dropped }
 
-let cache ctx = ctx.c_cache
 let stale_dropped ctx = ctx.c_stale_dropped
 
 let toolchain_error ctx =

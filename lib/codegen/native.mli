@@ -52,8 +52,6 @@ val create :
   ?cache:Cache.t -> ?mode:mode -> ?ocamlfind:string -> ?l2_kb:int -> unit ->
   ctx
 
-val cache : ctx -> Cache.t
-
 (** Why the native tier is disabled, if it is. *)
 val toolchain_error : ctx -> string option
 

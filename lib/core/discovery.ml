@@ -606,6 +606,3 @@ let run ?(log_rejects = true) m =
       Stencil.infer_shapes_in_func func)
     funcs;
   stats
-
-let pass =
-  Pass.create "discover-stencils" (fun m -> ignore (run m))

@@ -53,6 +53,3 @@ type stats = {
 (** Run discovery over every [func.func] in the module. Returns the
     statistics; the module is rewritten in place. *)
 val run : ?log_rejects:bool -> Op.op -> stats
-
-(** The same as a named pass for {!Fsc_ir.Pass.run_pipeline}. *)
-val pass : Pass.t

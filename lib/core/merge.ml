@@ -182,5 +182,3 @@ let run m =
         op.Op.o_regions)
     m;
   !merged
-
-let pass = Pass.create "merge-stencils" (fun m -> ignore (run m))

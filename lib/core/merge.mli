@@ -13,5 +13,3 @@ open Fsc_ir
 (** Merge until fixpoint within every block of the module; returns the
     number of fusions performed. *)
 val run : Op.op -> int
-
-val pass : Pass.t

@@ -31,10 +31,6 @@
     serves every pool size (the requested options are re-attached on
     load). *)
 
-(** Bumped whenever the serialized layout or anything feeding the digest
-    changes; old entries are then evicted on sight. *)
-val format_version : int
-
 (** A cache wired to [format_version] (defaults: 64 in-memory entries,
     disk store under [Cache.default_dir ()]); [max_disk_bytes] bounds
     the disk store with LRU whole-set eviction (see {!Fsc_cache.Cache.create}). *)
@@ -48,16 +44,6 @@ val create_cache :
 
 (** The entry key for compiling [source] under the given options. *)
 val key : Fsc_cache.Cache.t -> Pipeline.options -> string -> string
-
-(** Serialize to the cached payload: the header line, then the modules
-    printed into one buffer ({!Fsc_ir.Printer.to_buffer}). *)
-val encode : Pipeline.compiled_artifact -> string
-
-(** Re-parse and re-verify a payload; the artifact's options are the
-    requested ones, not the (kind-identical) ones it was compiled
-    under. *)
-val decode :
-  Pipeline.options -> string -> (Pipeline.compiled_artifact, string) result
 
 (** [compile ?cache options src] — with a cache, look up first and
     populate on miss; without one, plain {!Pipeline.compile}. A miss

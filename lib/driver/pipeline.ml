@@ -608,6 +608,8 @@ let release_grids ctx =
     ctx.Interp.named_buffers;
   ctx.Interp.named_buffers <- []
 
+let release artifact = release_grids artifact.a_ctx
+
 let run artifact =
   (* distributed: buffers are allocated per run, so reset the scatter
      groups (releasing their rank blocks) before main and gather

@@ -199,7 +199,7 @@ val stencil :
     Before [_QQmain] allocates, the previous run's named grids (and
     their GPU twins) and [Dist] rank blocks go back to the storage
     arena ({!Fsc_rt.Memref_rt.release}), so a re-run reuses their
-    storage: a grid from {!buffer} is valid until this artifact's next
+    storage: a grid from {!buffer_exn} is valid until this artifact's next
     [run]. Clone it to keep it longer.
 
     An artifact is run by one caller at a time, as its
@@ -209,15 +209,21 @@ val stencil :
     grid cannot host the requested rank count. *)
 val run : artifact -> unit
 
+(** Hand the last run's named grids (and their GPU twins) back to the
+    storage arena now, as the next {!run} would, and forget them: the
+    artifact then holds no host grid until it runs again. Call it once
+    nothing reads those grids any more. The artifact stays runnable; a
+    [Dist] artifact keeps its rank blocks, which its next run reuses. *)
+val release : artifact -> unit
+
 (** Drain any in-flight native builds, so short runs still publish their
     compiled plugins to the artifact cache. Joins no domain: the
     artifact's workers belong to the shared pool and serve the next
     artifact. The artifact stays runnable. *)
 val shutdown : artifact -> unit
 
-(** Look up a named Fortran array allocated during the last run. Valid
-    until the artifact's next {!run}, which hands its storage back to
-    the arena. *)
-val buffer : artifact -> string -> Fsc_rt.Memref_rt.t option
-
+(** The named Fortran array allocated during the last run. Valid until
+    the artifact's next {!run} (or {!release}), which hands its storage
+    back to the arena.
+    @raise Error_diag when the run allocated no grid of that name. *)
 val buffer_exn : artifact -> string -> Fsc_rt.Memref_rt.t

@@ -8,8 +8,6 @@
 
 open Fsc_ir
 
-val d : Dialect.dialect
-
 (** {2 Storage} *)
 
 (** Stack allocation; result is [!fir.ref<in_type>]. [name] becomes the
@@ -83,9 +81,6 @@ val is_coordinate_of : Op.op -> bool
 
 (** (lb, ub, step) operands of a [fir.do_loop]. *)
 val do_loop_bounds : Op.op -> Op.value * Op.value * Op.value
-
-(** The single block of a single-region op. *)
-val body_block : Op.op -> Op.block
 
 val do_loop_body : Op.op -> Op.block
 val do_loop_induction_var : Op.op -> Op.value

@@ -89,20 +89,11 @@ let to_string a =
   to_buffer ~add_type:Types.to_buffer buf a;
   Buffer.contents buf
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)
-
-let equal (a : t) (b : t) = a = b
-
 (* Accessors used pervasively by passes; raising on shape mismatch keeps
    verifier bugs loud. *)
 let as_int = function
   | Int_a i -> i
   | a -> invalid_arg ("Attr.as_int: " ^ to_string a)
-
-let as_float = function
-  | Float_a f -> f
-  | Int_a i -> float_of_int i
-  | a -> invalid_arg ("Attr.as_float: " ^ to_string a)
 
 let as_string = function
   | Str_a s -> s

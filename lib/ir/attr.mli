@@ -28,8 +28,6 @@ val to_buffer :
 (** [s] quoted with OCaml escapes, as [Printf "%S"] prints it (the form
     {!Parser} reads back). *)
 val add_quoted : Buffer.t -> string -> unit
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 (** {2 Accessors}
 
@@ -38,6 +36,5 @@ val equal : t -> t -> bool
     ints; [as_string] accepts symbols. *)
 
 val as_int : t -> int
-val as_float : t -> float
 val as_string : t -> string
 val as_index : t -> int list

@@ -10,7 +10,6 @@ type insertion =
 
 type t
 
-val create : insertion -> t
 val at_end : Op.block -> t
 val before : Op.op -> t
 val after : Op.op -> t

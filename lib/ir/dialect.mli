@@ -56,8 +56,6 @@ val op_is_pure : Op.op -> bool
 (** A tool's registry: the set of dialect names it accepts. *)
 type context = { ctx_name : string; mutable ctx_dialects : string list }
 
-val create_context : name:string -> string list -> context
-
 (** The three tool registries of the paper's pipeline: Flang (FIR +
     arith/math/func/cf/omp/llvm, but no builtin/scf/memref/gpu/stencil),
     mlir-opt (everything standard, no FIR), and xDSL (everything,

@@ -189,8 +189,6 @@ let num_results op = Array.length op.o_results
 
 let region ?(index = 0) op = op.o_regions.(index)
 
-let regions op = Array.to_list op.o_regions
-
 let has_attr op key = List.mem_assoc key op.o_attrs
 
 let attr op key = List.assoc_opt key op.o_attrs

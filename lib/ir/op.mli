@@ -103,7 +103,6 @@ val operands : op -> value list
 val num_operands : op -> int
 val num_results : op -> int
 val region : ?index:int -> op -> region
-val regions : op -> region list
 
 val has_attr : op -> string -> bool
 val attr : op -> string -> Attr.t option

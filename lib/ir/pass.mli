@@ -4,8 +4,6 @@
     is also recorded as an [Fsc_obs.Obs] span (category "pass") when
     tracing is enabled. *)
 
-val log_src : Logs.src
-
 type t = {
   name : string;  (** printed in pipelines, timings and errors *)
   run : Op.op -> unit;  (** transforms the module in place *)

@@ -21,9 +21,6 @@ val pattern :
   (rewriter -> Op.op -> bool) ->
   pattern
 
-(** Schedule an op for (re)processing. *)
-val enqueue : rewriter -> Op.op -> unit
-
 (** Replace all results of [op] with [values] and erase it; users are
     re-enqueued. *)
 val replace_op : rewriter -> Op.op -> Op.value list -> unit

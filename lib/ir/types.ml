@@ -55,16 +55,6 @@ let is_float = function F32 | F64 -> true | _ -> false
 
 let is_scalar t = is_integer t || is_float t
 
-let bitwidth = function
-  | I1 -> 1
-  | I8 -> 8
-  | I16 -> 16
-  | I32 -> 32
-  | I64 | Index -> 64
-  | F32 -> 32
-  | F64 -> 64
-  | _ -> invalid_arg "Types.bitwidth: not a scalar type"
-
 let rec element_type = function
   | Memref (_, t) | Vector (_, t) -> t
   | Fir_array (_, t) -> element_type t
@@ -188,8 +178,6 @@ let to_string = function
     Buffer.contents buf
 
 let equal (a : t) (b : t) = a = b
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* Number of accessible cells per dimension of an inclusive bounds list. *)
 let bounds_extents (b : bounds) = List.map (fun (lo, hi) -> hi - lo + 1) b

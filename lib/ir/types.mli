@@ -45,9 +45,6 @@ val is_integer : t -> bool
 val is_float : t -> bool
 val is_scalar : t -> bool
 
-(** @raise Invalid_argument on non-scalar types. *)
-val bitwidth : t -> int
-
 (** Element type of shaped types (transparent through nesting);
     identity on scalars. *)
 val element_type : t -> t
@@ -62,7 +59,6 @@ val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {2 Bounds arithmetic (used by shape inference)} *)
 

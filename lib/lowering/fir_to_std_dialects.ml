@@ -298,8 +298,3 @@ let run m =
         Op.append_to blk (Op.clone f))
     (Func.all_functions m);
   { lowered = out; skipped = List.rev !skipped }
-
-let pass =
-  Pass.create "fir-to-std-dialects" (fun _ ->
-      (* module-replacing transform: use [run] directly *)
-      ())

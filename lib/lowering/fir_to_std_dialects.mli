@@ -21,5 +21,3 @@ type result = {
 
 (** Translate every function of the module into a fresh module. *)
 val run : Op.op -> result
-
-val pass : Pass.t

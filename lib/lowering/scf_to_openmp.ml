@@ -41,5 +41,3 @@ let run ?num_threads m =
   in
   List.iter (convert ?num_threads) parallels;
   List.length parallels
-
-let pass = Pass.create "convert-scf-to-openmp" (fun m -> ignore (run m))

@@ -6,5 +6,3 @@ open Fsc_ir
 
 (** Convert every top-level [scf.parallel]; returns how many. *)
 val run : ?num_threads:int -> Op.op -> int
-
-val pass : Pass.t

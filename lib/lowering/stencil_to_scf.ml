@@ -190,11 +190,3 @@ let run ~mode m =
         cleanup op
       end)
     m
-
-let pass ~mode =
-  let name =
-    match mode with
-    | Cpu -> "stencil-to-scf{cpu}"
-    | Gpu -> "stencil-to-scf{gpu}"
-  in
-  Pass.create name (fun m -> run ~mode m)

@@ -15,5 +15,3 @@ type mode =
 (** Lower every [stencil.apply] (plus its stores and plumbing) in every
     function of the module, in place. *)
 val run : mode:mode -> Op.op -> unit
-
-val pass : mode:mode -> Pass.t

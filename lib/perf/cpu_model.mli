@@ -22,13 +22,6 @@ type benchmark =
   | Pw_advection  (** 63 flops/cell, 3 nests (fused by the stencil flow) *)
 
 val benchmark_name : benchmark -> string
-val flops_per_cell : benchmark -> float
-
-(** Fraction of peak core flops sustained. *)
-val efficiency : benchmark -> pipeline -> float
-
-(** Effective DRAM bytes per grid cell. *)
-val bytes_per_cell : benchmark -> pipeline -> float
 
 (** Aggregate bandwidth at [t] threads (spread placement). *)
 val bandwidth : Machine.cpu_node -> int -> float

@@ -11,18 +11,6 @@ type strategy =
   | Stencil_optimised  (** the bespoke data-placement pass: one transfer
                            each way, device-resident in between *)
 
-(** Seconds for one kernel launch. *)
-val iteration_time :
-  ?spec:Fsc_rt.Gpu_sim.spec ->
-  strategy:strategy ->
-  cells:float ->
-  flops_per_cell:float ->
-  bytes_per_cell:float ->
-  arrays:int ->
-  array_bytes:float ->
-  unit ->
-  float
-
 val mcells :
   ?spec:Fsc_rt.Gpu_sim.spec ->
   strategy:strategy ->

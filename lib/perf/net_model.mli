@@ -36,25 +36,6 @@ val multinode_gpu_mcells :
   unit ->
   float
 
-val iteration_time :
-  ?node:Machine.cpu_node ->
-  ?net:Machine.network ->
-  variant:variant ->
-  global:int * int * int ->
-  ranks:int ->
-  unit ->
-  float
-
-(** Global throughput in cells/s. *)
-val throughput :
-  ?node:Machine.cpu_node ->
-  ?net:Machine.network ->
-  variant:variant ->
-  global:int * int * int ->
-  ranks:int ->
-  unit ->
-  float
-
 val mcells :
   ?node:Machine.cpu_node ->
   ?net:Machine.network ->

@@ -22,12 +22,6 @@ type rvalue =
 
 and cell = { mutable contents : rvalue }
 
-(** Converters; raise {!Interp_error} on kind mismatch. *)
-
-val as_int : rvalue -> int
-
-val as_float : rvalue -> float
-
 (** A linked execution context: registered functions, external (native)
     implementations, the OpenMP pool, the GPU simulator and its active
     data strategy, captured output, and the registry of named array

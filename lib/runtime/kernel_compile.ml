@@ -533,14 +533,6 @@ let run_nest nest ?pool ~bufs ~scalars () =
 let run spec ?pool ~bufs ~scalars () =
   List.iter (fun nest -> run_nest nest ?pool ~bufs ~scalars ()) spec.k_nests
 
-(* Cells written per invocation (sum over nests). *)
-let cells spec =
-  List.fold_left
-    (fun acc nest ->
-      acc
-      + List.fold_left (fun a l -> a * (l.l_ub - l.l_lb)) 1 nest.n_loops)
-    0 spec.k_nests
-
 let flops spec =
   List.fold_left
     (fun acc nest ->

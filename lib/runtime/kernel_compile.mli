@@ -56,15 +56,13 @@ type spec = {
   k_num_scalars : int;
 }
 
-(** Raised by {!analyze} (and by {!run} on buffer-shape violations);
+(** Raised when the kernel analysis rejects a kernel ({!try_analyze}
+    returns it as [Error]) and by {!run} on buffer-shape violations;
     carries the reason shown in diagnostics. *)
 exception Fallback of string
 
-(** Analyse a lowered kernel [func.func].
-    @raise Fallback when the kernel is outside the supported shape. *)
-val analyze : Op.op -> spec
-
-(** Non-raising wrapper around {!analyze}. *)
+(** Analyse a lowered kernel [func.func]; [Error] when the kernel is
+    outside the supported shape. *)
 val try_analyze : Op.op -> (spec, string) result
 
 (** Shared helpers for alternative execution engines
@@ -131,10 +129,6 @@ val run :
   scalars:float array ->
   unit ->
   unit
-
-(** Cells written / flops / memory accesses per invocation (summed over
-    nests) — inputs to the GPU simulator's roofline accounting. *)
-val cells : spec -> int
 
 val flops : spec -> int
 val loads : spec -> int

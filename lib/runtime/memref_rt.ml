@@ -161,10 +161,6 @@ let create dims =
   Bigarray.Array1.fill t.data 0.0;
   t
 
-let scalar () = create [ 1 ]
-
-let rank t = Array.length t.dims
-
 let offset t (indices : int array) =
   let off = ref 0 in
   for i = 0 to Array.length indices - 1 do

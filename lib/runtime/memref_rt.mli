@@ -57,11 +57,6 @@ val release : t -> unit
     counters (tests diff them). *)
 val arena_stats : unit -> int * int
 
-(** A 1-element buffer. *)
-val scalar : unit -> t
-
-val rank : t -> int
-
 (** Flat offset of a multi-dimensional index. *)
 val offset : t -> int array -> int
 

@@ -44,7 +44,6 @@ let reset t =
   Atomic.set t.total_messages 0;
   Atomic.set t.total_bytes 0
 
-let nranks t = t.nranks
 let messages t = Atomic.get t.total_messages
 let bytes t = Atomic.get t.total_bytes
 

@@ -22,8 +22,6 @@ val create : int -> t
     No send or receive may run concurrently. *)
 val reset : t -> unit
 
-val nranks : t -> int
-
 (** Post a message into [dst]'s mailbox. Both endpoints are validated.
     @raise Invalid_argument on an out-of-range [src] or [dst]. *)
 val send : t -> src:int -> dst:int -> tag:int -> float array -> unit

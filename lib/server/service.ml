@@ -1,7 +1,9 @@
 (* The JSONL job protocol. [run_batch] and [serve] are thin transports
-   over the same core: parse_job -> Scheduler.submit -> execute ->
+   over the same core: parse_request -> Scheduler.submit -> execute ->
    result_to_line, with results emitted in input order so identical
-   inputs give identical outputs whatever the completion order.
+   inputs give identical outputs whatever the completion order. Each
+   owns a pool of idle linked artifacts that repeated run requests
+   re-run.
 
    [serve] multiplexes connections over a pool of handler threads that
    all accept on the same listening socket; the accept loop is guarded
@@ -89,56 +91,65 @@ let int_field name json =
   | Some _ -> Error (Printf.sprintf "field %S must be a number" name)
   | None -> Ok None
 
-let parse_job ~index line =
+let job_of_json ~index json =
+  let* src = str_field "src" json in
+  let* source = str_field "source" json in
+  let* target = str_field "target" json in
+  let* threads = int_field "threads" json in
+  let* action = str_field "action" json in
+  let* id = int_field "id" json in
+  let* j_client = str_field "client" json in
+  let* j_src =
+    match (src, source) with
+    | Some p, None -> Ok (`Path p)
+    | None, Some s -> Ok (`Inline s)
+    | Some _, Some _ -> Error "give \"src\" or \"source\", not both"
+    | None, None -> Error "missing \"src\" (or inline \"source\")"
+  in
+  let* j_action =
+    match action with
+    | None | Some "run" -> Ok Run
+    | Some "compile" -> Ok Compile
+    | Some a -> Error ("unknown action " ^ a)
+  in
+  let* target =
+    match target with
+    | None -> Ok None
+    | Some name ->
+      let* t = target_of_name name in
+      Ok (Some t)
+  in
+  let* j_target = resolve_target target threads in
+  Ok
+    { j_id = Option.value id ~default:index; j_src; j_target; j_action;
+      j_client }
+
+type request =
+  | Job of job
+  | Shutdown
+  | Metrics
+
+(* One parse per line, whole Fortran source included: the control
+   actions are recognised on the parsed object before it is read as a
+   job. *)
+let parse_request ~index line =
   match J.of_string line with
   | exception J.Parse_error e -> Error ("bad job JSON: " ^ e)
-  | json ->
-    let* src = str_field "src" json in
-    let* source = str_field "source" json in
-    let* target = str_field "target" json in
-    let* threads = int_field "threads" json in
-    let* action = str_field "action" json in
-    let* id = int_field "id" json in
-    let* j_client = str_field "client" json in
-    let* j_src =
-      match (src, source) with
-      | Some p, None -> Ok (`Path p)
-      | None, Some s -> Ok (`Inline s)
-      | Some _, Some _ -> Error "give \"src\" or \"source\", not both"
-      | None, None -> Error "missing \"src\" (or inline \"source\")"
-    in
-    let* j_action =
-      match action with
-      | None | Some "run" -> Ok Run
-      | Some "compile" -> Ok Compile
-      | Some ("shutdown" | "metrics") ->
-        Error
-          (Printf.sprintf "%S is a control line, not a job"
-             (Option.get action))
-      | Some a -> Error ("unknown action " ^ a)
-    in
-    let* target =
-      match target with
-      | None -> Ok None
-      | Some name ->
-        let* t = target_of_name name in
-        Ok (Some t)
-    in
-    let* j_target = resolve_target target threads in
-    Ok
-      { j_id = Option.value id ~default:index; j_src; j_target; j_action;
-        j_client }
-
-let control_action name line =
-  match J.of_string line with
-  | exception J.Parse_error _ -> false
   | json -> (
     match J.member "action" json with
-    | Some (J.Str a) -> a = name
-    | _ -> false)
+    | Some (J.Str "shutdown") -> Ok Shutdown
+    | Some (J.Str "metrics") -> Ok Metrics
+    | _ -> Result.map (fun j -> Job j) (job_of_json ~index json))
 
-let is_shutdown line = control_action "shutdown" line
-let is_metrics line = control_action "metrics" line
+let parse_job ~index line =
+  match parse_request ~index line with
+  | Ok (Job j) -> Ok j
+  | Ok Shutdown -> Error "\"shutdown\" is a control line, not a job"
+  | Ok Metrics -> Error "\"metrics\" is a control line, not a job"
+  | Error e -> Error e
+
+let is_shutdown line = parse_request ~index:0 line = Ok Shutdown
+let is_metrics line = parse_request ~index:0 line = Ok Metrics
 
 (* ---------------- execution ---------------- *)
 
@@ -161,7 +172,63 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let execute ?cache ?(should_cancel = fun () -> false) job =
+(* ---------------- idle linked artifacts ----------------
+
+   A repeated run request re-runs the linked artifact an earlier request
+   left idle, instead of decoding its cache entry, linking it and
+   binding fresh runners. Idle artifacts are keyed by the compile-cache
+   key and the full target name (threads and ranks are link-time
+   state), most recently returned first. A worker takes one out for its
+   job alone and gives it back after the run, so no two workers ever run
+   one artifact. Only an artifact whose compile was a cache hit enters:
+   a one-off source never takes a slot. An idle artifact holds no host
+   grid (its run released them to the arena before it came back), so
+   the cap bounds IR, interpreter contexts and runner bindings; past
+   it the least recently returned artifact is evicted. *)
+
+let artifact_pool_cap = 32
+
+type artifact_pool = {
+  ap_lock : Mutex.t;
+  mutable ap_idle : (string * P.artifact) list;
+}
+
+let c_reuses = Obs.counter "serve.artifact_reuses"
+let c_evictions = Obs.counter "serve.artifact_evictions"
+let c_drops = Obs.counter "serve.artifact_drops"
+
+let create_pool () = { ap_lock = Mutex.create (); ap_idle = [] }
+
+let idle_artifacts pool =
+  Mutex.protect pool.ap_lock (fun () -> List.length pool.ap_idle)
+
+let pool_key cache options source =
+  P.target_name options.P.opt_target ^ " " ^ CC.key cache options source
+
+let take pool key =
+  Mutex.protect pool.ap_lock (fun () ->
+      match List.assoc_opt key pool.ap_idle with
+      | None -> None
+      | Some a ->
+        pool.ap_idle <- List.filter (fun (_, b) -> b != a) pool.ap_idle;
+        Obs.incr c_reuses;
+        Some a)
+
+let give_back pool key a =
+  Mutex.protect pool.ap_lock (fun () ->
+      let idle = (key, a) :: pool.ap_idle in
+      if List.length idle <= artifact_pool_cap then pool.ap_idle <- idle
+      else begin
+        pool.ap_idle <- List.filteri (fun i _ -> i < artifact_pool_cap) idle;
+        Obs.incr c_evictions
+      end)
+
+let checksums a =
+  a.P.a_ctx.Interp.named_buffers
+  |> List.map (fun (name, buf) -> (name, Rt.checksum buf))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let execute ?cache ?pool ?(should_cancel = fun () -> false) job =
   let base = job_result job in
   if should_cancel () then { base with r_status = Cancelled_ }
   else
@@ -171,35 +238,70 @@ let execute ?cache ?(should_cancel = fun () -> false) job =
       in
       let options = P.default_options ~target:job.j_target () in
       let t0 = Unix.gettimeofday () in
-      let ca, outcome = CC.compile ?cache options source in
+      (* a run request keyed in the pool: an idle artifact there skips
+         the compile (cache lookup and decode) and the link *)
+      let pooled =
+        match (job.j_action, cache, pool) with
+        | Run, Some c, Some pool ->
+          let key = pool_key c options source in
+          Some (pool, key, take pool key)
+        | _ -> None
+      in
+      let linked, outcome, kernels =
+        match pooled with
+        | Some (_, _, Some a) -> (`Linked a, `Hit, List.length a.P.a_kernels)
+        | _ ->
+          let ca, outcome = CC.compile ?cache options source in
+          (`Compiled ca, outcome, ca.P.ca_stats.P.st_kernels)
+      in
       let compile_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
       let base =
         { base with r_cache = outcome; r_compile_ms = compile_ms;
-          r_kernels = ca.P.ca_stats.P.st_kernels }
+          r_kernels = kernels }
       in
       match job.j_action with
       | Compile -> base
       | Run ->
+        (* the pool slot a clean run returns its artifact to: only a
+           cache hit (or a pooled artifact) has one *)
+        let slot =
+          match (pooled, outcome) with
+          | Some (pool, key, _), `Hit -> Some (pool, key)
+          | _ -> None
+        in
+        let drop a =
+          P.release a;
+          if Option.is_some slot then Obs.incr c_drops
+        in
         (* phase boundary: a cancelled client's job stops here instead
            of occupying a worker for the whole run *)
-        if should_cancel () then { base with r_status = Cancelled_ }
+        if should_cancel () then begin
+          (match linked with `Linked a -> drop a | `Compiled _ -> ());
+          { base with r_status = Cancelled_ }
+        end
         else begin
           let t1 = Unix.gettimeofday () in
-          let a = P.link ca in
-          let checksums =
-            Fun.protect
-              ~finally:(fun () -> P.shutdown a)
-              (fun () ->
-                P.run a;
-                a.P.a_ctx.Interp.named_buffers
-                |> List.map (fun (name, buf) -> (name, Rt.checksum buf))
-                |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+          let a =
+            match linked with `Linked a -> a | `Compiled ca -> P.link ca
           in
-          (* the artifact is this request's alone, and the run and its
-             builds are over: nothing can reach its grids any more, so
-             their storage serves the next request's creates *)
-          List.iter (fun (_, buf) -> Rt.release buf)
-            a.P.a_ctx.Interp.named_buffers;
+          let checksums =
+            match
+              Fun.protect
+                ~finally:(fun () -> P.shutdown a)
+                (fun () ->
+                  P.run a;
+                  checksums a)
+            with
+            | cs -> cs
+            | exception e ->
+              drop a;
+              raise e
+          in
+          (* the run and its builds are over and nothing reads its
+             grids any more: their storage serves the next request's
+             creates *)
+          P.release a;
+          Option.iter (fun (pool, key) -> give_back pool key a) slot;
           { base with r_run_ms = 1e3 *. (Unix.gettimeofday () -. t1);
             r_kernels = List.length a.P.a_kernels; r_checksums = checksums }
         end
@@ -246,7 +348,7 @@ let parse_error_result ~index msg =
 
 let num n = J.Num (float_of_int n)
 
-let metrics_json ?cache sched =
+let metrics_json ?cache ~pool sched =
   let s = Scheduler.stats sched in
   let client c =
     ( c.Scheduler.c_id,
@@ -295,6 +397,10 @@ let metrics_json ?cache sched =
            ("total_wait_ms", J.Num (1e3 *. s.Scheduler.total_wait_s)) ]);
       ("clients", J.Obj (List.map client s.Scheduler.clients));
       ("cache", cache_json);
+      ("artifact_pool",
+       J.Obj
+         [ ("idle", num (idle_artifacts pool));
+           ("cap", num artifact_pool_cap) ]);
       (* the shared pool's participant count: served openmp and dist
          jobs never hold more than this minus one worker domains *)
       ("pool_size", num (Fsc_rt.Domain_pool.recommended_size ()));
@@ -322,48 +428,43 @@ let await_slot = function
 let slot_line slot =
   match slot with Raw s -> s | _ -> result_to_line (await_slot slot)
 
-(* Submit one parsed line; [on_full] decides the backpressure policy:
+(* Submit one parsed job; [on_full] decides the backpressure policy:
    [`Retry_within budget] retries for at most [budget] seconds before
    shedding (batch), [`Reject] sheds immediately (serve). Either way a
    shed job comes back as a typed [rejected: overloaded] result rather
    than spinning forever. *)
-let submit_line ?cache ?deadline_s ?cancelled ?default_client ~on_full sched
-    ~index line =
-  match parse_job ~index line with
-  | Error msg -> Immediate (parse_error_result ~index msg)
-  | Ok job -> (
-    let client =
-      match job.j_client with Some c -> Some c | None -> default_client
-    in
-    let should_cancel =
-      match cancelled with Some f -> f | None -> fun () -> false
-    in
-    let started = Unix.gettimeofday () in
-    let rec go () =
-      match
-        Scheduler.submit sched ?client ?cancelled ?deadline_s (fun () ->
-            execute ?cache ~should_cancel job)
-      with
-      | Ok ticket -> Pending (job, ticket)
-      | Error `Shutting_down ->
-        Immediate { (job_result job) with r_status = Rejected_ "shutting-down" }
-      | Error `Quota_exceeded ->
-        Immediate
-          { (job_result job) with r_status = Rejected_ "quota-exceeded" }
-      | Error `Queue_full -> (
-        match on_full with
-        | `Reject ->
+let submit_job ?cache ~pool ?deadline_s ?cancelled ?default_client ~on_full
+    sched job =
+  let client =
+    match job.j_client with Some c -> Some c | None -> default_client
+  in
+  let should_cancel =
+    match cancelled with Some f -> f | None -> fun () -> false
+  in
+  let started = Unix.gettimeofday () in
+  let rec go () =
+    match
+      Scheduler.submit sched ?client ?cancelled ?deadline_s (fun () ->
+          execute ?cache ~pool ~should_cancel job)
+    with
+    | Ok ticket -> Pending (job, ticket)
+    | Error `Shutting_down ->
+      Immediate { (job_result job) with r_status = Rejected_ "shutting-down" }
+    | Error `Quota_exceeded ->
+      Immediate { (job_result job) with r_status = Rejected_ "quota-exceeded" }
+    | Error `Queue_full -> (
+      match on_full with
+      | `Reject ->
+        Immediate { (job_result job) with r_status = Rejected_ "overloaded" }
+      | `Retry_within budget ->
+        if Unix.gettimeofday () -. started >= budget then
           Immediate { (job_result job) with r_status = Rejected_ "overloaded" }
-        | `Retry_within budget ->
-          if Unix.gettimeofday () -. started >= budget then
-            Immediate
-              { (job_result job) with r_status = Rejected_ "overloaded" }
-          else begin
-            Unix.sleepf 0.002;
-            go ()
-          end)
-    in
-    go ())
+        else begin
+          Unix.sleepf 0.002;
+          go ()
+        end)
+  in
+  go ()
 
 let default_workers () = Fsc_rt.Domain_pool.recommended_size ()
 
@@ -374,13 +475,17 @@ let run_batch ?cache ?workers ?(queue_capacity = 64) ?deadline_s
      before any worker domain can race into it *)
   Fsc_dialects.Registry.init ();
   let sched = Scheduler.create ~queue_capacity ~workers () in
+  let pool = create_pool () in
   Fun.protect
     ~finally:(fun () -> Scheduler.shutdown sched)
     (fun () ->
       lines
       |> List.mapi (fun index line ->
-             submit_line ?cache ?deadline_s
-               ~on_full:(`Retry_within overload_budget_s) sched ~index line)
+             match parse_job ~index line with
+             | Ok job ->
+               submit_job ?cache ~pool ?deadline_s
+                 ~on_full:(`Retry_within overload_budget_s) sched job
+             | Error msg -> Immediate (parse_error_result ~index msg))
       |> List.map slot_line)
 
 (* ---- socket server ---- *)
@@ -397,8 +502,8 @@ let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
    client's work is dropped instead of riding a worker to completion.
    The connection's default client is released when the connection
    ends, so a long-running server keeps no record per connection. *)
-let handle_connection ?cache ?deadline_s ?idle_timeout_s ~client_id sched
-    client =
+let handle_connection ?cache ~pool ?deadline_s ?idle_timeout_s ~client_id
+    sched client =
   Fun.protect ~finally:(fun () -> Scheduler.release_client sched client_id)
   @@ fun () ->
   Option.iter
@@ -416,16 +521,21 @@ let handle_connection ?cache ?deadline_s ?idle_timeout_s ~client_id sched
       Atomic.set cancelled true;
       (List.rev acc, false)
     | line when String.trim line = "" -> read_jobs index acc
-    | line when is_shutdown line -> (List.rev acc, true)
-    | line when is_metrics line ->
-      let reply = Raw (J.to_string (metrics_json ?cache sched)) in
-      read_jobs (index + 1) (reply :: acc)
-    | line ->
-      let slot =
-        submit_line ?cache ?deadline_s ~cancelled:should_cancel
-          ~default_client:client_id ~on_full:`Reject sched ~index line
-      in
-      read_jobs (index + 1) (slot :: acc)
+    | line -> (
+      match parse_request ~index line with
+      | Ok Shutdown -> (List.rev acc, true)
+      | Ok Metrics ->
+        let reply = Raw (J.to_string (metrics_json ?cache ~pool sched)) in
+        read_jobs (index + 1) (reply :: acc)
+      | Ok (Job job) ->
+        let slot =
+          submit_job ?cache ~pool ?deadline_s ~cancelled:should_cancel
+            ~default_client:client_id ~on_full:`Reject sched job
+        in
+        read_jobs (index + 1) (slot :: acc)
+      | Error msg ->
+        read_jobs (index + 1)
+          (Immediate (parse_error_result ~index msg) :: acc))
   in
   let slots, shutdown_requested = read_jobs 0 [] in
   (try
@@ -474,7 +584,8 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
      refuses their connect *)
   let staging = socket ^ ".bind" in
   remove_if_exists staging;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let pool = create_pool () in
   let stop = Atomic.make false in
   let conn_seq = Atomic.make 0 in
   Fun.protect
@@ -491,7 +602,7 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
          pool can observe [stop] and exit *)
       let wake_accepts () =
         for _ = 1 to handlers do
-          let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let c = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           (try Unix.connect c (Unix.ADDR_UNIX socket)
            with Unix.Unix_error _ -> ());
           try Unix.close c with Unix.Unix_error _ -> ()
@@ -499,14 +610,14 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
       in
       let rec accept_loop () =
         if not (Atomic.get stop) then
-          match Unix.accept fd with
+          match Unix.accept ~cloexec:true fd with
           | client, _ ->
             let finished =
               if Atomic.get stop then false
               else begin
                 let n = Atomic.fetch_and_add conn_seq 1 in
                 match
-                  handle_connection ?cache ?deadline_s ?idle_timeout_s
+                  handle_connection ?cache ~pool ?deadline_s ?idle_timeout_s
                     ~client_id:(Printf.sprintf "conn-%d" n) sched client
                 with
                 | v -> v
@@ -547,7 +658,7 @@ let serve ?cache ?workers ?(queue_capacity = 64) ?deadline_s ?handlers
       List.iter Thread.join pool)
 
 let request ~socket lines =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->

@@ -37,7 +37,12 @@
     Obs counters — among them [pool.domains_spawned] (at most
     [pool_size - 1]: served openmp and dist jobs borrow the shared
     pool's workers) and [rt.arena_misses] (grid creates that found no
-    recycled storage). A counter that never moved is absent. *)
+    recycled storage). A counter that never moved is absent. Its
+    [artifact_pool] object holds the linked-artifact pool's [idle]
+    count and [cap]; the [serve.artifact_reuses],
+    [serve.artifact_evictions] and [serve.artifact_drops] counters
+    track it. A pooled re-run never reaches the artifact cache, so it
+    moves none of the [cache] stats. *)
 
 type action =
   | Compile
@@ -94,14 +99,40 @@ val is_shutdown : string -> bool
 (** Is this line a [{"action": "metrics"}] control line? *)
 val is_metrics : string -> bool
 
+(** Idle linked artifacts that repeated run requests re-run: keyed by
+    the compile-cache key and the full target name, at most
+    {!artifact_pool_cap} of them, least recently returned evicted
+    first. Safe to share between workers: a job takes its artifact out
+    of the pool for its run alone. [run_batch] and [serve] each own one
+    for their lifetime. *)
+type artifact_pool
+
+(** The pool's bound on idle artifacts. *)
+val artifact_pool_cap : int
+
+val create_pool : unit -> artifact_pool
+
+(** How many artifacts sit idle in the pool now. *)
+val idle_artifacts : artifact_pool -> int
+
 (** Compile (and for [Run], link + execute) one job. Never raises:
     failures become [Error_]. [should_cancel] is polled before the
     compile and again between the compile and run phases; once true the
     result is [Cancelled_] and the remaining phases are skipped. A
     completed run releases its grids to the storage arena
-    ({!Fsc_rt.Memref_rt.release}) once their checksums are taken. *)
+    ({!Fsc_rt.Memref_rt.release}) once their checksums are taken.
+
+    With a [cache] and a [pool], a [Run] job first looks for an idle
+    artifact of its source and target: one found is run again with no
+    compile and no link (the reply still says [cache: hit];
+    [compile_ms] is the pool lookup), a [serve.artifact_reuses] count.
+    After a clean run an artifact whose compile was a cache hit (or
+    that came from the pool) goes back to the pool, its grids released;
+    one whose run raises, or whose job is cancelled between the phases,
+    is dropped instead ([serve.artifact_drops]). *)
 val execute :
   ?cache:Fsc_cache.Cache.t ->
+  ?pool:artifact_pool ->
   ?should_cancel:(unit -> bool) ->
   job ->
   result_rec
@@ -112,7 +143,9 @@ val execute :
     Submission retries for at most [overload_budget_s] seconds
     (default 30) when the queue is full, then sheds the job with a
     typed [rejected: overloaded] result — backpressure is latency up to
-    a bound, never an infinite spin. *)
+    a bound, never an infinite spin. With a [cache], repeated run jobs
+    re-run pooled artifacts (see {!execute}); the pool lives as long as
+    the call. *)
 val run_batch :
   ?cache:Fsc_cache.Cache.t ->
   ?workers:int ->
@@ -138,7 +171,10 @@ val run_batch :
     shutdown line (the scheduler is drained and the socket file
     removed). Any stale socket file at [socket] is replaced. When a
     [cache] is given its disk store is swept (orphaned temp files
-    removed, byte budget enforced) before serving. *)
+    removed, byte budget enforced) before serving, and repeated run
+    jobs re-run pooled artifacts (see {!execute}) for as long as the
+    server runs. Every socket the server opens is close-on-exec, so a
+    process it spawns holds no client connection. *)
 val serve :
   ?cache:Fsc_cache.Cache.t ->
   ?workers:int ->

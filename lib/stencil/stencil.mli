@@ -15,9 +15,6 @@
 
 open Fsc_ir
 
-(** The dialect handle (registration happens at module initialisation). *)
-val d : Dialect.dialect
-
 (** {2 Types} *)
 
 val field_type : Types.bounds -> Types.t -> Types.t
@@ -66,7 +63,6 @@ val index : Builder.t -> dim:int -> Op.value
 
 val is_apply : Op.op -> bool
 val is_store : Op.op -> bool
-val is_load : Op.op -> bool
 
 (** Offset attribute of a [stencil.access]. *)
 val access_offset : Op.op -> int list

@@ -10,6 +10,7 @@ module P = Fsc_driver.Pipeline
 module Cc = Fsc_driver.Compile_cache
 module B = Fsc_driver.Benchmarks
 module J = Fsc_obs.Obs.Json
+module Obs = Fsc_obs.Obs
 
 (* ---- scheduler ---- *)
 
@@ -377,12 +378,32 @@ let fingerprint line =
     (str_of (field "status" line))
     (J.to_string (field "checksums" line))
 
+let reuses = Obs.counter "serve.artifact_reuses"
+let evictions = Obs.counter "serve.artifact_evictions"
+let drops = Obs.counter "serve.artifact_drops"
+
+(* Counters accumulate only while recording (or counting) is on. *)
+let counting f =
+  Obs.set_counters_only true;
+  Fun.protect ~finally:(fun () -> Obs.set_counters_only false) f
+
+(* Each source three times through a cache: the repeats re-run pooled
+   artifacts while the other worker runs another job, so a pooled
+   artifact shared by two workers would show as a checksum mismatch
+   against the uncached serial batch. *)
 let test_batch_concurrent_equals_serial () =
-  let concurrent = Svc.run_batch ~workers:2 batch_lines in
-  let serial = Svc.run_batch ~workers:1 batch_lines in
+  counting @@ fun () ->
+  let lines = batch_lines @ batch_lines @ batch_lines in
+  let reused0 = Obs.counter_value reuses in
+  let concurrent =
+    Svc.run_batch ~cache:(Cc.create_cache ~disk:false ()) ~workers:2 lines
+  in
+  let serial = Svc.run_batch ~workers:1 lines in
+  Alcotest.(check bool) "repeats re-ran pooled artifacts" true
+    (Obs.counter_value reuses > reused0);
   Alcotest.(check int)
     "one result per job"
-    (List.length batch_lines)
+    (List.length lines)
     (List.length concurrent);
   Alcotest.(check (list string))
     "2-worker pool matches serial, in input order"
@@ -454,6 +475,80 @@ let test_execute_phase_cancellation () =
   | Svc.Cancelled_ -> ()
   | _ -> Alcotest.fail "expected Cancelled_ before compile");
   Alcotest.(check bool) "no compile happened" true (r2.Svc.r_compile_ms = 0.)
+
+(* ---- linked-artifact pool ---- *)
+
+let run_job ?cache ?pool source =
+  Svc.execute ?cache ?pool
+    (Result.get_ok (Svc.parse_job ~index:0 (job_line ~target:"serial" source)))
+
+(* More distinct repeated sources than the cap: at most cap artifacts
+   stay idle, the least recently returned go first, and a source whose
+   artifact was evicted compiles from the cache again. *)
+let test_pool_cap () =
+  counting @@ fun () ->
+  let cache = Cc.create_cache ~disk:false () in
+  let pool = Svc.create_pool () in
+  let extra = 3 in
+  let sources =
+    List.init (Svc.artifact_pool_cap + extra) (fun i ->
+        B.gauss_seidel ~nx:(6 + (i mod 4)) ~ny:6 ~nz:6 ~niter:(1 + (i / 4)) ())
+  in
+  let evicted0 = Obs.counter_value evictions in
+  List.iter
+    (fun src ->
+      let first = run_job ~cache ~pool src in
+      let second = run_job ~cache ~pool src in
+      Alcotest.(check bool) "first is a miss, second a hit" true
+        (first.Svc.r_cache = `Miss && second.Svc.r_cache = `Hit);
+      Alcotest.(check bool) "both ran" true
+        (first.Svc.r_status = Svc.Ok_ && second.Svc.r_status = Svc.Ok_))
+    sources;
+  Alcotest.(check int) "idle artifacts stop at the cap" Svc.artifact_pool_cap
+    (Svc.idle_artifacts pool);
+  Alcotest.(check int) "one eviction per source past the cap" extra
+    (Obs.counter_value evictions - evicted0);
+  let reused () = Obs.counter_value reuses in
+  let r0 = reused () in
+  ignore (run_job ~cache ~pool (List.nth sources (List.length sources - 1)));
+  Alcotest.(check int) "the most recent artifact is re-run" (r0 + 1)
+    (reused ());
+  ignore (run_job ~cache ~pool (List.hd sources));
+  Alcotest.(check int) "the least recent one was evicted" (r0 + 1)
+    (reused ());
+  Alcotest.(check int) "still at the cap" Svc.artifact_pool_cap
+    (Svc.idle_artifacts pool)
+
+(* A run that raises drops its artifact: the out-of-bounds fixture is a
+   cache hit from its second request on, yet never re-run. *)
+let test_pool_drops_failed_runs () =
+  counting @@ fun () ->
+  let oob =
+    In_channel.with_open_text "fixtures/out_of_bounds.f90"
+      In_channel.input_all
+  in
+  let cache = Cc.create_cache ~disk:false () in
+  let pool = Svc.create_pool () in
+  let reused0 = Obs.counter_value reuses in
+  let dropped0 = Obs.counter_value drops in
+  let results = List.init 3 (fun _ -> run_job ~cache ~pool oob) in
+  List.iter
+    (fun r ->
+      match r.Svc.r_status with
+      | Svc.Error_ _ -> ()
+      | _ -> Alcotest.fail "out-of-bounds run should fail")
+    results;
+  let stats = Fsc_cache.Cache.stats cache in
+  Alcotest.(check (pair int int)) "compiled once, then two cache hits" (1, 2)
+    (stats.Fsc_cache.Cache.misses, stats.Fsc_cache.Cache.mem_hits);
+  Alcotest.(check int) "never re-run" reused0 (Obs.counter_value reuses);
+  Alcotest.(check int) "each hit dropped" (dropped0 + 2)
+    (Obs.counter_value drops);
+  Alcotest.(check int) "nothing idle" 0 (Svc.idle_artifacts pool);
+  (* a good source after it is pooled as usual *)
+  ignore (run_job ~cache ~pool gs);
+  ignore (run_job ~cache ~pool gs);
+  Alcotest.(check int) "a good source is pooled" 1 (Svc.idle_artifacts pool)
 
 (* ---- serve ---- *)
 
@@ -633,6 +728,105 @@ let test_serve_repeat_identical () =
     (releases () > released0);
   stop_server socket server
 
+(* The same source served twice per target after a warm-up compile: the
+   first request decodes the cache entry and pools its artifact, the
+   second re-runs that artifact. Both replies carry checksums identical
+   to a fresh link of a fresh compile. *)
+let test_serve_pooled_rerun () =
+  counting @@ fun () ->
+  let src = B.gauss_seidel ~nx:16 ~ny:16 ~nz:16 ~niter:2 () in
+  let cache = Cc.create_cache ~disk:false () in
+  let socket, server = start_server ~cache ~workers:1 () in
+  List.iter
+    (fun (target, threads, t) ->
+      let options = P.default_options ~target:t () in
+      ignore (Cc.compile ~cache options src);
+      let fresh =
+        let a = P.link (P.compile options src) in
+        P.run a;
+        J.to_string
+          (J.Obj
+             (a.P.a_ctx.Fsc_rt.Interp.named_buffers
+             |> List.map (fun (n, b) ->
+                    let sum = Fsc_rt.Memref_rt.checksum b in
+                    (n, J.Str (Printf.sprintf "%.17g" sum)))
+             |> List.sort compare))
+      in
+      let serve () =
+        match Svc.request ~socket [ job_line ~target ?threads src ] with
+        | [ line ] ->
+          Alcotest.(check string) (target ^ " served") "ok"
+            (str_of (field "status" line));
+          Alcotest.(check string) (target ^ " is a hit") "hit"
+            (str_of (field "cache" line));
+          J.to_string (field "checksums" line)
+        | lines -> Alcotest.failf "%s: %d replies" target (List.length lines)
+      in
+      let reused0 = Obs.counter_value reuses in
+      let first = serve () in
+      Alcotest.(check int) (target ^ ": first request decodes") reused0
+        (Obs.counter_value reuses);
+      let second = serve () in
+      Alcotest.(check int) (target ^ ": second request re-runs")
+        (reused0 + 1) (Obs.counter_value reuses);
+      Alcotest.(check string) (target ^ ": first equals a fresh link") fresh
+        first;
+      Alcotest.(check string) (target ^ ": re-run equals the first") first
+        second)
+    [ ("serial", None, P.Serial);
+      ("openmp", Some 2, P.Openmp 2);
+      ("dist", None, P.Dist 4);
+      ("gpu-optimised", None, P.Gpu P.Gpu_optimised) ];
+  let metrics =
+    J.of_string (List.hd (Svc.request ~socket [ {|{"action": "metrics"}|} ]))
+  in
+  (match J.member "artifact_pool" metrics with
+  | Some pool ->
+    Alcotest.(check string) "four idle artifacts reported" "4"
+      (J.to_string (field "idle" (J.to_string pool)))
+  | None -> Alcotest.fail "metrics lack artifact_pool");
+  stop_server socket server
+
+(* The server's sockets are close-on-exec: a child the server process
+   spawns while a connection is open holds none of them, so the reply's
+   EOF does not wait for the child to exit. *)
+let test_serve_sockets_cloexec () =
+  let socket, server = start_server ~workers:1 () in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let line = job_line ~target:"serial" gs ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  (* let a handler accept the connection before the child starts *)
+  Unix.sleepf 0.2;
+  let child =
+    Unix.create_process "sleep" [| "sleep"; "2" |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] child);
+      Unix.close fd)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let ic = Unix.in_channel_of_descr fd in
+      let rec read acc =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | l -> read (l :: acc)
+      in
+      let replies = read [] in
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "one reply" 1 (List.length replies);
+      Alcotest.(check string) "served" "ok"
+        (str_of (field "status" (List.hd replies)));
+      Alcotest.(check bool)
+        (Printf.sprintf "reply and EOF after %.2f s, before the child exits"
+           waited)
+        true (waited < 1.0));
+  stop_server socket server
+
 let test_serve_overload_shed () =
   let socket, server =
     start_server ~workers:1 ~handlers:2 ~queue_capacity:1 ()
@@ -766,6 +960,9 @@ let test_shared_pool_domains () =
     (Printf.sprintf "%d pool domains spawned, at most %d" n limit)
     true (n <= limit)
 
+(* Group names stay within 11 characters: Alcotest pads the group column
+   to the longest one and cuts case names to fit the line, so a longer
+   group would change how every case name here is printed. *)
 let () =
   Alcotest.run "server"
     [ ( "shared pool",
@@ -798,6 +995,11 @@ let () =
             test_batch_warm_cache_hits;
           Alcotest.test_case "phase-boundary cancellation" `Quick
             test_execute_phase_cancellation ] );
+      ( "pool reuse",
+        [ Alcotest.test_case "idle artifacts stop at the cap" `Quick
+            test_pool_cap;
+          Alcotest.test_case "failed runs are never re-run" `Quick
+            test_pool_drops_failed_runs ] );
       ( "serve",
         [ Alcotest.test_case "socket round trip" `Quick test_serve_round_trip;
           Alcotest.test_case "stalled client does not block" `Quick
@@ -807,6 +1009,10 @@ let () =
             test_serve_releases_connection_clients;
           Alcotest.test_case "repeat replies identical" `Quick
             test_serve_repeat_identical;
+          Alcotest.test_case "repeat re-runs the pooled artifact" `Quick
+            test_serve_pooled_rerun;
+          Alcotest.test_case "sockets close on exec" `Quick
+            test_serve_sockets_cloexec;
           Alcotest.test_case "overload shed" `Quick test_serve_overload_shed;
           Alcotest.test_case "quota exceeded" `Quick
             test_serve_quota_exceeded;
